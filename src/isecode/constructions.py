@@ -18,10 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitsets import from_bool_array, to_bool_array
 from .families import Family, SetFamily
 from .measures import window_product_bound
-from .words import ParameterError, SpaceParams, check_demand, decode_matrix
+from .words import ParameterError, SpaceParams, check_demand, symbol_count
 
 # Full pairwise verification of a constructed family is quadratic in its size;
 # above this many members the constructors fall back to structural checks only.
@@ -74,17 +73,10 @@ def binary_majority_family(
     x2 = _positions(n, block2)
     if t1 > len(x1) or t2 > len(x2):
         warnings.warn("threshold exceeds its block size; the family is empty", stacklevel=2)
-    digits = decode_matrix(params)
     keep = np.ones(params.size, dtype=bool)
     for block, sym, ti in ((x1, 1, t1), (x2, 2, t2)):
-        cols = np.array([j - 1 for j in block], dtype=np.int64)
-        counts = (
-            (digits[:, cols] == sym).sum(axis=1)
-            if cols.size
-            else np.zeros(params.size, dtype=np.int64)
-        )
-        keep &= 2 * counts >= len(block) + ti
-    fam = Family(params, from_bool_array(keep))
+        keep &= 2 * symbol_count(params, block, sym) >= len(block) + ti
+    fam = Family.from_array(params, keep)
     if not set(x1).intersection(x2) and _should_verify(len(fam), verify):
         if not fam.is_t_intersecting((t1, t2)):
             raise RuntimeError("internal check failed: majority family not intersecting")
@@ -123,11 +115,8 @@ def symbol_majority_family(
         raise ParameterError("threshold must be at least 1")
     if t > len(x):
         raise ParameterError(f"threshold {t} exceeds block size {len(x)}")
-    digits = decode_matrix(params)
-    cols = np.array([j - 1 for j in x], dtype=np.int64)
-    counts = (digits[:, cols] == 1).sum(axis=1)
-    keep = 2 * counts >= len(x) + t
-    fam = Family(params, from_bool_array(keep))
+    keep = 2 * symbol_count(params, x, 1) >= len(x) + t
+    fam = Family.from_array(params, keep)
     if _should_verify(len(fam), verify):
         demand = (t,) + (0,) * (s - 1)
         if not fam.is_t_intersecting(demand):
@@ -157,12 +146,9 @@ def window_threshold_family(n: int, t: int, r: int) -> SetFamily:
     m = t + 2 * r
     if m > n:
         raise ParameterError(f"window length {m} exceeds ground-set size {n}")
-    wmask = (1 << m) - 1
-    bits = 0
-    for mask in range(1 << n):
-        if (mask & wmask).bit_count() >= t + r:
-            bits |= 1 << mask
-    return SetFamily(n, bits)
+    SpaceParams(2, n)  # subsets of [n] are binary words: refuse 2**n past the cap up front
+    window = np.bitwise_count(np.arange(1 << m)) >= t + r
+    return SetFamily.from_array(n, np.tile(window, 1 << (n - m)))
 
 
 def lift_family(subsets: SetFamily, symbol: int, s: int) -> Family:
@@ -177,11 +163,12 @@ def lift_family(subsets: SetFamily, symbol: int, s: int) -> Family:
         raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
     if not subsets.is_upward_closed():
         raise ParameterError("lift needs an upward-closed subset family")
-    digits = decode_matrix(params)
-    weights = 1 << np.arange(n, dtype=np.int64)
-    masks = ((digits == symbol) * weights).sum(axis=1)
-    member = to_bool_array(subsets.bits, 1 << n)
-    return Family(params, from_bool_array(member[masks]))
+    # Expand each position axis from two states (absent, present) to s symbols.
+    states = [int(c == symbol - 1) for c in range(s)]
+    out = subsets.array
+    for j in range(n):
+        out = out.reshape(-1, 2, s**j).take(states, axis=1)
+    return Family.from_array(params, out.reshape(-1))
 
 
 def fixed_coordinate_family(n: int, s: int, demand: Sequence[int]) -> Family:
@@ -194,14 +181,12 @@ def fixed_coordinate_family(n: int, s: int, demand: Sequence[int]) -> Family:
     t = check_demand(params, demand)
     if sum(t) > n:
         raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
-    digits = decode_matrix(params)
     keep = np.ones(params.size, dtype=bool)
-    cursor = 0
+    cursor = 1
     for sym, ti in enumerate(t, start=1):
-        for _ in range(ti):
-            keep &= digits[:, cursor] == sym
-            cursor += 1
-    return Family(params, from_bool_array(keep))
+        keep &= symbol_count(params, range(cursor, cursor + ti), sym) == ti
+        cursor += ti
+    return Family.from_array(params, keep)
 
 
 @dataclass(frozen=True)
@@ -250,15 +235,11 @@ def block_product_family(
             positions = window
         cursor += len(positions)
         blocks.append(BlockSpec(sym, positions, window, ti, sel.radius))
-    digits = decode_matrix(params)
     keep = np.ones(params.size, dtype=bool)
     for block in blocks:
-        if block.t == 0:
-            continue
-        cols = np.array([j - 1 for j in block.window], dtype=np.int64)
-        counts = (digits[:, cols] == block.symbol).sum(axis=1)
-        keep &= counts >= block.t + block.radius
-    fam = Family(params, from_bool_array(keep))
+        if block.t:
+            keep &= symbol_count(params, block.window, block.symbol) >= block.t + block.radius
+    fam = Family.from_array(params, keep)
     if fam.density() != bound.density:
         raise RuntimeError("internal check failed: product density mismatch")
     _verify_product(fam, blocks, t, s, verify)

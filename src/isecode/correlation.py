@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .families import Family
 from .measures import as_rational
 from .words import ParameterError, SpaceParams, Word, check_symbol_set
@@ -108,11 +110,9 @@ def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Fam
         raise ParameterError(f"density must lie in [0, 1], got {rho}")
     rng = random.Random(seed)
     num, den = rho.numerator, rho.denominator
-    bits = 0
-    for idx in range(params.size):
-        if rng.randrange(den) < num:
-            bits |= 1 << idx
-    return Family(params, bits).pinned_closure(syms)
+    draws = (rng.randrange(den) < num for _ in range(params.size))
+    sample = np.fromiter(draws, dtype=bool, count=params.size)
+    return Family.from_array(params, sample).pinned_closure(syms)
 
 
 def random_correlation_trials(
@@ -145,16 +145,9 @@ def exhaustive_correlation(s: int, pins_a, pins_b) -> list[CorrelationCheck]:
     """All pairs of complete families for word length 1 (2**s candidate families per side)."""
     params = SpaceParams(s, 1)
     a, b = _check_pins(params, pins_a, pins_b)
-    complete_a = [
-        fam
-        for bits in range(1 << s)
-        if (fam := Family(params, bits)).is_pinned_complete(a)
-    ]
-    complete_b = [
-        fam
-        for bits in range(1 << s)
-        if (fam := Family(params, bits)).is_pinned_complete(b)
-    ]
+    candidates = [Family(params, bits) for bits in range(1 << s)]
+    complete_a = [fam for fam in candidates if fam.is_pinned_complete(a)]
+    complete_b = [fam for fam in candidates if fam.is_pinned_complete(b)]
     return [
         check_correlation(fam_a, fam_b, a, b)
         for fam_a in complete_a

@@ -1,8 +1,13 @@
 """Dense families of words and of subsets, with closures, slices, and projections.
 
-A Family is an immutable bitset over all s**n word indices.  A SetFamily is
-the analogous bitset over all 2**n subsets of {1..n} (subset A is stored at
-index sum(1 << (j - 1) for j in A)).  All operations return new values.
+A Family is an immutable flat bool array over all s**n word indices, in the
+index order of `isecode.words`.  One byte per word (64 MB at the 2**26 cap)
+buys array operations that never decode the s**n x n word matrix.
+A SetFamily is the same over all 2**n subsets of {1..n}: subset A sits at
+index sum(1 << (j - 1) for j in A), the layout of binary words with digit 1
+meaning "present".  Per-position operations act on the view
+`reshape(-1, s, s**(j-1))`, whose middle axis is the symbol at position j.
+`bits` and the file formats keep the little-endian bitset layout.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitsets import digit_mask, from_bool_array, iter_bits
 from .words import (
     ParameterError,
     SpaceParams,
@@ -24,7 +28,6 @@ from .words import (
     decode_matrix,
     dense_cap,
     encode,
-    format_word,
     parse_word,
 )
 
@@ -39,6 +42,74 @@ class FamilyFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _unpack(bits: int, size: int) -> np.ndarray:
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+
+
+def _pack(member: np.ndarray) -> bytes:
+    """Little-endian bitset bytes, ceil(len / 8) of them, zero padded."""
+    return np.packbits(member, bitorder="little").tobytes()
+
+
+def _from_positions(positions: Iterable[int], size: int, what: str) -> np.ndarray:
+    try:
+        idx = np.fromiter(positions, dtype=np.int64)
+    except OverflowError as exc:
+        raise ParameterError(f"{what} outside [0, {size})") from exc
+    bad = (idx < 0) | (idx >= size)
+    if bad.any():
+        raise ParameterError(f"{what} {idx[bad][0]} outside [0, {size})")
+    member = np.zeros(size, dtype=bool)
+    member[idx] = True
+    return member
+
+
+def _copy_member(member, size: int) -> np.ndarray:
+    arr = np.array(member, dtype=bool)
+    if arr.shape != (size,):
+        raise ParameterError(f"membership array must have shape ({size},)")
+    return arr
+
+
+def _sweep(member: np.ndarray, s: int, free: Sequence[int]):
+    """Rewrite a copy of `member` one position at a time, yielding (position, stride, copy).
+
+    At each position every digit in `free` may be rewritten to any digit.
+    The rewrites at different positions commute, so after the last position
+    the copy is the closure.
+    """
+    out = member.copy()
+    pos, stride = 1, 1
+    while stride < out.size:
+        view = out.reshape(-1, s, stride)
+        # Binary ORs of the digit slices beat a reduction over the short digit axis.
+        acc = view[:, free[0], :]
+        for c in free[1:]:
+            acc = acc | view[:, c, :]
+        view |= acc[:, None, :]
+        yield pos, stride, out
+        pos, stride = pos + 1, stride * s
+
+
+def _closure(member: np.ndarray, s: int, free: Sequence[int]) -> np.ndarray:
+    out = member
+    for _, _, out in _sweep(member, s, free):
+        pass
+    return out
+
+
+def _first_growth(member: np.ndarray, s: int, free: Sequence[int]):
+    """(position, stride, grown copy) at the first position whose rewrites add words, else None.
+
+    Nothing grew before that position, so the copy is `member` plus exactly
+    the words that position's rewrites add.
+    """
+    size = np.count_nonzero(member)
+    grown = (step for step in _sweep(member, s, free) if np.count_nonzero(step[2]) > size)
+    return next(grown, None)
 
 
 def _pair_agreement_ok(digits: np.ndarray, demand: Sequence[int]) -> bool:
@@ -62,36 +133,66 @@ def _pair_agreement_ok(digits: np.ndarray, demand: Sequence[int]) -> bool:
     return True
 
 
-class Family:
+class _Dense:
+    """Read-only membership array with its cached cardinality."""
+
+    __slots__ = ("_member", "_size")
+
+    def _set(self, member: np.ndarray) -> None:
+        member.flags.writeable = False
+        self._member = member
+        self._size = int(np.count_nonzero(member))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only bool membership array, in index order."""
+        return self._member
+
+    @property
+    def bits(self) -> int:
+        """Membership as a little-endian int bitset: bit k is index k."""
+        return int.from_bytes(_pack(self._member), "little")
+
+    def __len__(self) -> int:
+        return self._size
+
+
+class Family(_Dense):
     """Immutable dense family F of words in [s]^n with cached cardinality."""
 
-    __slots__ = ("params", "_bits", "_size")
+    __slots__ = ("params",)
 
     def __init__(self, params: SpaceParams, bits: int = 0):
         if bits < 0 or bits >> params.size:
             raise ParameterError("membership bits outside the index range")
         self.params = params
-        self._bits = bits
-        self._size = bits.bit_count()
+        self._set(_unpack(bits, params.size))
+
+    @classmethod
+    def _wrap(cls, params: SpaceParams, member: np.ndarray) -> "Family":
+        fam = cls.__new__(cls)
+        fam.params = params
+        fam._set(member)
+        return fam
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def empty(cls, params: SpaceParams) -> "Family":
-        return cls(params, 0)
+        return cls._wrap(params, np.zeros(params.size, dtype=bool))
 
     @classmethod
     def full(cls, params: SpaceParams) -> "Family":
-        return cls(params, (1 << params.size) - 1)
+        return cls._wrap(params, np.ones(params.size, dtype=bool))
+
+    @classmethod
+    def from_array(cls, params: SpaceParams, member) -> "Family":
+        """Family from a bool membership array of length s**n (copied)."""
+        return cls._wrap(params, _copy_member(member, params.size))
 
     @classmethod
     def from_indices(cls, params: SpaceParams, indices: Iterable[int]) -> "Family":
-        bits = 0
-        for idx in indices:
-            if not 0 <= idx < params.size:
-                raise ParameterError(f"index {idx} outside [0, {params.size})")
-            bits |= 1 << idx
-        return cls(params, bits)
+        return cls._wrap(params, _from_positions(indices, params.size, "index"))
 
     @classmethod
     def from_words(cls, params: SpaceParams, words: Iterable[Sequence[int]]) -> "Family":
@@ -99,25 +200,20 @@ class Family:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    def __len__(self) -> int:
-        return self._size
-
     def contains_index(self, index: int) -> bool:
-        return bool((self._bits >> index) & 1)
+        return 0 <= index < self.params.size and bool(self._member[index])
 
     def __contains__(self, word: Sequence[int]) -> bool:
         return self.contains_index(encode(self.params, word))
 
     def indices(self) -> Iterator[int]:
-        return iter_bits(self._bits)
+        return iter(np.flatnonzero(self._member).tolist())
+
+    def _digits(self) -> np.ndarray:
+        return decode_matrix(self.params, np.flatnonzero(self._member))
 
     def members(self) -> Iterator[Word]:
-        for idx in self.indices():
-            yield decode(self.params, idx)
+        return map(tuple, self._digits().tolist())
 
     def density(self) -> Fraction:
         """Exact |F| / s**n."""
@@ -126,10 +222,10 @@ class Family:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Family):
             return NotImplemented
-        return self.params == other.params and self._bits == other._bits
+        return self.params == other.params and np.array_equal(self._member, other._member)
 
     def __hash__(self) -> int:
-        return hash((self.params, self._bits))
+        return hash((self.params, _pack(self._member)))
 
     def __repr__(self) -> str:
         return f"Family(s={self.params.s}, n={self.params.n}, size={self._size})"
@@ -142,22 +238,22 @@ class Family:
 
     def __or__(self, other: "Family") -> "Family":
         self._require_same(other)
-        return Family(self.params, self._bits | other._bits)
+        return Family._wrap(self.params, self._member | other._member)
 
     def __and__(self, other: "Family") -> "Family":
         self._require_same(other)
-        return Family(self.params, self._bits & other._bits)
+        return Family._wrap(self.params, self._member & other._member)
 
     def __sub__(self, other: "Family") -> "Family":
         self._require_same(other)
-        return Family(self.params, self._bits & ~other._bits)
+        return Family._wrap(self.params, self._member & ~other._member)
 
     def complement(self) -> "Family":
-        return Family(self.params, ~self._bits & ((1 << self.params.size) - 1))
+        return Family._wrap(self.params, ~self._member)
 
     def issubset(self, other: "Family") -> bool:
         self._require_same(other)
-        return not (self._bits & ~other._bits)
+        return not (self._member & ~other._member).any()
 
     # -- intersection demands ----------------------------------------------
 
@@ -166,46 +262,13 @@ class Family:
         t = check_demand(self.params, demand)
         if not any(t) or self._size == 0:
             return True
-        idx = np.fromiter(self.indices(), dtype=np.int64, count=self._size)
-        return _pair_agreement_ok(decode_matrix(self.params, idx), t)
+        return _pair_agreement_ok(self._digits(), t)
 
     # -- pinned closure ----------------------------------------------------
 
-    def _sweep(self, pinned: frozenset[int], find_witness: bool):
-        """Per-coordinate saturation to fixpoint.
-
-        For each position and each non-pinned source digit, every member
-        spawns all symbol variants at that position.  Returns the saturated
-        bits, or the first added word as a witness triple when requested.
-        """
-        s, n = self.params.s, self.params.n
-        bits = self._bits
-        changed = True
-        while changed:
-            changed = False
-            for pos in range(1, n + 1):
-                stride = s ** (pos - 1)
-                for c in range(s):
-                    if (c + 1) in pinned:
-                        continue
-                    sub = bits & digit_mask(s, n, pos, c)
-                    if not sub:
-                        continue
-                    base = sub >> (c * stride)
-                    expand = 0
-                    for c2 in range(s):
-                        if c2 != c:
-                            expand |= base << (c2 * stride)
-                    new = expand & ~bits
-                    if new:
-                        if find_witness:
-                            y_idx = (new & -new).bit_length() - 1
-                            c2 = (y_idx // stride) % s
-                            x_idx = y_idx + (c - c2) * stride
-                            return bits, (x_idx, y_idx, pos)
-                        bits |= new
-                        changed = True
-        return bits, None
+    def _free_digits(self, pinned: Iterable[int]) -> list[int]:
+        syms = check_symbol_set(self.params, pinned, proper=True, nonempty=True)
+        return [c for c in range(self.params.s) if c + 1 not in syms]
 
     def pinned_closure(self, pinned: Iterable[int]) -> "Family":
         """Minimal superset closed upward under the pinned order.
@@ -214,23 +277,28 @@ class Family:
         non-pinned symbols rewritten arbitrarily.  The pinned set must be a
         nonempty proper subset of the alphabet.
         """
-        syms = check_symbol_set(self.params, pinned, proper=True, nonempty=True)
-        bits, _ = self._sweep(syms, find_witness=False)
-        return Family(self.params, bits)
+        free = self._free_digits(pinned)
+        return Family._wrap(self.params, _closure(self._member, self.params.s, free))
 
-    def pinned_violation(
-        self, pinned: Iterable[int]
-    ) -> tuple[Word, Word, int] | None:
-        """A witness (x in F, y not in F, 1-based position) that x is below y, or None."""
-        syms = check_symbol_set(self.params, pinned, proper=True, nonempty=True)
-        _, witness = self._sweep(syms, find_witness=True)
-        if witness is None:
+    def pinned_violation(self, pinned: Iterable[int]) -> tuple[Word, Word, int] | None:
+        """A witness (x in F, y not in F, 1-based position) that x is below y, or None.
+
+        The position is the first one whose rewrites reach a non-member, y
+        the lowest such non-member and x a member it is reached from.
+        """
+        free = self._free_digits(pinned)
+        member, s = self._member, self.params.s
+        found = _first_growth(member, s, free)
+        if found is None:
             return None
-        x_idx, y_idx, pos = witness
+        pos, stride, grown = found
+        y_idx = int(np.argmax(grown > member))
+        digit = (y_idx // stride) % s
+        x_idx = next(x for x in (y_idx + (c - digit) * stride for c in free) if member[x])
         return decode(self.params, x_idx), decode(self.params, y_idx), pos
 
     def is_pinned_complete(self, pinned: Iterable[int]) -> bool:
-        return self.pinned_violation(pinned) is None
+        return _first_growth(self._member, self.params.s, self._free_digits(pinned)) is None
 
     # -- slices and projections ---------------------------------------------
 
@@ -246,60 +314,65 @@ class Family:
         if not 1 <= symbol <= s:
             raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
         block = s ** (n - 1)
-        sub = (self._bits >> ((symbol - 1) * block)) & ((1 << block) - 1)
-        return Family(SpaceParams(s, n - 1), sub)
+        return Family._wrap(
+            SpaceParams(s, n - 1), self._member[(symbol - 1) * block : symbol * block]
+        )
 
     def slices(self) -> tuple["Family", ...]:
         return tuple(self.slice(sym) for sym in range(1, self.params.s + 1))
 
     def project(self, symbol: int) -> "SetFamily":
-        """Subsets of positions realized as {j : y_j = symbol} by some member."""
+        """Subsets of positions realized as {j : y_j = symbol} by some member.
+
+        Each position axis in turn collapses from s states to two: "another
+        symbol" (digit 0) and `symbol` (digit 1).
+        """
         s, n = self.params.s, self.params.n
         if not 1 <= symbol <= s:
             raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
-        if self._size == 0:
-            return SetFamily(n, 0)
-        idx = np.fromiter(self.indices(), dtype=np.int64, count=self._size)
-        digits = decode_matrix(self.params, idx)
-        weights = 1 << np.arange(n, dtype=np.int64)
-        masks = ((digits == symbol) * weights).sum(axis=1)
-        arr = np.zeros(1 << n, dtype=bool)
-        arr[masks] = True
-        return SetFamily(n, from_bool_array(arr))
+        others = [c for c in range(s) if c != symbol - 1]
+        out = self._member
+        for j in range(n):
+            view = out.reshape(-1, s, 1 << j)
+            out = np.stack((view[:, others, :].any(axis=1), view[:, symbol - 1, :]), axis=1)
+        return SetFamily._wrap(n, out.reshape(-1))
 
 
-class SetFamily:
+class SetFamily(_Dense):
     """Immutable dense family of subsets of {1..n}."""
 
-    __slots__ = ("n", "_bits", "_size")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, bits: int = 0):
-        if not isinstance(n, int) or n < 1:
-            raise ParameterError(f"ground-set size must be an integer >= 1, got {n!r}")
-        if (1 << n) > dense_cap():
-            raise ParameterError(f"2**{n} exceeds the dense-storage cap {dense_cap()}")
-        if bits < 0 or bits >> (1 << n):
+        size = _ground_size(n)
+        if bits < 0 or bits >> size:
             raise ParameterError("membership bits outside the subset range")
         self.n = n
-        self._bits = bits
-        self._size = bits.bit_count()
+        self._set(_unpack(bits, size))
+
+    @classmethod
+    def _wrap(cls, n: int, member: np.ndarray) -> "SetFamily":
+        fam = cls.__new__(cls)
+        fam.n = n
+        fam._set(member)
+        return fam
 
     @classmethod
     def empty(cls, n: int) -> "SetFamily":
-        return cls(n, 0)
+        return cls._wrap(n, np.zeros(_ground_size(n), dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "SetFamily":
-        return cls(n, (1 << (1 << n)) - 1)
+        return cls._wrap(n, np.ones(_ground_size(n), dtype=bool))
+
+    @classmethod
+    def from_array(cls, n: int, member) -> "SetFamily":
+        """Subset family from a bool membership array of length 2**n (copied)."""
+        return cls._wrap(n, _copy_member(member, _ground_size(n)))
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        bits = 0
-        for mask in masks:
-            if not 0 <= mask < (1 << n):
-                raise ParameterError(f"subset mask {mask} outside [0, 2**{n})")
-            bits |= 1 << mask
-        return cls(n, bits)
+        return cls._wrap(n, _from_positions(masks, _ground_size(n), "subset mask"))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -313,62 +386,46 @@ class SetFamily:
             masks.append(mask)
         return cls.from_masks(n, masks)
 
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    def __len__(self) -> int:
-        return self._size
-
     def contains_mask(self, mask: int) -> bool:
-        return bool((self._bits >> mask) & 1)
+        return 0 <= mask < self._member.size and bool(self._member[mask])
 
     def __contains__(self, elems: Iterable[int]) -> bool:
-        mask = 0
-        for j in elems:
-            mask |= 1 << (int(j) - 1)
-        return self.contains_mask(mask)
+        return self.contains_mask(sum(1 << (int(j) - 1) for j in set(elems)))
 
     def masks(self) -> Iterator[int]:
-        return iter_bits(self._bits)
+        return iter(np.flatnonzero(self._member).tolist())
 
     def sets(self) -> Iterator[frozenset[int]]:
-        for mask in self.masks():
-            yield frozenset(j + 1 for j in iter_bits(mask))
+        present = (np.flatnonzero(self._member)[:, None] >> np.arange(self.n)) & 1
+        elems = np.arange(1, self.n + 1)
+        for row in present.astype(bool):
+            yield frozenset(elems[row].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self.n == other.n and self._bits == other._bits
+        return self.n == other.n and np.array_equal(self._member, other._member)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._bits))
+        return hash((self.n, _pack(self._member)))
 
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n}, size={self._size})"
 
     def is_upward_closed(self) -> bool:
-        bits = self._bits
-        for j in range(1, self.n + 1):
-            stride = 1 << (j - 1)
-            lower = bits & digit_mask(2, self.n, j, 0)
-            if (lower << stride) & ~bits:
-                return False
-        return True
+        return _first_growth(self._member, 2, [0]) is None
 
     def up_closure(self) -> "SetFamily":
-        bits = self._bits
-        changed = True
-        while changed:
-            changed = False
-            for j in range(1, self.n + 1):
-                stride = 1 << (j - 1)
-                lower = bits & digit_mask(2, self.n, j, 0)
-                add = (lower << stride) & ~bits
-                if add:
-                    bits |= add
-                    changed = True
-        return SetFamily(self.n, bits)
+        return SetFamily._wrap(self.n, _closure(self._member, 2, [0]))
+
+
+def _ground_size(n: int) -> int:
+    """2**n, the number of subsets of {1..n}, after checking n against the dense-storage cap."""
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError(f"ground-set size must be an integer >= 1, got {n!r}")
+    if (1 << n) > dense_cap():
+        raise ParameterError(f"2**{n} exceeds the dense-storage cap {dense_cap()}")
+    return 1 << n
 
 
 # -- file formats ------------------------------------------------------------
@@ -399,10 +456,11 @@ def _save_text(family: Family, path: str) -> None:
     params = family.params
     if params.s > 9:
         raise ParameterError("text family format needs s <= 9; use the binary format")
+    lines = np.full((len(family), params.n + 1), ord("\n"), dtype=np.uint8)
+    lines[:, : params.n] = family._digits() + ord("0")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{params.s} {params.n}\n")
-        for word in family.members():
-            fh.write(format_word(params, word) + "\n")
+        fh.write(lines.tobytes().decode("ascii"))
 
 
 def _load_text(path: str) -> Family:
@@ -419,7 +477,7 @@ def _load_text(path: str) -> Family:
         raise FamilyFormatError(str(exc), line=1) from exc
     if params.s > 9:
         raise FamilyFormatError("text family format needs s <= 9", line=1)
-    bits = 0
+    member = np.zeros(params.size, dtype=bool)
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
         if not text:
@@ -428,18 +486,17 @@ def _load_text(path: str) -> Family:
             idx = encode(params, parse_word(params, text))
         except ParameterError as exc:
             raise FamilyFormatError(str(exc), line=lineno) from exc
-        if (bits >> idx) & 1:
+        if member[idx]:
             raise FamilyFormatError(f"duplicate word {text!r}", line=lineno)
-        bits |= 1 << idx
-    return Family(params, bits)
+        member[idx] = True
+    return Family._wrap(params, member)
 
 
 def _save_binary(family: Family, path: str) -> None:
     params = family.params
-    nbytes = (params.size + 7) // 8
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", params.s, params.n))
-        fh.write(family.bits.to_bytes(nbytes, "little"))
+        fh.write(_pack(family.array))
 
 
 def _load_binary(path: str) -> Family:
@@ -453,12 +510,12 @@ def _load_binary(path: str) -> Family:
     except ParameterError as exc:
         raise FamilyFormatError(str(exc)) from exc
     nbytes = (params.size + 7) // 8
-    payload = blob[8:]
-    if len(payload) != nbytes:
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=8)
+    if payload.size != nbytes:
         raise FamilyFormatError(
-            f"expected {nbytes} bitset bytes for s={s}, n={n}, found {len(payload)}"
+            f"expected {nbytes} bitset bytes for s={s}, n={n}, found {payload.size}"
         )
-    bits = int.from_bytes(payload, "little")
-    if bits >> params.size:
+    member = np.unpackbits(payload, bitorder="little").view(bool)
+    if member[params.size :].any():
         raise FamilyFormatError("nonzero padding bits beyond s**n")
-    return Family(params, bits)
+    return Family._wrap(params, member[: params.size])

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+import numpy as np
+
 from .families import SetFamily
 from .words import ParameterError
 
@@ -71,15 +73,12 @@ def biased_measure(family: SetFamily, p) -> Fraction:
     if not 0 <= p <= 1:
         raise ParameterError(f"bias must lie in [0, 1], got {p}")
     n = family.n
-    size_counts = [0] * (n + 1)
-    for mask in family.masks():
-        size_counts[mask.bit_count()] += 1
+    size_counts = np.bincount(np.bitwise_count(np.flatnonzero(family.array)), minlength=n + 1)
     q = 1 - p
-    total = Fraction(0)
-    for k, cnt in enumerate(size_counts):
-        if cnt:
-            total += cnt * p**k * q ** (n - k)
-    return total
+    return sum(
+        (cnt * p**k * q ** (n - k) for k, cnt in enumerate(size_counts.tolist()) if cnt),
+        start=Fraction(0),
+    )
 
 
 def window_measure(t: int, r: int, p) -> Fraction:

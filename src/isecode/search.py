@@ -19,13 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitsets import from_bool_array, iter_bits
 from .families import Family
-from .words import ParameterError, SpaceParams, check_demand, decode_matrix, encode
+from .words import ParameterError, SpaceParams, check_demand, decode_matrix, encode, symbol_count
 
 VERTEX_CAP = 1 << 16
 DEFAULT_TIMEOUT_MS = 60_000
@@ -47,19 +46,26 @@ class CompatGraph:
         return len(self.vertices)
 
 
+def _iter_bits(x: int) -> Iterator[int]:
+    """Yield positions of set bits, ascending; rows are at most VERTEX_CAP bits long."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     params = SpaceParams(s, n)
     t = check_demand(params, demand)
-    digits = decode_matrix(params)
     keep = np.ones(params.size, dtype=bool)
     for sym, need in enumerate(t, start=1):
         if need:
-            keep &= (digits == sym).sum(axis=1) >= need
-    verts = np.nonzero(keep)[0]
+            keep &= symbol_count(params, range(1, n + 1), sym) >= need
+    verts = np.flatnonzero(keep)
     m = int(verts.shape[0])
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
-    digits = digits[verts]
+    digits = decode_matrix(params, verts)
     marks = [
         ((digits == sym).astype(np.int32), need)
         for sym, need in enumerate(t, start=1)
@@ -72,9 +78,10 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
         block = np.ones((hi - lo, m), dtype=bool)
         for e, need in marks:
             block &= (e[lo:hi] @ e.T) >= need
-        for r in range(hi - lo):
-            block[r, lo + r] = False
-            rows.append(from_bool_array(block[r]))
+        diag = np.arange(hi - lo)
+        block[diag, lo + diag] = False
+        packed = np.packbits(block, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return CompatGraph(params, t, tuple(int(v) for v in verts), tuple(rows))
 
 
@@ -127,7 +134,7 @@ def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     bounds: list[int] = []
     for k, cls in enumerate(classes):
         color = k + 1
-        for v in iter_bits(cls):
+        for v in _iter_bits(cls):
             order.append(v)
             bounds.append(color)
     return order, bounds
@@ -154,11 +161,17 @@ def _expand(clique: list[int], cand: int, state: _State) -> None:
         cand &= ~(1 << v)
 
 
-def _greedy_clique(adj: Sequence[int], cand: int) -> list[int]:
-    """Deterministic greedy lower bound: up to 64 highest-degree starts, densest-extension rule."""
-    verts = list(iter_bits(cand))
+def _greedy_clique(
+    adj: Sequence[int], cand: int, deadline: float | None
+) -> tuple[list[int], bool]:
+    """Deterministic greedy lower bound: up to 64 highest-degree starts, densest-extension rule.
+
+    Returns the clique and whether the deadline expired; on expiry, the best
+    clique so far, where every prefix of a greedy extension is a clique.
+    """
+    verts = list(_iter_bits(cand))
     if not verts:
-        return []
+        return [], False
     degs = {v: (adj[v] & cand).bit_count() for v in verts}
     starts = sorted(verts, key=lambda v: (-degs[v], v))[:64]
     best: list[int] = []
@@ -166,8 +179,10 @@ def _greedy_clique(adj: Sequence[int], cand: int) -> list[int]:
         clique = [v0]
         pool = adj[v0] & cand
         while pool:
+            if deadline is not None and time.monotonic() > deadline:
+                return max(best, clique, key=len), True
             pick, score = -1, -1
-            for u in iter_bits(pool):
+            for u in _iter_bits(pool):
                 c = (adj[u] & pool).bit_count()
                 if c > score:
                     pick, score = u, c
@@ -175,7 +190,7 @@ def _greedy_clique(adj: Sequence[int], cand: int) -> list[int]:
             pool &= adj[pick]
         if len(clique) > len(best):
             best = clique
-    return best
+    return best, False
 
 
 def canonical_seed_word(params: SpaceParams, demand: Sequence[int]) -> tuple[int, ...]:
@@ -224,15 +239,17 @@ def max_family(
         slot = graph.vertices.index(seed_idx)
         base_clique = [slot]
         cand0 = adj[slot]
-    greedy = base_clique + _greedy_clique(adj, cand0)
+    greedy_part, expired = _greedy_clique(adj, cand0, deadline)
+    greedy = base_clique + greedy_part
     init_best = len(greedy)
-    order, bounds = _color_order(cand0, adj)
     tasks: list[tuple[int, int, int]] = []
-    cand = cand0
-    for i in range(len(order) - 1, -1, -1):
-        v = order[i]
-        tasks.append((v, bounds[i], cand & adj[v]))
-        cand &= ~(1 << v)
+    if not expired:
+        order, bounds = _color_order(cand0, adj)
+        cand = cand0
+        for i in range(len(order) - 1, -1, -1):
+            v = order[i]
+            tasks.append((v, bounds[i], cand & adj[v]))
+            cand &= ~(1 << v)
 
     # Every task prunes against the same frozen incumbent; sharing the evolving
     # best across tasks would make node counts depend on worker scheduling.
@@ -258,7 +275,7 @@ def max_family(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, tasks))
-    complete = True
+    complete = not expired
     nodes = 1
     best_size, best = init_best, list(greedy)
     for task_nodes, size, clique, ok in results:
@@ -317,8 +334,6 @@ def best_binary_majority(n: int, t: Sequence[int]) -> MajorityOptimum:
     t1, t2 = (int(x) for x in t)
     if t1 < 1 or t2 < 1:
         raise ParameterError("both demand entries must be at least 1")
-    if n > 14:
-        raise ParameterError("exhaustive block sweep supported for n <= 14")
     if t1 + t2 > n:
         raise ParameterError(f"demand sum {t1 + t2} exceeds word length {n}")
     best_key = None

@@ -3,7 +3,9 @@
 A word is a plain tuple of n symbols from {1..s}.  Its dense index is
 little-endian in positions: position 1 is the least significant base-s digit,
 so slicing a family by the symbol at the last position is a contiguous block
-of the index range.
+of the index range.  Families are bool arrays in this order, one byte per
+word; `reshape(-1, s, s**(j-1))` of one puts the symbol at position j on the
+middle axis, so whole-space work never decodes every index.
 
 The "pinned" order on words: x is below y for a set of pinned symbols when
 every coordinate of x carrying a pinned symbol is unchanged in y; coordinates
@@ -48,7 +50,7 @@ class SpaceParams:
     """The word space: alphabet {1..s} (s >= 2) and fixed length n >= 1.
 
     Construction fails when s**n exceeds the dense-storage cap; everything in
-    this package materializes families as dense bitsets over [0, s**n).
+    this package materializes families as dense bool arrays over [0, s**n).
     """
 
     s: int
@@ -133,17 +135,22 @@ def decode(params: SpaceParams, index: int) -> Word:
     return tuple(out)
 
 
-def decode_matrix(params: SpaceParams, indices: np.ndarray | None = None) -> np.ndarray:
+def decode_matrix(params: SpaceParams, indices: np.ndarray) -> np.ndarray:
     """Decode many indices at once into an (m, n) uint8 symbol matrix."""
-    if indices is None:
-        rem = np.arange(params.size, dtype=np.int64)
-    else:
-        rem = np.asarray(indices, dtype=np.int64).copy()
+    rem = np.array(indices, dtype=np.int64)
     out = np.empty((rem.shape[0], params.n), dtype=np.uint8)
     for pos in range(params.n):
         out[:, pos] = rem % params.s + 1
         rem //= params.s
     return out
+
+
+def symbol_count(params: SpaceParams, positions: Iterable[int], symbol: int) -> np.ndarray:
+    """Per word index, how many of the given 1-based positions carry `symbol` (uint8, length s**n)."""
+    count = np.zeros(params.size, dtype=np.uint8)
+    for j in positions:
+        count.reshape(-1, params.s, params.s ** (j - 1))[:, symbol - 1, :] += 1
+    return count
 
 
 def meet(params: SpaceParams, y: Sequence[int], z: Sequence[int]) -> Word:

@@ -222,3 +222,11 @@ def test_block_product_partition_shape():
     assert built.blocks[0].positions == tuple(range(1, 6))  # window 5 for t=3
     assert built.blocks[-1].symbol == 3
     assert built.family.is_t_intersecting((3, 1, 1))
+
+
+def test_block_product_golden_bits():
+    # values computed by the int-bitset implementation, pinned across representations
+    fam = block_product_family(7, 3, (2, 1, 0)).family
+    # words 1, 1, 2, *, *, *, *: indices 9 + 27k
+    assert fam.bits == sum(1 << (9 + 27 * k) for k in range(81))
+    assert fam.project(1).bits == 0x8080808080808080808080808080808

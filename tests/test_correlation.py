@@ -124,3 +124,10 @@ def test_slice_report_campaign(n):
         fam_b = random_complete_family(p, {2}, rho, 2 * seed + 1)
         report = slice_structure_report(fam_a, fam_b, {1}, {2})
         assert report.ok, report.violations
+
+
+def test_random_complete_family_golden_bits():
+    # the seeded draw order (ascending word index) is pinned, so replay files reproduce
+    params = SpaceParams(3, 4)
+    assert random_complete_family(params, {1}, Fraction(1, 4), seed=5).bits == (1 << 81) - 1
+    assert random_complete_family(params, {1, 2}, Fraction(1, 8), seed=5).bits == 0x14DA4C229B49FFFFFFF

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isecode import (
@@ -13,6 +14,7 @@ from isecode import (
     load_family,
     save_family,
 )
+from isecode.words import leq_pinned
 
 from conftest import brute_closure, brute_intersecting, brute_is_complete, random_family
 
@@ -101,6 +103,12 @@ def test_closure_matches_brute_force(seed):
     assert closed == brute_closure(fam, pinned)
     assert brute_is_complete(closed, pinned)
     assert fam.is_pinned_complete(pinned) == brute_is_complete(fam, pinned)
+    witness = fam.pinned_violation(pinned)
+    assert (witness is None) == fam.is_pinned_complete(pinned)
+    if witness is not None:
+        x, y, pos = witness
+        assert x in fam and y not in fam and leq_pinned(params, x, y, pinned)
+        assert [j + 1 for j in range(n) if x[j] != y[j]] == [pos]
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -259,6 +267,19 @@ def test_set_family_upward_closure():
     assert {1, 2} in up and {2} not in up
 
 
+def test_membership_arrays_are_read_only_copies():
+    p = SpaceParams(2, 2)
+    src = np.array([True, False, False, True])
+    fam = Family.from_array(p, src)
+    src[1] = True
+    assert fam == Family.from_words(p, [(1, 1), (2, 2)])
+    with pytest.raises(ValueError):
+        fam.array[1] = True
+    with pytest.raises(ParameterError):
+        Family.from_array(p, [True, False])
+    assert SetFamily.from_array(2, [False, True, False, True]) == SetFamily.from_sets(2, [{1}, {1, 2}])
+
+
 def test_text_round_trip(tmp_path):
     p = SpaceParams(3, 2)
     fam = Family.from_words(p, [(1, 2), (3, 1), (2, 2)])
@@ -315,3 +336,20 @@ def test_binary_round_trip(tmp_path):
     path.write_bytes(bytes(pad))
     with pytest.raises(FamilyFormatError):
         load_family(str(path))
+
+
+def test_file_formats_golden(tmp_path):
+    # bytes and text written by the int-bitset implementation, pinned across representations
+    p = SpaceParams(3, 4)
+    fam = Family.from_words(p, [(2, 1, 3, 1), (1, 3, 2, 2), (3, 3, 1, 2)]).pinned_closure({1})
+    save_family(fam, str(tmp_path / "f.famb"))
+    save_family(fam, str(tmp_path / "f.fam"))
+    golden = bytes.fromhex("0300000004000000" "ff9f3cf99f24c9ff244900")
+    assert (tmp_path / "f.famb").read_bytes() == golden
+    words = (
+        "1111 2111 3111 1211 2211 3211 1311 2311 3311 1121 2121 3121 1221 1321 1131 2131 3131 "
+        "1231 1331 1112 2112 3112 1212 2212 3212 1312 2312 3312 1122 1222 1322 1132 1232 1332 "
+        "1113 2113 3113 1213 2213 3213 1313 2313 3313 1123 1223 1323 1133 1233 1333"
+    ).split()
+    assert (tmp_path / "f.fam").read_text() == "3 4\n" + "".join(w + "\n" for w in words)
+    assert load_family(str(tmp_path / "f.famb")) == fam == load_family(str(tmp_path / "f.fam"))

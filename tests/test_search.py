@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from isecode import (
     SearchTimeout,
     best_binary_majority,
     build_compat_graph,
+    majority_tail_count,
     max_density,
     max_family,
 )
@@ -88,6 +90,15 @@ def test_timeout_gives_lower_bound():
         max_density(5, 3, (1, 1, 1), timeout_ms=0)
 
 
+def test_timeout_covers_greedy_phase():
+    # the greedy incumbent alone runs for tens of seconds on this instance
+    start = time.monotonic()
+    result = max_family(11, 2, (1, 0), timeout_ms=1000)
+    assert time.monotonic() - start < 3
+    assert not result.complete
+    assert result.max_size >= 1 and result.witness.is_t_intersecting((1, 0))
+
+
 def test_canonical_seed_restriction():
     params = SpaceParams(3, 4)
     assert canonical_seed_word(params, (1, 2, 0)) == (1, 2, 2, 1)
@@ -109,9 +120,23 @@ def test_best_binary_majority_examples():
     assert best_binary_majority(3, (1, 1)).count == 2
 
 
+def test_best_binary_majority_large_n():
+    # the sweep is a formula over block sizes, so n is not capped
+    n, t = 40, (3, 2)
+    best = max(
+        majority_tail_count(n1, t[0]) * majority_tail_count(n2, t[1]) * 2 ** (n - n1 - n2)
+        for n1 in range(n + 1)
+        for n2 in range(n - n1 + 1)
+    )
+    opt = best_binary_majority(n, t)
+    assert opt.count == best
+    assert opt.count == majority_tail_count(opt.size1, 3) * majority_tail_count(
+        opt.size2, 2
+    ) * 2 ** (n - opt.size1 - opt.size2)
+    assert opt.density == Fraction(best, 2**n)
+
+
 def test_best_binary_majority_validation():
-    with pytest.raises(ParameterError):
-        best_binary_majority(15, (1, 1))
     with pytest.raises(ParameterError):
         best_binary_majority(4, (0, 1))
     with pytest.raises(ParameterError):

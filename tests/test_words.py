@@ -56,9 +56,10 @@ def test_encode_examples():
 
 def test_decode_matrix_matches_decode():
     params = SpaceParams(3, 4)
-    mat = decode_matrix(params)
-    for idx in (0, 1, 40, 80):
-        assert tuple(int(x) for x in mat[idx]) == decode(params, idx)
+    idx = [0, 1, 40, 80]
+    mat = decode_matrix(params, idx)
+    for row, i in zip(mat, idx):
+        assert tuple(int(x) for x in row) == decode(params, i)
 
 
 def test_meet_examples():
