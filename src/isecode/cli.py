@@ -230,14 +230,7 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     t = _parse_ints(args.t)
-    result = max_family(
-        args.n,
-        args.s,
-        t,
-        threads=args.threads,
-        timeout_ms=args.timeout_ms,
-        canonical_seed=args.canonical_seed,
-    )
+    result = max_family(args.n, args.s, t, timeout_ms=args.timeout_ms)
     witness_file = None
     if args.output:
         save_family(result.witness, args.output, binary=True if args.binary else None)
@@ -489,12 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact maximum family via branch and bound")
     common(p, n=True, s=True, t=True)
     p.add_argument("--timeout-ms", type=int, default=60_000)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument(
-        "--canonical-seed",
-        action="store_true",
-        help="restrict to families containing the canonical fixed word (speed heuristic)",
-    )
     p.add_argument("-o", "--output", type=str, help="witness family file to write")
     p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_search)

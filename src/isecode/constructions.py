@@ -43,27 +43,16 @@ def _positions(n: int, block: Iterable[int]) -> tuple[int, ...]:
     return pos
 
 
-def _should_verify(size: int, verify: bool | None) -> bool:
-    if verify is None:
-        return size <= VERIFY_SIZE_LIMIT
-    return verify
-
-
 def binary_majority_family(
-    n: int,
-    block1: Iterable[int],
-    block2: Iterable[int],
-    t: Sequence[int],
-    *,
-    verify: bool | None = None,
+    n: int, block1: Iterable[int], block2: Iterable[int], t: Sequence[int]
 ) -> Family:
     """Binary words holding a symbol-1 majority on block1 and a symbol-2 majority on block2.
 
     Membership for i = 1, 2: at least (|block_i| + t_i) / 2 positions of
     block_i carry symbol i.  For disjoint blocks the result is checked to be
-    (t1, t2)-intersecting (skipped above VERIFY_SIZE_LIMIT members unless
-    verify=True).  A threshold above the block size yields an empty family
-    with a warning, not an error.
+    (t1, t2)-intersecting when it has at most VERIFY_SIZE_LIMIT members.  A
+    threshold above the block size yields an empty family with a warning, not
+    an error.
     """
     params = SpaceParams(2, n)
     t1, t2 = check_demand(params, t)
@@ -77,7 +66,7 @@ def binary_majority_family(
     for block, sym, ti in ((x1, 1, t1), (x2, 2, t2)):
         keep &= 2 * symbol_count(params, block, sym) >= len(block) + ti
     fam = Family.from_array(params, keep)
-    if not set(x1).intersection(x2) and _should_verify(len(fam), verify):
+    if not set(x1).intersection(x2) and len(fam) <= VERIFY_SIZE_LIMIT:
         if not fam.is_t_intersecting((t1, t2)):
             raise RuntimeError("internal check failed: majority family not intersecting")
     return fam
@@ -95,17 +84,11 @@ def binary_majority_density(n1: int, n2: int, t: Sequence[int]) -> Fraction:
     )
 
 
-def symbol_majority_family(
-    n: int,
-    s: int,
-    block: Iterable[int],
-    t: int,
-    *,
-    verify: bool | None = None,
-) -> Family:
+def symbol_majority_family(n: int, s: int, block: Iterable[int], t: int) -> Family:
     """Words with at least (|block| + t) / 2 coordinates of the block equal to symbol 1.
 
-    The result shares >= t symbol-1 coordinates across every pair, and is
+    The result shares >= t symbol-1 coordinates across every pair (checked
+    pairwise when it has at most VERIFY_SIZE_LIMIT members), and is
     pinned-complete for {1} (only symbol-1 coordinates are constrained).
     """
     params = SpaceParams(s, n)
@@ -117,7 +100,7 @@ def symbol_majority_family(
         raise ParameterError(f"threshold {t} exceeds block size {len(x)}")
     keep = 2 * symbol_count(params, x, 1) >= len(x) + t
     fam = Family.from_array(params, keep)
-    if _should_verify(len(fam), verify):
+    if len(fam) <= VERIFY_SIZE_LIMIT:
         demand = (t,) + (0,) * (s - 1)
         if not fam.is_t_intersecting(demand):
             raise RuntimeError("internal check failed: majority family not intersecting")
@@ -207,16 +190,16 @@ class ProductConstruction:
     density: Fraction
 
 
-def block_product_family(
-    n: int, s: int, demand: Sequence[int], *, verify: bool | None = None
-) -> ProductConstruction:
+def block_product_family(n: int, s: int, demand: Sequence[int]) -> ProductConstruction:
     """Partition the positions into per-symbol blocks and host a window threshold in each.
 
     Block i receives t_i + 2*r_i positions (the last block absorbs the
     remainder), where r_i is the radius selected by the window-measure rule at
     bias 1/s; membership demands at least t_i + r_i window positions carrying
     symbol i, for every i.  The density is exactly the product of the window
-    measures.  Raises CapacityError (with the deficit) when the windows do not
+    measures.  Each block's window family is checked against its own demand,
+    and the whole family pairwise when it has at most VERIFY_SIZE_LIMIT
+    members.  Raises CapacityError (with the deficit) when the windows do not
     fit into n.
     """
     params = SpaceParams(s, n)
@@ -242,13 +225,11 @@ def block_product_family(
     fam = Family.from_array(params, keep)
     if fam.density() != bound.density:
         raise RuntimeError("internal check failed: product density mismatch")
-    _verify_product(fam, blocks, t, s, verify)
+    _verify_product(fam, blocks, t, s)
     return ProductConstruction(fam, tuple(blocks), bound.density)
 
 
-def _verify_product(
-    fam: Family, blocks: Sequence[BlockSpec], t: Sequence[int], s: int, verify: bool | None
-) -> None:
+def _verify_product(fam: Family, blocks: Sequence[BlockSpec], t: Sequence[int], s: int) -> None:
     # Blockwise check: each lifted window family meets its own one-symbol
     # demand, which forces the full product to meet the joint demand.  These
     # window families are small regardless of n.
@@ -260,5 +241,5 @@ def _verify_product(
         block_demand = tuple(block.t if sym == block.symbol else 0 for sym in range(1, s + 1))
         if not wfam.is_t_intersecting(block_demand):
             raise RuntimeError("internal check failed: block family not intersecting")
-    if _should_verify(len(fam), verify) and not fam.is_t_intersecting(t):
+    if len(fam) <= VERIFY_SIZE_LIMIT and not fam.is_t_intersecting(t):
         raise RuntimeError("internal check failed: product family not intersecting")

@@ -73,6 +73,13 @@ def _check_pins(params: SpaceParams, pins_a, pins_b) -> tuple[frozenset[int], fr
     return a, b
 
 
+def _require_complete(fam_a: Family, fam_b: Family, a: frozenset[int], b: frozenset[int]) -> None:
+    for label, fam, pins in (("A", fam_a, a), ("B", fam_b, b)):
+        witness = fam.pinned_violation(pins)
+        if witness is not None:
+            raise CompletenessError(label, witness)
+
+
 def check_correlation(
     fam_a: Family,
     fam_b: Family,
@@ -87,12 +94,7 @@ def check_correlation(
         raise ParameterError("families live in different word spaces")
     params = fam_a.params
     a, b = _check_pins(params, pins_a, pins_b)
-    witness = fam_a.pinned_violation(a)
-    if witness is not None:
-        raise CompletenessError("A", witness)
-    witness = fam_b.pinned_violation(b)
-    if witness is not None:
-        raise CompletenessError("B", witness)
+    _require_complete(fam_a, fam_b, a, b)
     return CorrelationCheck(
         params, a, b, len(fam_a), len(fam_b), len(fam_a & fam_b), seed, trial_density
     )
@@ -186,12 +188,7 @@ def slice_structure_report(
     if params.n < 2:
         raise ParameterError("slice facts need word length n >= 2")
     a, b = _check_pins(params, pins_a, pins_b)
-    witness = fam_a.pinned_violation(a)
-    if witness is not None:
-        raise CompletenessError("A", witness)
-    witness = fam_b.pinned_violation(b)
-    if witness is not None:
-        raise CompletenessError("B", witness)
+    _require_complete(fam_a, fam_b, a, b)
     sizes_a = tuple(len(sl) for sl in fam_a.slices())
     sizes_b = tuple(len(sl) for sl in fam_b.slices())
     free_a = [sizes_a[sym - 1] for sym in range(1, params.s + 1) if sym not in a]

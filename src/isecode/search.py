@@ -4,18 +4,15 @@ Vertices of the compatibility graph are the words whose own symbol histogram
 dominates the demand (the pair condition quantifies over self pairs too);
 edges join pairs meeting the demand.  Maximum cliques are maximum families.
 
-The solver is a bitset branch-and-bound with greedy-coloring bounds and a
-deterministic ascending-index order.  The root branches form independent
-tasks, each pruned against the deterministic greedy incumbent only; results
-are folded in task order.  Node counts and witnesses are therefore identical
-for any worker count, and a thread pool merely distributes the tasks.
+The solver is one depth-first bitset branch-and-bound with greedy-coloring
+bounds (after San Segundo et al., BBMC), run on an explicit stack from a
+deterministic greedy incumbent.  Coloring and branching follow ascending
+vertex order, so witnesses and node counts are identical from run to run.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +20,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .constructions import majority_tail_count
 from .families import Family
-from .words import ParameterError, SpaceParams, check_demand, decode_matrix, encode, symbol_count
+from .words import ParameterError, SpaceParams, check_demand, decode_matrix, symbol_count
 
 VERTEX_CAP = 1 << 16
 DEFAULT_TIMEOUT_MS = 60_000
@@ -94,25 +92,9 @@ class SearchResult:
     nodes: int
     elapsed: float
     complete: bool
-    threads: int
 
     def density(self) -> Fraction:
         return Fraction(self.max_size, self.params.size)
-
-
-class _Expired(Exception):
-    pass
-
-
-class _State:
-    __slots__ = ("adj", "deadline", "nodes", "best_size", "best")
-
-    def __init__(self, adj, deadline, best_size):
-        self.adj = adj
-        self.deadline = deadline
-        self.nodes = 0
-        self.best_size = best_size
-        self.best: list[int] | None = None
 
 
 def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -138,27 +120,6 @@ def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
             order.append(v)
             bounds.append(color)
     return order, bounds
-
-
-def _expand(clique: list[int], cand: int, state: _State) -> None:
-    state.nodes += 1
-    if state.deadline is not None and time.monotonic() > state.deadline:
-        raise _Expired
-    order, bounds = _color_order(cand, state.adj)
-    base = len(clique)
-    for i in range(len(order) - 1, -1, -1):
-        if base + bounds[i] <= state.best_size:
-            return
-        v = order[i]
-        clique.append(v)
-        nxt = cand & state.adj[v]
-        if nxt:
-            _expand(clique, nxt, state)
-        elif len(clique) > state.best_size:
-            state.best_size = len(clique)
-            state.best = clique.copy()
-        clique.pop()
-        cand &= ~(1 << v)
 
 
 def _greedy_clique(
@@ -193,106 +154,73 @@ def _greedy_clique(
     return best, False
 
 
-def canonical_seed_word(params: SpaceParams, demand: Sequence[int]) -> tuple[int, ...]:
-    """The fixed word with t_1 leading 1s, then t_2 2s, ..., padded with 1s."""
-    t = check_demand(params, demand)
-    if sum(t) > params.n:
-        raise ParameterError(f"demand sum {sum(t)} exceeds word length {params.n}")
-    out: list[int] = []
-    for sym, ti in enumerate(t, start=1):
-        out.extend([sym] * ti)
-    out.extend([1] * (params.n - len(out)))
-    return tuple(out)
+def _branch(
+    adj: Sequence[int], cand: int, best: list[int], deadline: float | None
+) -> tuple[list[int], int, bool]:
+    """Depth-first branch-and-bound for a clique in cand larger than the incumbent best.
+
+    Each stack frame holds the color-ordered vertices still to branch on, their
+    color bounds and the remaining candidate set; clique[i] is the vertex that
+    opened frame i + 1.  Returns the best clique, the number of nodes expanded
+    and whether the search finished before the deadline.
+    """
+    order, bounds = _color_order(cand, adj)
+    stack = [[order, bounds, cand]]
+    clique: list[int] = []
+    nodes = 1
+    while stack:
+        frame = stack[-1]
+        order, bounds, cand = frame
+        # bounds ascend along order, so a failed bound prunes the whole frame
+        if not order or len(clique) + bounds[-1] <= len(best):
+            stack.pop()
+            if clique:
+                clique.pop()
+            continue
+        v = order.pop()
+        bounds.pop()
+        frame[2] = cand & ~(1 << v)
+        clique.append(v)
+        nxt = cand & adj[v]
+        if nxt:
+            nodes += 1
+            if deadline is not None and time.monotonic() > deadline:
+                return best, nodes, False
+            order, bounds = _color_order(nxt, adj)
+            stack.append([order, bounds, nxt])
+        else:
+            if len(clique) > len(best):
+                best = clique.copy()
+            clique.pop()
+    return best, nodes, True
 
 
 def max_family(
-    n: int,
-    s: int,
-    demand: Sequence[int],
-    *,
-    threads: int = 1,
-    timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
-    canonical_seed: bool = False,
+    n: int, s: int, demand: Sequence[int], *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
 ) -> SearchResult:
     """Exact maximum demand-intersecting family, as a maximum clique of the compatibility graph.
 
-    With canonical_seed=True the search is restricted to families containing
-    the canonical fixed word (a speed heuristic; the result is then exact only
-    among such families).  On timeout the result carries complete=False and is
-    a lower bound only.
+    The timeout covers the whole call, graph build included.  On timeout the
+    result carries complete=False and is a lower bound only.
     """
-    if threads < 1:
-        raise ParameterError("thread count must be at least 1")
-    graph = build_compat_graph(n, s, demand)
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
+    graph = build_compat_graph(n, s, demand)
     adj = graph.adjacency
-    m = graph.vertex_count
-    if m:
-        needed = m + 128
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
-    base_clique: list[int] = []
-    cand0 = (1 << m) - 1
-    if canonical_seed and m:
-        seed_idx = encode(graph.params, canonical_seed_word(graph.params, demand))
-        slot = graph.vertices.index(seed_idx)
-        base_clique = [slot]
-        cand0 = adj[slot]
-    greedy_part, expired = _greedy_clique(adj, cand0, deadline)
-    greedy = base_clique + greedy_part
-    init_best = len(greedy)
-    tasks: list[tuple[int, int, int]] = []
+    cand = (1 << graph.vertex_count) - 1
+    best, expired = _greedy_clique(adj, cand, deadline)
+    nodes, complete = 0, False
     if not expired:
-        order, bounds = _color_order(cand0, adj)
-        cand = cand0
-        for i in range(len(order) - 1, -1, -1):
-            v = order[i]
-            tasks.append((v, bounds[i], cand & adj[v]))
-            cand &= ~(1 << v)
-
-    # Every task prunes against the same frozen incumbent; sharing the evolving
-    # best across tasks would make node counts depend on worker scheduling.
-    def run(task: tuple[int, int, int]) -> tuple[int, int, list[int] | None, bool]:
-        v, color, sub = task
-        if len(base_clique) + color <= init_best:
-            return 0, init_best, None, True
-        state = _State(adj, deadline, init_best)
-        clique = base_clique + [v]
-        ok = True
-        try:
-            if sub:
-                _expand(clique, sub, state)
-            elif len(clique) > state.best_size:
-                state.best_size = len(clique)
-                state.best = clique.copy()
-        except _Expired:
-            ok = False
-        return state.nodes, state.best_size, state.best, ok
-
-    if threads == 1 or len(tasks) <= 1:
-        results = list(map(run, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    complete = not expired
-    nodes = 1
-    best_size, best = init_best, list(greedy)
-    for task_nodes, size, clique, ok in results:
-        nodes += task_nodes
-        complete &= ok
-        if clique is not None and size > best_size:
-            best_size, best = size, clique
+        best, nodes, complete = _branch(adj, cand, best, deadline)
     witness = Family.from_indices(graph.params, (graph.vertices[v] for v in best))
     return SearchResult(
         graph.params,
         graph.demand,
-        best_size,
+        len(best),
         witness,
         nodes,
         time.monotonic() - start,
         complete,
-        threads,
     )
 
 
@@ -329,8 +257,6 @@ def best_binary_majority(n: int, t: Sequence[int]) -> MajorityOptimum:
     Sweeps all size pairs with size1 + size2 <= n using exact binomial tails;
     ties prefer blocks matching the demand parities, then larger total size.
     """
-    from .constructions import majority_tail_count  # local import, avoids a cycle
-
     t1, t2 = (int(x) for x in t)
     if t1 < 1 or t2 < 1:
         raise ParameterError("both demand entries must be at least 1")

@@ -31,10 +31,10 @@ from isecode import (
 _SOLVED: dict = {}
 
 
-def solve(n, s, t, threads=1):
-    key = (n, s, tuple(t), threads)
+def solve(n, s, t):
+    key = (n, s, tuple(t))
     if key not in _SOLVED:
-        _SOLVED[key] = max_family(n, s, t, threads=threads)
+        _SOLVED[key] = max_family(n, s, t)
     return _SOLVED[key]
 
 
@@ -209,17 +209,32 @@ def test_criterion_8_projection_bridge():
           f"on {count} complete families")
 
 
-def test_criterion_9_thread_determinism():
+# (n, s, t) -> (max_size, nodes) of the deterministic search
+_GOLDEN_SEARCH = {
+    (5, 3, (1, 1, 1)): (9, 108),
+    (4, 2, (1, 1)): (4, 13),
+    (6, 3, (1, 1, 0)): (81, 680),
+    (8, 2, (3, 1)): (29, 476),
+    (6, 2, (1, 1)): (16, 2783),
+}
+
+
+def test_criterion_9_search_determinism():
     instances = list(_power_sweep_instances()) + [
         (5, 3, (3, 0, 0)),
         (3, 3, (1, 1, 0)),
-        (5, 3, (1, 1, 1)),
-    ]
+    ] + list(_GOLDEN_SEARCH)
     for n, s, t in instances:
-        single = solve(n, s, t, threads=1)
-        multi = solve(n, s, t, threads=4)
-        assert single.max_size == multi.max_size, (n, s, t)
-        assert single.witness == multi.witness, (n, s, t)
-        assert single.nodes == multi.nodes, (n, s, t)
-    print(f"\n[criterion 9] PASS: witnesses and node counts identical across "
-          f"thread counts on {len(instances)} instances")
+        first = solve(n, s, t)
+        again = max_family(n, s, t)
+        assert first.complete and again.complete, (n, s, t)
+        assert first.max_size == again.max_size, (n, s, t)
+        assert first.witness == again.witness, (n, s, t)
+        assert first.nodes == again.nodes, (n, s, t)
+    for (n, s, t), golden in _GOLDEN_SEARCH.items():
+        result = solve(n, s, t)
+        assert (result.max_size, result.nodes) == golden, (n, s, t)
+    assert solve(5, 3, (1, 1, 1)).witness.bits == 0x20100804020100804020
+    assert solve(6, 2, (1, 1)).witness.bits == 0xAAAAAAAA
+    print(f"\n[criterion 9] PASS: witnesses and node counts identical across two "
+          f"runs on {len(instances)} instances, {len(_GOLDEN_SEARCH)} match golden counts")

@@ -134,14 +134,6 @@ def test_search_json_contract(capsys, tmp_path):
     assert len(fam) == 4 and fam.is_t_intersecting((1, 1))
 
 
-def test_search_threads_flag(capsys):
-    code, report, _ = run_json(
-        capsys, "search", "-n", "5", "-s", "3", "-t", "1,1,1", "--threads", "4"
-    )
-    assert code == 0
-    assert report["max"] == 9
-
-
 def test_verify_empty_family(capsys, tmp_path):
     path = tmp_path / "empty.fam"
     path.write_text("3 2\n")

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from isecode import (
     max_density,
     max_family,
 )
-from isecode.search import canonical_seed_word
 from isecode.words import SpaceParams
 
 from conftest import brute_max_intersecting
@@ -72,15 +72,6 @@ def test_empty_graph_when_demand_infeasible():
     assert len(result.witness) == 0
 
 
-def test_threads_do_not_change_anything():
-    for n, s, t in ((5, 3, (1, 1, 1)), (4, 2, (1, 1)), (5, 3, (3, 0, 0))):
-        single = max_family(n, s, t, threads=1)
-        multi = max_family(n, s, t, threads=4)
-        assert single.max_size == multi.max_size
-        assert single.witness == multi.witness
-        assert single.nodes == multi.nodes
-
-
 def test_timeout_gives_lower_bound():
     result = max_family(5, 3, (1, 1, 1), timeout_ms=0)
     assert not result.complete
@@ -99,15 +90,24 @@ def test_timeout_covers_greedy_phase():
     assert result.max_size >= 1 and result.witness.is_t_intersecting((1, 0))
 
 
-def test_canonical_seed_restriction():
-    params = SpaceParams(3, 4)
-    assert canonical_seed_word(params, (1, 2, 0)) == (1, 2, 2, 1)
-    for n, s, t in ((4, 3, (1, 1, 0)), (4, 2, (1, 1)), (5, 3, (3, 0, 0))):
-        free = max_family(n, s, t)
-        seeded = max_family(n, s, t, canonical_seed=True)
-        assert seeded.max_size == free.max_size  # the canonical word sits in a maximum family
-        assert canonical_seed_word(SpaceParams(s, n), t) in seeded.witness
-        assert seeded.witness.is_t_intersecting(t)
+def test_elapsed_covers_graph_build(monkeypatch):
+    import isecode.search as search_mod
+
+    build = search_mod.build_compat_graph
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(search_mod, "build_compat_graph", slow_build)
+    assert max_family(4, 2, (1, 1)).elapsed >= 0.05
+
+
+def test_max_family_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    result = max_family(7, 3, (2, 2, 0))  # 1092 vertices, more than the default limit
+    assert result.complete and result.max_size == 27
+    assert sys.getrecursionlimit() == limit
 
 
 def test_best_binary_majority_examples():
