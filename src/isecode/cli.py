@@ -121,35 +121,34 @@ def _open_out(args):
 # -- bound --------------------------------------------------------------------
 
 
-def cmd_bound(args) -> int:
-    t = _parse_ints(args.t)
-    report: dict = {"command": "bound", "n": args.n, "s": args.s, "t": list(t)}
-    any_applicable = False
+def _bound_report(n: int, s: int, t) -> tuple[dict, dict]:
+    """The power-bound and product-bound entries of a report; each says whether it applies."""
     try:
-        value = power_bound(args.n, args.s, t)
-        report["power_bound"] = {"applicable": True, "count": value}
-        any_applicable = True
+        power = {"applicable": True, "count": power_bound(n, s, t)}
     except ParameterError as exc:
-        report["power_bound"] = {"applicable": False, "reason": str(exc)}
+        power = {"applicable": False, "reason": str(exc)}
     try:
-        bound = window_product_bound(args.n, args.s, t)
-        report["product_bound"] = {
+        bound = window_product_bound(n, s, t)
+        product = {
             "applicable": True,
             "count": bound.count,
             "density": bound.density,
             "windows": list(bound.windows),
         }
-        any_applicable = True
     except CapacityError as exc:
-        report["product_bound"] = {
-            "applicable": False,
-            "reason": str(exc),
-            "deficit": exc.deficit,
-        }
+        product = {"applicable": False, "reason": str(exc), "deficit": exc.deficit}
     except ParameterError as exc:
-        report["product_bound"] = {"applicable": False, "reason": str(exc)}
+        product = {"applicable": False, "reason": str(exc)}
+    return power, product
+
+
+def cmd_bound(args) -> int:
+    t = _parse_ints(args.t)
+    report: dict = {"command": "bound", "n": args.n, "s": args.s, "t": list(t)}
+    power, product = _bound_report(args.n, args.s, t)
+    report["power_bound"], report["product_bound"] = power, product
     _emit_report(report, args.format, sys.stdout)
-    if not any_applicable:
+    if not (power["applicable"] or product["applicable"]):
         print("refusal: neither bound applies to these parameters", file=sys.stderr)
         return 2
     return 0
@@ -219,7 +218,7 @@ def cmd_construct(args) -> int:
         return 0
     report["size"] = len(family)
     if args.output:
-        save_family(family, args.output, binary=True if args.binary else None)
+        save_family(family, args.output)
         report["output"] = args.output
     _emit_report(report, args.format, sys.stdout)
     return 0
@@ -233,7 +232,7 @@ def cmd_search(args) -> int:
     result = max_family(args.n, args.s, t, timeout_ms=args.timeout_ms)
     witness_file = None
     if args.output:
-        save_family(result.witness, args.output, binary=True if args.binary else None)
+        save_family(result.witness, args.output)
         witness_file = args.output
     report = {
         "n": args.n,
@@ -257,7 +256,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    family = load_family(args.family, binary=True if args.binary else None)
+    family = load_family(args.family)
     params = family.params
     report: dict = {
         "command": "verify",
@@ -274,25 +273,10 @@ def cmd_verify(args) -> int:
         t = _parse_ints(args.t)
         report["t"] = list(t)
         report["intersecting"] = family.is_t_intersecting(t)
-        try:
-            value = power_bound(params.n, params.s, t)
-            report["power_bound"] = {
-                "applicable": True,
-                "count": value,
-                "size_within": len(family) <= value,
-            }
-        except ParameterError as exc:
-            report["power_bound"] = {"applicable": False, "reason": str(exc)}
-        try:
-            bound = window_product_bound(params.n, params.s, t)
-            report["product_bound"] = {
-                "applicable": True,
-                "count": bound.count,
-                "density": bound.density,
-                "size_within": len(family) <= bound.count,
-            }
-        except ParameterError as exc:
-            report["product_bound"] = {"applicable": False, "reason": str(exc)}
+        report["power_bound"], report["product_bound"] = _bound_report(params.n, params.s, t)
+        for entry in (report["power_bound"], report["product_bound"]):
+            if entry["applicable"]:
+                entry["size_within"] = len(family) <= entry["count"]
     _emit_report(report, args.format, sys.stdout)
     return 0
 
@@ -389,18 +373,15 @@ def cmd_table(args) -> int:
         t_max = args.t_max if args.t_max is not None else args.n_max
         for n in range(1, args.n_max + 1):
             for t in _demand_sweep(args.s, n, t_max):
-                row: dict = {"n": n, "s": args.s, "t": ",".join(map(str, t))}
-                try:
-                    row["power_bound"] = power_bound(n, args.s, t)
-                except ParameterError:
-                    row["power_bound"] = ""
-                try:
-                    bound = window_product_bound(n, args.s, t)
-                    row["product_count"] = bound.count
-                    row["product_density"] = bound.density
-                except ParameterError:
-                    row["product_count"] = ""
-                    row["product_density"] = ""
+                power, product = _bound_report(n, args.s, t)
+                row: dict = {
+                    "n": n,
+                    "s": args.s,
+                    "t": ",".join(map(str, t)),
+                    "power_bound": power.get("count", ""),
+                    "product_count": product.get("count", ""),
+                    "product_density": product.get("density", ""),
+                }
                 if args.what == "oracle":
                     result = max_family(n, args.s, t, timeout_ms=args.timeout_ms)
                     row["oracle_max"] = result.max_size
@@ -470,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", type=str, help="second block positions")
     p.add_argument("--x", type=str, help="block positions for symbol-majority")
     p.add_argument("-r", "--radius", type=int, default=0, help="window radius")
-    p.add_argument("-o", "--output", type=str, help="family file to write")
-    p.add_argument("--binary", action="store_true", help="force the binary file format")
+    p.add_argument("-o", "--output", type=str, help="family file to write (.famb: binary)")
     p.add_argument(
         "--density-only",
         action="store_true",
@@ -482,14 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact maximum family via branch and bound")
     common(p, n=True, s=True, t=True)
     p.add_argument("--timeout-ms", type=int, default=60_000)
-    p.add_argument("-o", "--output", type=str, help="witness family file to write")
-    p.add_argument("--binary", action="store_true")
+    p.add_argument("-o", "--output", type=str, help="witness family file to write (.famb: binary)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="report properties of a family file")
     p.add_argument("family", type=str)
     p.add_argument("-t", type=str, help="demand vector to test")
-    p.add_argument("--binary", action="store_true", help="read the binary file format")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -74,42 +74,43 @@ def _copy_member(member, size: int) -> np.ndarray:
     return arr
 
 
-def _sweep(member: np.ndarray, s: int, free: Sequence[int]):
-    """Rewrite a copy of `member` one position at a time, yielding (position, stride, copy).
-
-    At each position every digit in `free` may be rewritten to any digit.
-    The rewrites at different positions commute, so after the last position
-    the copy is the closure.
-    """
-    out = member.copy()
-    pos, stride = 1, 1
-    while stride < out.size:
-        view = out.reshape(-1, s, stride)
-        # Binary ORs of the digit slices beat a reduction over the short digit axis.
-        acc = view[:, free[0], :]
-        for c in free[1:]:
-            acc = acc | view[:, c, :]
-        view |= acc[:, None, :]
-        yield pos, stride, out
-        pos, stride = pos + 1, stride * s
+def _free_union(view: np.ndarray, free: Sequence[int]) -> np.ndarray:
+    """OR of the digit slices in `free` of a (rows, s, stride) position view."""
+    # Binary ORs of the digit slices beat a reduction over the short digit axis.
+    acc = view[:, free[0], :]
+    for c in free[1:]:
+        acc = acc | view[:, c, :]
+    return acc
 
 
 def _closure(member: np.ndarray, s: int, free: Sequence[int]) -> np.ndarray:
-    out = member
-    for _, _, out in _sweep(member, s, free):
-        pass
+    """Closure of `member` under rewriting any digit in `free` to any digit.
+
+    One pass over the positions suffices: the rewrites at different
+    positions commute.
+    """
+    out = member.copy()
+    stride = 1
+    while stride < out.size:
+        view = out.reshape(-1, s, stride)
+        view |= _free_union(view, free)[:, None, :]
+        stride *= s
     return out
 
 
-def _first_growth(member: np.ndarray, s: int, free: Sequence[int]):
-    """(position, stride, grown copy) at the first position whose rewrites add words, else None.
+def _first_gap(member: np.ndarray, s: int, free: Sequence[int]) -> tuple[int, int, int] | None:
+    """(position, stride, lowest added index) at the first position whose rewrites add words.
 
-    Nothing grew before that position, so the copy is `member` plus exactly
-    the words that position's rewrites add.
+    Returns None when no position adds a word, that is when `member` is closed.
     """
-    size = np.count_nonzero(member)
-    grown = (step for step in _sweep(member, s, free) if np.count_nonzero(step[2]) > size)
-    return next(grown, None)
+    pos, stride = 1, 1
+    while stride < member.size:
+        view = member.reshape(-1, s, stride)
+        gap = _free_union(view, free)[:, None, :] > view  # reachable and not a member
+        if np.count_nonzero(gap):  # cheaper than gap.any() on small arrays
+            return pos, stride, int(np.argmax(gap))
+        pos, stride = pos + 1, stride * s
+    return None
 
 
 def _pair_agreement_ok(digits: np.ndarray, demand: Sequence[int]) -> bool:
@@ -288,17 +289,16 @@ class Family(_Dense):
         """
         free = self._free_digits(pinned)
         member, s = self._member, self.params.s
-        found = _first_growth(member, s, free)
+        found = _first_gap(member, s, free)
         if found is None:
             return None
-        pos, stride, grown = found
-        y_idx = int(np.argmax(grown > member))
+        pos, stride, y_idx = found
         digit = (y_idx // stride) % s
         x_idx = next(x for x in (y_idx + (c - digit) * stride for c in free) if member[x])
         return decode(self.params, x_idx), decode(self.params, y_idx), pos
 
     def is_pinned_complete(self, pinned: Iterable[int]) -> bool:
-        return _first_growth(self._member, self.params.s, self._free_digits(pinned)) is None
+        return _first_gap(self._member, self.params.s, self._free_digits(pinned)) is None
 
     # -- slices and projections ---------------------------------------------
 
@@ -413,7 +413,7 @@ class SetFamily(_Dense):
         return f"SetFamily(n={self.n}, size={self._size})"
 
     def is_upward_closed(self) -> bool:
-        return _first_growth(self._member, 2, [0]) is None
+        return _first_gap(self._member, 2, [0]) is None
 
     def up_closure(self) -> "SetFamily":
         return SetFamily._wrap(self.n, _closure(self._member, 2, [0]))
@@ -437,25 +437,23 @@ def _ground_size(n: int) -> int:
 BINARY_SUFFIX = ".famb"
 
 
-def save_family(family: Family, path: str, *, binary: bool | None = None) -> None:
-    if binary is None:
-        binary = str(path).endswith(BINARY_SUFFIX)
-    if binary:
+def save_family(family: Family, path: str) -> None:
+    """Write the binary format when `path` ends in .famb, else the text format."""
+    if str(path).endswith(BINARY_SUFFIX):
         _save_binary(family, path)
     else:
         _save_text(family, path)
 
 
-def load_family(path: str, *, binary: bool | None = None) -> Family:
-    if binary is None:
-        binary = str(path).endswith(BINARY_SUFFIX)
-    return _load_binary(path) if binary else _load_text(path)
+def load_family(path: str) -> Family:
+    """Read the binary format when `path` ends in .famb, else the text format."""
+    return _load_binary(path) if str(path).endswith(BINARY_SUFFIX) else _load_text(path)
 
 
 def _save_text(family: Family, path: str) -> None:
     params = family.params
     if params.s > 9:
-        raise ParameterError("text family format needs s <= 9; use the binary format")
+        raise ParameterError("text family format needs s <= 9; use a .famb path (binary format)")
     lines = np.full((len(family), params.n + 1), ord("\n"), dtype=np.uint8)
     lines[:, : params.n] = family._digits() + ord("0")
     with open(path, "w", encoding="ascii") as fh:

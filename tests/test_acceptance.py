@@ -216,6 +216,7 @@ _GOLDEN_SEARCH = {
     (6, 3, (1, 1, 0)): (81, 680),
     (8, 2, (3, 1)): (29, 476),
     (6, 2, (1, 1)): (16, 2783),
+    (6, 4, (1, 1, 0, 0)): (256, 58),
 }
 
 
