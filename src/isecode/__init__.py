@@ -35,7 +35,9 @@ from .measures import (
 )
 from .constructions import (
     BlockSpec,
+    MajorityOptimum,
     ProductConstruction,
+    best_binary_majority,
     binary_majority_density,
     binary_majority_family,
     block_product_family,
@@ -48,10 +50,8 @@ from .constructions import (
 )
 from .search import (
     CompatGraph,
-    MajorityOptimum,
     SearchResult,
     SearchTimeout,
-    best_binary_majority,
     build_compat_graph,
     max_density,
     max_family,

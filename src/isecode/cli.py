@@ -36,8 +36,8 @@ from .measures import (
 )
 from .correlation import (
     exhaustive_correlation,
-    random_complete_family,
     random_correlation_trials,
+    trial_pair,
 )
 from .search import SearchTimeout, max_family
 from .words import SpaceParams
@@ -335,9 +335,8 @@ def cmd_correlate(args) -> int:
         replay = []
         params = SpaceParams(args.s, n)
         for c in failing:
-            fam_a = random_complete_family(params, pins_a, c.trial_density, 2 * c.seed)
-            fam_b = random_complete_family(params, pins_b, c.trial_density, 2 * c.seed + 1)
-            for fam, side in ((fam_a, "a"), (fam_b, "b")):
+            pair = trial_pair(params, pins_a, pins_b, c.trial_density, c.seed)
+            for fam, side in zip(pair, "ab"):
                 path = f"violation_seed{c.seed}_{side}.fam"
                 save_family(fam, path)
                 replay.append(path)

@@ -1,11 +1,12 @@
 """Explicit families meeting intersection demands: majority blocks, window lifts, products.
 
 The binary two-block construction puts a majority threshold on symbol 1
-inside one block of positions and on symbol 2 inside another.  The general
-product construction partitions the positions into one block per symbol,
-hosts a lifted window-threshold family in each block, and takes the
-conjunction; its density is exactly the product of the per-symbol window
-measures at bias 1/s.
+inside one block of positions and on symbol 2 inside another; its best block
+sizes come from exact binomial tails alone.  The general product
+construction partitions the positions into consecutive blocks, one per
+symbol, and builds the family as the outer product of the lifted
+window-threshold families of the blocks, tiled over the free positions; its
+density is exactly the product of the per-symbol window measures at bias 1/s.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ def binary_majority_family(
     an error.
     """
     params = SpaceParams(2, n)
-    t1, t2 = check_demand(params, t)
-    if t1 < 1 or t2 < 1:
-        raise ParameterError("both demand entries must be at least 1")
+    t1, t2 = _majority_demand(check_demand(2, t))
     x1 = _positions(n, block1)
     x2 = _positions(n, block2)
     if t1 > len(x1) or t2 > len(x2):
@@ -72,16 +71,61 @@ def binary_majority_family(
     return fam
 
 
-def binary_majority_density(n1: int, n2: int, t: Sequence[int]) -> Fraction:
-    """Exact density of the two-block majority family from the block sizes alone."""
+def _majority_demand(t: Sequence[int]) -> tuple[int, int]:
     t1, t2 = (int(x) for x in t)
     if t1 < 1 or t2 < 1:
         raise ParameterError("both demand entries must be at least 1")
+    return t1, t2
+
+
+def binary_majority_density(n1: int, n2: int, t: Sequence[int]) -> Fraction:
+    """Exact density of the two-block majority family from the block sizes alone."""
+    t1, t2 = _majority_demand(t)
     if n1 < 0 or n2 < 0:
         raise ParameterError("block sizes must be non-negative")
     return Fraction(majority_tail_count(n1, t1), 1 << n1) * Fraction(
         majority_tail_count(n2, t2), 1 << n2
     )
+
+
+@dataclass(frozen=True)
+class MajorityOptimum:
+    """Best two-block majority family over all block sizes, with the witness sizes."""
+
+    count: int
+    size1: int
+    size2: int
+    density: Fraction
+
+
+def best_binary_majority(n: int, t: Sequence[int]) -> MajorityOptimum:
+    """Maximize the two-block majority count over disjoint blocks; only sizes matter.
+
+    Sweeps all size pairs with size1 + size2 <= n using exact binomial tails;
+    ties prefer blocks matching the demand parities, then larger total size.
+    """
+    t1, t2 = _majority_demand(t)
+    if t1 + t2 > n:
+        raise ParameterError(f"demand sum {t1 + t2} exceeds word length {n}")
+    best_key = None
+    best_opt = None
+    for n1 in range(n + 1):
+        tail1 = majority_tail_count(n1, t1)
+        if tail1 == 0:
+            continue
+        for n2 in range(n - n1 + 1):
+            tail2 = majority_tail_count(n2, t2)
+            if tail2 == 0:
+                continue
+            count = tail1 * tail2 * (1 << (n - n1 - n2))
+            parity = int(n1 % 2 == t1 % 2) + int(n2 % 2 == t2 % 2)
+            key = (count, parity, n1 + n2, n1)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_opt = MajorityOptimum(count, n1, n2, Fraction(count, 1 << n))
+    if best_opt is None:
+        raise ParameterError("no feasible block sizes")  # unreachable given t1 + t2 <= n
+    return best_opt
 
 
 def symbol_majority_family(n: int, s: int, block: Iterable[int], t: int) -> Family:
@@ -161,7 +205,7 @@ def fixed_coordinate_family(n: int, s: int, demand: Sequence[int]) -> Family:
     coordinates agree across every pair.
     """
     params = SpaceParams(s, n)
-    t = check_demand(params, demand)
+    t = check_demand(s, demand)
     if sum(t) > n:
         raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
     keep = np.ones(params.size, dtype=bool)
@@ -196,50 +240,39 @@ def block_product_family(n: int, s: int, demand: Sequence[int]) -> ProductConstr
     Block i receives t_i + 2*r_i positions (the last block absorbs the
     remainder), where r_i is the radius selected by the window-measure rule at
     bias 1/s; membership demands at least t_i + r_i window positions carrying
-    symbol i, for every i.  The density is exactly the product of the window
-    measures.  Each block's window family is checked against its own demand,
-    and the whole family pairwise when it has at most VERIFY_SIZE_LIMIT
-    members.  Raises CapacityError (with the deficit) when the windows do not
-    fit into n.
+    symbol i, for every i.  The windows are consecutive runs from position 1,
+    so the family is the outer product of the per-block lifted window
+    families (block 1 on the fastest axis), tiled over the free positions
+    after the last window; its density is exactly the product of the window
+    measures.  Each block factor is checked against its own one-symbol demand,
+    which forces the joint demand, and the whole family pairwise when it has
+    at most VERIFY_SIZE_LIMIT members.  Raises CapacityError (with the
+    deficit) when the windows do not fit into n.
     """
     params = SpaceParams(s, n)
-    t = check_demand(params, demand)
+    t = check_demand(s, demand)
     bound = window_product_bound(n, s, t)  # validates s >= 3 and capacity
     sizes = [ti + 2 * sel.radius for ti, sel in zip(t, bound.selections)]
     if sum(sizes) > n:
         raise RuntimeError("internal check failed: selected windows exceed capacity")
     blocks = []
+    keep = np.ones(1, dtype=bool)
     cursor = 1
-    for sym, (ti, sel) in enumerate(zip(t, bound.selections), start=1):
-        window = tuple(range(cursor, cursor + sizes[sym - 1]))
-        if sym == s:
-            positions = tuple(range(cursor, n + 1))
-        else:
-            positions = window
+    for sym, (ti, sel, m) in enumerate(zip(t, bound.selections, sizes), start=1):
+        window = tuple(range(cursor, cursor + m))
+        positions = tuple(range(cursor, n + 1)) if sym == s else window
         cursor += len(positions)
         blocks.append(BlockSpec(sym, positions, window, ti, sel.radius))
-    keep = np.ones(params.size, dtype=bool)
-    for block in blocks:
-        if block.t:
-            keep &= symbol_count(params, block.window, block.symbol) >= block.t + block.radius
-    fam = Family.from_array(params, keep)
+        if ti == 0:
+            continue  # radius 0 too: an empty window constrains nothing
+        factor = lift_family(window_threshold_family(m, ti, sel.radius), sym, s)
+        block_demand = tuple(ti if c == sym else 0 for c in range(1, s + 1))
+        if not factor.is_t_intersecting(block_demand):
+            raise RuntimeError("internal check failed: block family not intersecting")
+        keep = np.logical_and.outer(factor.array, keep).reshape(-1)
+    fam = Family.from_array(params, np.tile(keep, s ** (n - sum(sizes))))
     if fam.density() != bound.density:
         raise RuntimeError("internal check failed: product density mismatch")
-    _verify_product(fam, blocks, t, s)
-    return ProductConstruction(fam, tuple(blocks), bound.density)
-
-
-def _verify_product(fam: Family, blocks: Sequence[BlockSpec], t: Sequence[int], s: int) -> None:
-    # Blockwise check: each lifted window family meets its own one-symbol
-    # demand, which forces the full product to meet the joint demand.  These
-    # window families are small regardless of n.
-    for block in blocks:
-        if block.t == 0:
-            continue
-        m = block.t + 2 * block.radius
-        wfam = lift_family(window_threshold_family(m, block.t, block.radius), block.symbol, s)
-        block_demand = tuple(block.t if sym == block.symbol else 0 for sym in range(1, s + 1))
-        if not wfam.is_t_intersecting(block_demand):
-            raise RuntimeError("internal check failed: block family not intersecting")
     if len(fam) <= VERIFY_SIZE_LIMIT and not fam.is_t_intersecting(t):
         raise RuntimeError("internal check failed: product family not intersecting")
+    return ProductConstruction(fam, tuple(blocks), bound.density)

@@ -117,6 +117,14 @@ def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Fam
     return Family.from_array(params, sample).pinned_closure(syms)
 
 
+def trial_pair(params: SpaceParams, pins_a, pins_b, density, seed: int) -> tuple[Family, Family]:
+    """The campaign's pair for one trial seed: F from sub-seed 2*seed, G from 2*seed + 1."""
+    return (
+        random_complete_family(params, pins_a, density, 2 * seed),
+        random_complete_family(params, pins_b, density, 2 * seed + 1),
+    )
+
+
 def random_correlation_trials(
     s: int,
     n: int,
@@ -127,8 +135,8 @@ def random_correlation_trials(
     seed_base: int = 0,
     densities: Sequence[Fraction] = DEFAULT_TRIAL_DENSITIES,
 ) -> list[CorrelationCheck]:
-    """Seeded campaign: trial k uses seed_base + k, sampling F and G from
-    sub-seeds 2*seed and 2*seed + 1 at a density cycling through `densities`."""
+    """Seeded campaign: trial k uses seed_base + k, sampling F and G by
+    `trial_pair` at a density cycling through `densities`."""
     params = SpaceParams(s, n)
     a, b = _check_pins(params, pins_a, pins_b)
     if trials < 0:
@@ -137,8 +145,7 @@ def random_correlation_trials(
     for k in range(trials):
         seed = seed_base + k
         rho = as_rational(densities[k % len(densities)])
-        fam_a = random_complete_family(params, a, rho, 2 * seed)
-        fam_b = random_complete_family(params, b, rho, 2 * seed + 1)
+        fam_a, fam_b = trial_pair(params, a, b, rho, seed)
         checks.append(check_correlation(fam_a, fam_b, a, b, seed=seed, trial_density=rho))
     return checks
 

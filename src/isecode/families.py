@@ -22,6 +22,7 @@ from .words import (
     ParameterError,
     SpaceParams,
     Word,
+    agreement_blocks,
     check_demand,
     check_symbol_set,
     decode,
@@ -30,8 +31,6 @@ from .words import (
     encode,
     parse_word,
 )
-
-_GRAM_CHUNK_BITS = 1 << 22  # bound on chunk_rows * m when forming agreement grams
 
 
 class FamilyFormatError(ValueError):
@@ -111,27 +110,6 @@ def _first_gap(member: np.ndarray, s: int, free: Sequence[int]) -> tuple[int, in
             return pos, stride, int(np.argmax(gap))
         pos, stride = pos + 1, stride * s
     return None
-
-
-def _pair_agreement_ok(digits: np.ndarray, demand: Sequence[int]) -> bool:
-    """All ordered pairs of rows agree on >= demand[l] coordinates carrying l+1, for each l."""
-    m = digits.shape[0]
-    marks = []
-    for sym, need in enumerate(demand, start=1):
-        if need == 0:
-            continue
-        e = digits == sym
-        if int(e.sum(axis=1).min()) < need:
-            return False  # some self pair already fails
-        marks.append((e.astype(np.int32), need))
-    chunk = max(1, _GRAM_CHUNK_BITS // max(m, 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        for e, need in marks:
-            gram = e[lo:hi] @ e.T
-            if int(gram.min()) < need:
-                return False
-    return True
 
 
 class _Dense:
@@ -260,10 +238,14 @@ class Family(_Dense):
 
     def is_t_intersecting(self, demand: Sequence[int]) -> bool:
         """True when every ordered pair of members, self pairs included, meets the demand."""
-        t = check_demand(self.params, demand)
+        t = check_demand(self.params.s, demand)
         if not any(t) or self._size == 0:
             return True
-        return _pair_agreement_ok(self._digits(), t)
+        digits = self._digits()
+        for sym, need in enumerate(t, start=1):
+            if need and int((digits == sym).sum(axis=1).min()) < need:
+                return False  # some self pair already fails
+        return all(block.all() for _, block in agreement_blocks(digits, t))
 
     # -- pinned closure ----------------------------------------------------
 

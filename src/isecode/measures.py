@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import SetFamily
-from .words import ParameterError
+from .words import ParameterError, check_demand
 
 Rational = Fraction
 
@@ -30,13 +30,7 @@ def _check_demand_formula(n: int, s: int, demand: Sequence[int]) -> tuple[int, .
         raise ParameterError(f"alphabet size must be an integer >= 2, got {s!r}")
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"word length must be an integer >= 1, got {n!r}")
-    t = tuple(int(x) for x in demand)
-    if len(t) != s:
-        raise ParameterError(f"demand vector needs {s} entries, got {len(t)}")
-    for ti in t:
-        if ti < 0:
-            raise ParameterError(f"demand entries must be non-negative, got {ti}")
-    return t
+    return check_demand(s, demand)
 
 
 class CapacityError(ParameterError):

@@ -20,9 +20,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constructions import majority_tail_count
 from .families import Family
-from .words import ParameterError, SpaceParams, check_demand, decode_matrix, symbol_count
+from .words import (
+    ParameterError,
+    SpaceParams,
+    agreement_blocks,
+    check_demand,
+    decode_matrix,
+    symbol_count,
+)
 
 VERTEX_CAP = 1 << 16
 DEFAULT_TIMEOUT_MS = 60_000
@@ -54,7 +60,7 @@ def _iter_bits(x: int) -> Iterator[int]:
 
 def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     params = SpaceParams(s, n)
-    t = check_demand(params, demand)
+    t = check_demand(s, demand)
     keep = np.ones(params.size, dtype=bool)
     for sym, need in enumerate(t, start=1):
         if need:
@@ -63,20 +69,9 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     m = int(verts.shape[0])
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
-    digits = decode_matrix(params, verts)
-    marks = [
-        ((digits == sym).astype(np.int32), need)
-        for sym, need in enumerate(t, start=1)
-        if need
-    ]
     rows: list[int] = []
-    chunk = max(1, (1 << 22) // max(m, 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        block = np.ones((hi - lo, m), dtype=bool)
-        for e, need in marks:
-            block &= (e[lo:hi] @ e.T) >= need
-        diag = np.arange(hi - lo)
+    for lo, block in agreement_blocks(decode_matrix(params, verts), t):
+        diag = np.arange(block.shape[0])
         block[diag, lo + diag] = False
         packed = np.packbits(block, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
@@ -235,45 +230,3 @@ def _max_density_cached(n: int, s: int, demand: tuple[int, ...], timeout_ms) -> 
             f"search for n={n}, s={s}, t={demand} timed out; best found {result.max_size}"
         )
     return result.density()
-
-
-@dataclass(frozen=True)
-class MajorityOptimum:
-    """Best two-block majority family over all block sizes, with the witness sizes."""
-
-    count: int
-    size1: int
-    size2: int
-    density: Fraction
-
-
-def best_binary_majority(n: int, t: Sequence[int]) -> MajorityOptimum:
-    """Maximize the two-block majority count over disjoint blocks; only sizes matter.
-
-    Sweeps all size pairs with size1 + size2 <= n using exact binomial tails;
-    ties prefer blocks matching the demand parities, then larger total size.
-    """
-    t1, t2 = (int(x) for x in t)
-    if t1 < 1 or t2 < 1:
-        raise ParameterError("both demand entries must be at least 1")
-    if t1 + t2 > n:
-        raise ParameterError(f"demand sum {t1 + t2} exceeds word length {n}")
-    best_key = None
-    best_opt = None
-    for n1 in range(n + 1):
-        tail1 = majority_tail_count(n1, t1)
-        if tail1 == 0:
-            continue
-        for n2 in range(n - n1 + 1):
-            tail2 = majority_tail_count(n2, t2)
-            if tail2 == 0:
-                continue
-            count = tail1 * tail2 * (1 << (n - n1 - n2))
-            parity = int(n1 % 2 == t1 % 2) + int(n2 % 2 == t2 % 2)
-            key = (count, parity, n1 + n2, n1)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_opt = MajorityOptimum(count, n1, n2, Fraction(count, 1 << n))
-    if best_opt is None:
-        raise ParameterError("no feasible block sizes")  # unreachable given t1 + t2 <= n
-    return best_opt

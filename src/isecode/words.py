@@ -7,6 +7,10 @@ of the index range.  Families are bool arrays in this order, one byte per
 word; `reshape(-1, s, s**(j-1))` of one puts the symbol at position j on the
 middle axis, so whole-space work never decodes every index.
 
+The agreement kernel `agreement_blocks` answers the pairwise demand for the
+rows of a decoded symbol matrix in row chunks of per-symbol gram products;
+demand checks on families and the search's compatibility graph share it.
+
 The "pinned" order on words: x is below y for a set of pinned symbols when
 every coordinate of x carrying a pinned symbol is unchanged in y; coordinates
 carrying non-pinned symbols may be rewritten freely.  A family closed upward
@@ -17,12 +21,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_DENSE_CAP = 1 << 26
 DENSE_CAP_ENV = "ISECODE_DENSE_CAP"
+_GRAM_CHUNK_CELLS = 1 << 22  # bound on rows * m of one agreement block
 
 Word = tuple[int, ...]
 
@@ -84,11 +89,11 @@ def check_word(params: SpaceParams, word: Sequence[int]) -> Word:
     return w
 
 
-def check_demand(params: SpaceParams, demand: Sequence[int]) -> tuple[int, ...]:
+def check_demand(s: int, demand: Sequence[int]) -> tuple[int, ...]:
     """Validate an intersection demand vector: s non-negative integer entries."""
     t = tuple(int(x) for x in demand)
-    if len(t) != params.s:
-        raise ParameterError(f"demand vector needs {params.s} entries, got {len(t)}")
+    if len(t) != s:
+        raise ParameterError(f"demand vector needs {s} entries, got {len(t)}")
     for ti in t:
         if ti < 0:
             raise ParameterError(f"demand entries must be non-negative, got {ti}")
@@ -153,6 +158,32 @@ def symbol_count(params: SpaceParams, positions: Iterable[int], symbol: int) -> 
     return count
 
 
+def agreement_blocks(
+    digits: np.ndarray, demand: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Pairwise demand over the rows of an (m, n) symbol matrix, one row chunk at a time.
+
+    Yields (lo, block) with block[i, j] True when rows lo + i and j agree on
+    at least demand[l] coordinates carrying symbol l + 1, for every l.  Self
+    pairs are included; each block is a fresh bool array of at most
+    _GRAM_CHUNK_CELLS cells, or one row when m exceeds that.
+    """
+    m = digits.shape[0]
+    # uint8 grams are exact: agreement counts are at most n, and s**n words
+    # fit in memory only for n < 256
+    marks = [
+        ((digits == sym).astype(np.uint8), need)
+        for sym, need in enumerate(demand, start=1)
+        if need
+    ]
+    chunk = max(1, _GRAM_CHUNK_CELLS // max(m, 1))
+    for lo in range(0, m, chunk):
+        block = np.ones((min(chunk, m - lo), m), dtype=bool)
+        for e, need in marks:
+            block &= (e[lo : lo + chunk] @ e.T) >= need
+        yield lo, block
+
+
 def meet(params: SpaceParams, y: Sequence[int], z: Sequence[int]) -> Word:
     """Coordinatewise agreement vector: agreeing coordinates keep their symbol, others become 0."""
     wy = check_word(params, y)
@@ -173,7 +204,7 @@ def satisfies(
     params: SpaceParams, y: Sequence[int], z: Sequence[int], demand: Sequence[int]
 ) -> bool:
     """True when the pair's agreement profile dominates the demand componentwise."""
-    t = check_demand(params, demand)
+    t = check_demand(params.s, demand)
     prof = profile(params, y, z)
     return all(c >= need for c, need in zip(prof, t))
 

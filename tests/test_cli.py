@@ -1,8 +1,9 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
-from isecode import load_family, max_family
+from isecode import CorrelationCheck, SpaceParams, load_family, max_family, random_complete_family
 from isecode.cli import main
 
 
@@ -178,6 +179,28 @@ def test_correlate_random(capsys):
     assert [row["seed"] for row in report["trials"]] == sorted(
         row["seed"] for row in report["trials"]
     )
+
+
+def test_correlate_violation_replay_files(capsys, monkeypatch, tmp_path):
+    # Report seed 3 as a violation: its pair must be dumped from sub-seeds 6 and 7.
+    monkeypatch.setattr(CorrelationCheck, "holds", property(lambda c: c.seed != 3))
+    monkeypatch.chdir(tmp_path)
+    code, report, _ = run_json(
+        capsys, "correlate", "-s", "3", "-n", "3", "--pins-a", "1", "--pins-b", "2,3",
+        "--trials", "3", "--seed", "2", "--rho", "1/8",
+    )
+    assert code == 0
+    assert report["violations"] == 1
+    assert report["replay_files"] == ["violation_seed3_a.fam", "violation_seed3_b.fam"]
+    params = SpaceParams(3, 3)
+    rho = Fraction(1, 8)
+    fam_a = load_family(tmp_path / "violation_seed3_a.fam")
+    fam_b = load_family(tmp_path / "violation_seed3_b.fam")
+    assert fam_a == random_complete_family(params, {1}, rho, 6)
+    assert fam_b == random_complete_family(params, {2, 3}, rho, 7)
+    # the draws differ between the two sub-seeds, so a swapped rule would fail
+    assert fam_a != random_complete_family(params, {1}, rho, 7)
+    assert fam_b != random_complete_family(params, {2, 3}, rho, 6)
 
 
 def test_correlate_exhaustive(capsys):

@@ -9,6 +9,8 @@ from isecode import (
     CapacityError,
     ParameterError,
     SetFamily,
+    SpaceParams,
+    best_window_measure,
     biased_measure,
     binary_majority_density,
     binary_majority_family,
@@ -222,6 +224,49 @@ def test_block_product_partition_shape():
     assert built.blocks[0].positions == tuple(range(1, 6))  # window 5 for t=3
     assert built.blocks[-1].symbol == 3
     assert built.family.is_t_intersecting((3, 1, 1))
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_block_product_membership_matches_definition(s):
+    # Decode every word by hand and count its window positions carrying each
+    # block symbol; the windows are consecutive from position 1, each of
+    # length t_i + 2*r_i with r_i the radius selected at bias 1/s.
+    for n in range(1, 8):
+        params = SpaceParams(s, n)
+        words = []
+        for index in range(params.size):
+            word, rem = [], index
+            for _ in range(n):
+                rem, digit = divmod(rem, s)
+                word.append(digit + 1)
+            words.append(word)
+        satisfying = {}  # (symbol, window, need) -> indices meeting it
+        for t in product(range(n + 1), repeat=s):
+            if sum(t) > n:
+                continue
+            try:
+                built = block_product_family(n, s, t)
+            except CapacityError:
+                continue
+            rule_sets = []
+            cursor = 1
+            for sym, (ti, block) in enumerate(zip(t, built.blocks), start=1):
+                radius = best_window_measure(n, ti, Fraction(1, s)).radius
+                window = tuple(range(cursor, cursor + ti + 2 * radius))
+                assert block.window == window
+                cursor += len(window)
+                if not ti:
+                    continue
+                rule = (sym, window, ti + radius)
+                if rule not in satisfying:
+                    satisfying[rule] = {
+                        index
+                        for index, word in enumerate(words)
+                        if sum(1 for j in window if word[j - 1] == sym) >= ti + radius
+                    }
+                rule_sets.append(satisfying[rule])
+            expected = set.intersection(*rule_sets) if rule_sets else range(params.size)
+            assert list(built.family.indices()) == sorted(expected), (n, s, t)
 
 
 def test_block_product_golden_bits():

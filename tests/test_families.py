@@ -14,7 +14,8 @@ from isecode import (
     load_family,
     save_family,
 )
-from isecode.words import leq_pinned
+import isecode.words
+from isecode.words import agreement_blocks, decode, leq_pinned
 
 from conftest import brute_closure, brute_intersecting, brute_is_complete, random_family
 
@@ -57,6 +58,28 @@ def test_is_t_intersecting_includes_self_pairs():
     # the lone member lacks a second 1, so the self pair already fails
     f = Family.from_words(p, [(1, 2, 3)])
     assert not f.is_t_intersecting((2, 0, 0))
+
+
+def test_is_t_intersecting_across_chunks(monkeypatch):
+    monkeypatch.setattr(isecode.words, "_GRAM_CHUNK_CELLS", 1000)  # 10 rows per block of 100
+    p = SpaceParams(3, 8)
+    demand = (2, 0, 0)
+    # the 98 lowest-index words carrying symbol 1 at positions 1-3 agree there pairwise
+    base = [w for w in (decode(p, i) for i in range(p.size)) if w[:3] == (1, 1, 1)][:98]
+    # y and z meet every base word on two 1s but share only position 3; as the
+    # highest-index members they form the only failing pair, in the last block
+    y = (1, 2, 1, 2, 2, 2, 2, 3)
+    z = (2, 1, 1, 2, 2, 2, 2, 3)
+    fam = Family.from_words(p, base + [y, z])
+    members = list(fam.members())
+    assert len(members) == 100 and set(members[-2:]) == {y, z}
+    assert len(list(agreement_blocks(np.array(members), demand))) == 10
+    assert not fam.is_t_intersecting(demand)
+    assert not brute_intersecting(fam, demand)
+    for drop in (y, z):
+        rest = fam - Family.from_words(p, [drop])
+        assert rest.is_t_intersecting(demand)
+        assert brute_intersecting(rest, demand)
 
 
 @pytest.mark.parametrize("seed", range(25))
