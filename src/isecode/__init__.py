@@ -21,7 +21,6 @@ from .families import Family, FamilyFormatError, SetFamily, load_family, save_fa
 from .measures import (
     CapacityError,
     ProductBound,
-    Rational,
     WindowSelection,
     best_window_measure,
     biased_measure,
@@ -30,14 +29,13 @@ from .measures import (
     min_window_length,
     parse_rational,
     power_bound,
+    product_allocation,
     window_measure,
     window_product_bound,
 )
 from .constructions import (
     BlockSpec,
-    MajorityOptimum,
     ProductConstruction,
-    best_binary_majority,
     binary_majority_density,
     binary_majority_family,
     block_product_family,
@@ -51,9 +49,7 @@ from .constructions import (
 from .search import (
     CompatGraph,
     SearchResult,
-    SearchTimeout,
     build_compat_graph,
-    max_density,
     max_family,
 )
 from .correlation import (

@@ -31,6 +31,7 @@ from .measures import (
     format_rational,
     parse_rational,
     power_bound,
+    product_allocation,
     window_measure,
     window_product_bound,
 )
@@ -39,7 +40,7 @@ from .correlation import (
     random_correlation_trials,
     trial_pair,
 )
-from .search import SearchTimeout, max_family
+from .search import max_family
 from .words import SpaceParams
 
 
@@ -163,8 +164,7 @@ def cmd_construct(args) -> int:
     family = None
     if args.kind == "product":
         if args.density_only:
-            bound = window_product_bound(args.n, args.s, t)
-            density = bound.density
+            density = product_allocation(args.n, args.s, t).density
         else:
             built = block_product_family(args.n, args.s, t)
             family, density = built.family, built.density
@@ -380,6 +380,7 @@ def cmd_table(args) -> int:
                     "power_bound": power.get("count", ""),
                     "product_count": product.get("count", ""),
                     "product_density": product.get("density", ""),
+                    "allocated_count": product_allocation(n, args.s, t).count,
                 }
                 if args.what == "oracle":
                     result = max_family(n, args.s, t, timeout_ms=args.timeout_ms)
@@ -502,9 +503,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SearchTimeout as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return 3
     except FamilyFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4

@@ -1,12 +1,14 @@
 """Explicit families meeting intersection demands: majority blocks, window lifts, products.
 
 The binary two-block construction puts a majority threshold on symbol 1
-inside one block of positions and on symbol 2 inside another; its best block
-sizes come from exact binomial tails alone.  The general product
-construction partitions the positions into consecutive blocks, one per
-symbol, and builds the family as the outer product of the lifted
-window-threshold families of the blocks, tiled over the free positions; its
-density is exactly the product of the per-symbol window measures at bias 1/s.
+inside one block of positions and on symbol 2 inside another, on blocks the
+caller chooses; the best block sizes are those of the product construction
+at s = 2.  The general product construction, for every alphabet size,
+partitions the positions into consecutive blocks, one per symbol, with the
+window lengths of measures.product_allocation, and builds the family as the
+outer product of the lifted window-threshold families of the blocks, tiled
+over the free positions; its density is exactly the product of the
+per-symbol window measures at bias 1/s.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import Family, SetFamily
-from .measures import window_product_bound
+from .measures import product_allocation
 from .words import ParameterError, SpaceParams, check_demand, symbol_count
 
 # Full pairwise verification of a constructed family is quadratic in its size;
@@ -86,46 +88,6 @@ def binary_majority_density(n1: int, n2: int, t: Sequence[int]) -> Fraction:
     return Fraction(majority_tail_count(n1, t1), 1 << n1) * Fraction(
         majority_tail_count(n2, t2), 1 << n2
     )
-
-
-@dataclass(frozen=True)
-class MajorityOptimum:
-    """Best two-block majority family over all block sizes, with the witness sizes."""
-
-    count: int
-    size1: int
-    size2: int
-    density: Fraction
-
-
-def best_binary_majority(n: int, t: Sequence[int]) -> MajorityOptimum:
-    """Maximize the two-block majority count over disjoint blocks; only sizes matter.
-
-    Sweeps all size pairs with size1 + size2 <= n using exact binomial tails;
-    ties prefer blocks matching the demand parities, then larger total size.
-    """
-    t1, t2 = _majority_demand(t)
-    if t1 + t2 > n:
-        raise ParameterError(f"demand sum {t1 + t2} exceeds word length {n}")
-    best_key = None
-    best_opt = None
-    for n1 in range(n + 1):
-        tail1 = majority_tail_count(n1, t1)
-        if tail1 == 0:
-            continue
-        for n2 in range(n - n1 + 1):
-            tail2 = majority_tail_count(n2, t2)
-            if tail2 == 0:
-                continue
-            count = tail1 * tail2 * (1 << (n - n1 - n2))
-            parity = int(n1 % 2 == t1 % 2) + int(n2 % 2 == t2 % 2)
-            key = (count, parity, n1 + n2, n1)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_opt = MajorityOptimum(count, n1, n2, Fraction(count, 1 << n))
-    if best_opt is None:
-        raise ParameterError("no feasible block sizes")  # unreachable given t1 + t2 <= n
-    return best_opt
 
 
 def symbol_majority_family(n: int, s: int, block: Iterable[int], t: int) -> Family:
@@ -238,27 +200,25 @@ def block_product_family(n: int, s: int, demand: Sequence[int]) -> ProductConstr
     """Partition the positions into per-symbol blocks and host a window threshold in each.
 
     Block i receives t_i + 2*r_i positions (the last block absorbs the
-    remainder), where r_i is the radius selected by the window-measure rule at
-    bias 1/s; membership demands at least t_i + r_i window positions carrying
-    symbol i, for every i.  The windows are consecutive runs from position 1,
-    so the family is the outer product of the per-block lifted window
-    families (block 1 on the fastest axis), tiled over the free positions
-    after the last window; its density is exactly the product of the window
-    measures.  Each block factor is checked against its own one-symbol demand,
-    which forces the joint demand, and the whole family pairwise when it has
-    at most VERIFY_SIZE_LIMIT members.  Raises CapacityError (with the
-    deficit) when the windows do not fit into n.
+    remainder), with the radii of product_allocation: the best window
+    measures at bias 1/s whose windows fit together into n.  Membership
+    demands at least t_i + r_i window positions carrying symbol i, for every
+    i.  The windows are consecutive runs from position 1, so the family is the
+    outer product of the per-block lifted window families (block 1 on the
+    fastest axis), tiled over the free positions after the last window; its
+    density is exactly the product of the window measures.  Each block factor
+    is checked against its own one-symbol demand, which forces the joint
+    demand, and the whole family pairwise when it has at most
+    VERIFY_SIZE_LIMIT members.  Builds for every s >= 2 and every demand with
+    sum(t) <= n; a larger demand sum raises ParameterError.
     """
     params = SpaceParams(s, n)
     t = check_demand(s, demand)
-    bound = window_product_bound(n, s, t)  # validates s >= 3 and capacity
-    sizes = [ti + 2 * sel.radius for ti, sel in zip(t, bound.selections)]
-    if sum(sizes) > n:
-        raise RuntimeError("internal check failed: selected windows exceed capacity")
+    alloc = product_allocation(n, s, t)
     blocks = []
     keep = np.ones(1, dtype=bool)
     cursor = 1
-    for sym, (ti, sel, m) in enumerate(zip(t, bound.selections, sizes), start=1):
+    for sym, (ti, sel, m) in enumerate(zip(t, alloc.selections, alloc.windows), start=1):
         window = tuple(range(cursor, cursor + m))
         positions = tuple(range(cursor, n + 1)) if sym == s else window
         cursor += len(positions)
@@ -270,9 +230,9 @@ def block_product_family(n: int, s: int, demand: Sequence[int]) -> ProductConstr
         if not factor.is_t_intersecting(block_demand):
             raise RuntimeError("internal check failed: block family not intersecting")
         keep = np.logical_and.outer(factor.array, keep).reshape(-1)
-    fam = Family.from_array(params, np.tile(keep, s ** (n - sum(sizes))))
-    if fam.density() != bound.density:
+    fam = Family.from_array(params, np.tile(keep, s ** (n - sum(alloc.windows))))
+    if fam.density() != alloc.density:
         raise RuntimeError("internal check failed: product density mismatch")
     if len(fam) <= VERIFY_SIZE_LIMIT and not fam.is_t_intersecting(t):
         raise RuntimeError("internal check failed: product family not intersecting")
-    return ProductConstruction(fam, tuple(blocks), bound.density)
+    return ProductConstruction(fam, tuple(blocks), alloc.density)

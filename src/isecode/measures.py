@@ -1,11 +1,13 @@
-"""Exact biased measures of subset families and the two maximum-size bounds.
+"""Exact biased measures of subset families, the two maximum-size bounds and the block allocation.
 
 Everything here is exact rational arithmetic (fractions.Fraction); floats are
 rejected on input.  The central object is the window-threshold measure: the
 p-biased weight of the family of subsets meeting a majority threshold inside
 a window of length t + 2r, and the selection rule that picks, for a given p,
 the radius r whose window measure is the maximum p-biased measure of any
-family in which every two subsets share at least t elements.
+family in which every two subsets share at least t elements.  The block
+allocation is the finite-n form of the product: the best radii whose windows
+fit together into n positions.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import numpy as np
 
 from .families import SetFamily
 from .words import ParameterError, check_demand
-
-Rational = Fraction
 
 
 def _check_demand_formula(n: int, s: int, demand: Sequence[int]) -> tuple[int, ...]:
@@ -87,11 +87,8 @@ def window_measure(t: int, r: int, p) -> Fraction:
     if not 0 <= p <= 1:
         raise ParameterError(f"bias must lie in [0, 1], got {p}")
     m = t + 2 * r
-    q = 1 - p
-    return sum(
-        (comb(m, k) * p**k * q ** (m - k) for k in range(t + r, m + 1)),
-        start=Fraction(0),
-    )
+    a, b = p.numerator, p.denominator
+    return Fraction(sum(comb(m, k) * a**k * (b - a) ** (m - k) for k in range(t + r, m + 1)), b**m)
 
 
 def max_window_radius(n: int, t: int) -> int:
@@ -198,7 +195,51 @@ def window_product_bound(n: int, s: int, demand: Sequence[int]) -> ProductBound:
             f" (deficit {deficit})",
             deficit,
         )
-    selections = tuple(best_window_measure(n, ti, Fraction(1, s)) for ti in t)
+    return _product(n, s, tuple(best_window_measure(n, ti, Fraction(1, s)) for ti in t), windows)
+
+
+def product_allocation(n: int, s: int, demand: Sequence[int]) -> ProductBound:
+    """Best product of window measures at bias 1/s whose windows fit together into n positions.
+
+    Maximizes the product over symbols of window_measure(t_i, r_i, 1/s) over
+    radii with sum(t_i + 2*r_i) <= n, by a dynamic programme over symbols and
+    used length (O(s * n**2) Fraction operations).  Ties go to the smallest
+    total window length, then to the lexicographically smallest radii.
+    `windows` holds the allocated lengths t_i + 2*r_i, and each selection's
+    radius_cap is the largest radius fitting into n alone, as in
+    best_window_measure.  Valid for every s >= 2 and every demand with
+    sum(t) <= n; it equals window_product_bound wherever that applies.
+    """
+    t = _check_demand_formula(n, s, demand)
+    if sum(t) > n:
+        raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
+    p = Fraction(1, s)
+    values = [[window_measure(ti, r, p) for r in range(max_window_radius(n, ti) + 1)] for ti in t]
+    # best[used] = (density, radii) of the best prefix whose windows take exactly `used` positions
+    best = {0: (Fraction(1), ())}
+    for ti, row in zip(t, values):
+        nxt: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+        for used, (density, radii) in best.items():
+            for r, value in enumerate(row):
+                end = used + ti + 2 * r
+                if end > n:
+                    break
+                cand = (density * value, radii + (r,))
+                old = nxt.get(end)
+                if old is None or cand[0] > old[0] or (cand[0] == old[0] and cand[1] < old[1]):
+                    nxt[end] = cand
+        best = nxt
+    total = min(best, key=lambda u: (-best[u][0], u))
+    radii = best[total][1]
+    selections = tuple(
+        WindowSelection(ti, p, r, len(row) - 1, row[r]) for ti, r, row in zip(t, radii, values)
+    )
+    return _product(n, s, selections, tuple(ti + 2 * r for ti, r in zip(t, radii)))
+
+
+def _product(
+    n: int, s: int, selections: tuple[WindowSelection, ...], windows: tuple[int, ...]
+) -> ProductBound:
     density = Fraction(1)
     for sel in selections:
         density *= sel.value

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,10 +31,6 @@ from .words import (
 
 VERTEX_CAP = 1 << 16
 DEFAULT_TIMEOUT_MS = 60_000
-
-
-class SearchTimeout(RuntimeError):
-    """The search budget expired; only a lower bound is available."""
 
 
 @dataclass(frozen=True)
@@ -213,20 +208,3 @@ def max_family(
         time.monotonic() - start,
         complete,
     )
-
-
-def max_density(
-    n: int, s: int, demand: Sequence[int], *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
-) -> Fraction:
-    """Exact maximum density of a demand-intersecting family; raises SearchTimeout if unproven."""
-    return _max_density_cached(n, s, tuple(int(x) for x in demand), timeout_ms)
-
-
-@lru_cache(maxsize=None)
-def _max_density_cached(n: int, s: int, demand: tuple[int, ...], timeout_ms) -> Fraction:
-    result = max_family(n, s, demand, timeout_ms=timeout_ms)
-    if not result.complete:
-        raise SearchTimeout(
-            f"search for n={n}, s={s}, t={demand} timed out; best found {result.max_size}"
-        )
-    return result.density()

@@ -10,16 +10,18 @@ from fractions import Fraction
 from itertools import product
 
 from isecode import (
+    CapacityError,
     SpaceParams,
     best_window_measure,
     biased_measure,
     binary_majority_density,
-    best_binary_majority,
+    block_product_family,
     exhaustive_correlation,
     fixed_coordinate_family,
     lift_family,
     max_family,
     power_bound,
+    product_allocation,
     random_complete_family,
     random_correlation_trials,
     symbol_majority_family,
@@ -55,6 +57,7 @@ def test_criterion_1_power_bound_sweep_with_equality():
         assert result.complete
         assert result.max_size <= bound, (n, s, t)
         assert result.max_size == bound, (n, s, t)
+        assert result.max_size == product_allocation(n, s, t).count, (n, s, t)
         witness = fixed_coordinate_family(n, s, t)
         assert len(witness) == bound
         assert witness.is_t_intersecting(t)
@@ -76,6 +79,7 @@ def test_criterion_2_product_equality_instances():
         assert result.complete
         bound = window_product_bound(n, s, t)
         assert result.max_size == bound.count, (n, s, t)
+        assert result.max_size == product_allocation(n, s, t).count, (n, s, t)
         checks.append((n, s, t, result.max_size))
     assert checks[0][3] == 11
     sel = best_window_measure(5, 3, Fraction(1, 3))
@@ -139,6 +143,7 @@ def test_criterion_5_submultiplicative_densities():
                 continue
             full = solve(n, s, t)
             assert full.complete
+            assert full.max_size == product_allocation(n, s, t).count, (n, t)
             whole = Fraction(full.max_size, s**n)
             for r in (1, 2):
                 head = t[:r] + (0,) * (s - r)
@@ -162,14 +167,14 @@ def test_criterion_6_binary_small_slack_range():
                 assert result.complete
                 assert result.witness.is_t_intersecting((t1, t2))
                 assert len(result.witness) == result.max_size
-                opt = best_binary_majority(n, (t1, t2))
-                assert result.max_size == opt.count, (n, t1, t2, q)
+                alloc = product_allocation(n, 2, (t1, t2))
+                assert result.max_size == alloc.count, (n, t1, t2, q)
                 if q in (0, 1):
                     assert result.max_size == 2**q, (n, t1, t2, q)
                 count += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"binary sweep took {elapsed:.1f}s"
-    print(f"\n[criterion 6] PASS: {count} instances match the best two-block majority "
+    print(f"\n[criterion 6] PASS: {count} instances match the allocated two-block majority "
           f"count, with max 2**q at slack 0 and 1 ({elapsed:.1f}s)")
 
 
@@ -239,3 +244,34 @@ def test_criterion_9_search_determinism():
     assert solve(6, 2, (1, 1)).witness.bits == 0xAAAAAAAA
     print(f"\n[criterion 9] PASS: witnesses and node counts identical across two "
           f"runs on {len(instances)} instances, {len(_GOLDEN_SEARCH)} match golden counts")
+
+
+def _capacity_refused_instances():
+    s = 3
+    for n in range(1, 7):
+        for t in product(range(n + 1), repeat=s):
+            if sum(t) > n or list(t) != sorted(t, reverse=True):
+                continue
+            try:
+                window_product_bound(n, s, t)
+            except CapacityError:
+                yield n, s, t
+
+
+def test_criterion_10_allocation_beyond_capacity():
+    # Where the paper's windows do not fit into n, the exact block allocation
+    # still builds a maximum family.  An oracle above the allocated count would
+    # be a counterexample to the finite-n product formula.
+    count = 0
+    for n, s, t in _capacity_refused_instances():
+        result = solve(n, s, t)
+        assert result.complete, (n, s, t)
+        assert result.max_size == product_allocation(n, s, t).count, (n, s, t)
+        built = block_product_family(n, s, t)
+        assert len(built.family) == result.max_size, (n, s, t)
+        assert built.family.is_t_intersecting(t), (n, s, t)
+        count += 1
+    assert count == 21
+    assert solve(6, 3, (4, 0, 0)).max_size == 13
+    print(f"\n[criterion 10] PASS: {count} demands beyond the capacity condition; "
+          f"oracle = allocated count = block-product size each time")

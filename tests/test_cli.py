@@ -81,6 +81,22 @@ def test_construct_density_only(capsys):
     assert out.strip() == "11/243"
 
 
+def test_construct_product_beyond_capacity(capsys):
+    argv = ("construct", "product", "-n", "6", "-s", "3", "-t", "4,0,0")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert (report["size"], report["density"]) == (13, "13/729")
+    assert report["blocks"][0]["radius"] == 1
+    code, out, _ = run_cli(capsys, *argv, "--density-only")
+    assert code == 0
+    assert out.strip() == "13/729"
+    # the paper's product bound keeps its capacity refusal
+    code, report, _ = run_json(capsys, "bound", "-n", "6", "-s", "3", "-t", "4,0,0")
+    assert code == 2
+    assert report["product_bound"]["applicable"] is False
+    assert report["product_bound"]["deficit"] == 2
+
+
 def test_construct_binary_majority(capsys, tmp_path):
     fam_path = str(tmp_path / "k.fam")
     code, report, _ = run_json(
@@ -222,6 +238,7 @@ def test_table_bounds_csv(capsys):
     row = next(r for r in rows if r["n"] == "2" and r["t"] == "1,1,0")
     assert row["power_bound"] == "1"
     assert row["product_count"] == "1"
+    assert row["allocated_count"] == "1"
 
 
 def test_table_oracle(capsys):
@@ -231,6 +248,7 @@ def test_table_oracle(capsys):
     for row in rows:
         n, t = int(row["n"]), tuple(int(x) for x in row["t"].split(","))
         assert int(row["oracle_max"]) == max_family(n, 2, t).max_size
+        assert row["allocated_count"] == row["oracle_max"]
 
 
 def test_table_measures(capsys):

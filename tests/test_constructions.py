@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from isecode import (
-    CapacityError,
     ParameterError,
     SetFamily,
     SpaceParams,
@@ -18,6 +17,8 @@ from isecode import (
     fixed_coordinate_family,
     lift_family,
     majority_tail_count,
+    max_family,
+    product_allocation,
     symbol_majority_density,
     symbol_majority_family,
     window_product_bound,
@@ -209,12 +210,14 @@ def test_block_product_density_matches_bound():
             assert built.family.is_t_intersecting(t)
 
 
-def test_block_product_capacity_refusal():
-    with pytest.raises(CapacityError) as err:
-        block_product_family(4, 3, (3, 0, 0))
-    assert err.value.deficit == 1
+def test_block_product_builds_beyond_capacity():
+    # the paper's windows need 5 positions for (3, 0, 0); s = 2 has no such windows
+    for n, s, t, size in ((4, 3, (3, 0, 0), 3), (4, 2, (1, 1), 4)):
+        built = block_product_family(n, s, t)
+        assert len(built.family) == size == max_family(n, s, t).max_size
+        assert built.family.is_t_intersecting(t)
     with pytest.raises(ParameterError):
-        block_product_family(4, 2, (1, 1))
+        block_product_family(4, 3, (3, 2, 0))
 
 
 def test_block_product_partition_shape():
@@ -226,11 +229,12 @@ def test_block_product_partition_shape():
     assert built.family.is_t_intersecting((3, 1, 1))
 
 
-@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("s", [2, 3, 4])
 def test_block_product_membership_matches_definition(s):
     # Decode every word by hand and count its window positions carrying each
     # block symbol; the windows are consecutive from position 1, each of
-    # length t_i + 2*r_i with r_i the radius selected at bias 1/s.
+    # length t_i + 2*r_i with r_i the radius selected at bias 1/s where the
+    # paper's windows fit, and the allocated radius elsewhere.
     for n in range(1, 8):
         params = SpaceParams(s, n)
         words = []
@@ -244,14 +248,15 @@ def test_block_product_membership_matches_definition(s):
         for t in product(range(n + 1), repeat=s):
             if sum(t) > n:
                 continue
+            built = block_product_family(n, s, t)
             try:
-                built = block_product_family(n, s, t)
-            except CapacityError:
-                continue
+                window_product_bound(n, s, t)
+                radii = [best_window_measure(n, ti, Fraction(1, s)).radius for ti in t]
+            except ParameterError:
+                radii = [sel.radius for sel in product_allocation(n, s, t).selections]
             rule_sets = []
             cursor = 1
-            for sym, (ti, block) in enumerate(zip(t, built.blocks), start=1):
-                radius = best_window_measure(n, ti, Fraction(1, s)).radius
+            for sym, (ti, block, radius) in enumerate(zip(t, built.blocks, radii), start=1):
                 window = tuple(range(cursor, cursor + ti + 2 * radius))
                 assert block.window == window
                 cursor += len(window)

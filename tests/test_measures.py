@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -11,10 +12,12 @@ from isecode import (
     best_window_measure,
     biased_measure,
     format_rational,
+    majority_tail_count,
     max_window_radius,
     min_window_length,
     parse_rational,
     power_bound,
+    product_allocation,
     window_measure,
     window_product_bound,
     window_threshold_family,
@@ -182,6 +185,78 @@ def test_bounds_are_pure_formulas_beyond_dense_cap():
     b = window_product_bound(60, 3, (3, 0, 0))
     assert b.density == Fraction(11, 243)
     assert b.count == 11 * 3**55
+
+
+def test_product_allocation_equals_product_bound():
+    # wherever the paper's capacity condition holds, the exact allocation is
+    # the formula: same density, count, radii and windows
+    applied = 0
+    for s in (3, 4):
+        for n in range(1, 10):
+            for t in product(range(n + 1), repeat=s):
+                if sum(t) > n:
+                    continue
+                try:
+                    bound = window_product_bound(n, s, t)
+                except CapacityError:
+                    alloc = product_allocation(n, s, t)
+                    assert sum(alloc.windows) <= n
+                    continue
+                assert product_allocation(n, s, t) == bound, (n, s, t)
+                applied += 1
+    assert applied == 1510
+
+
+def test_product_allocation_beyond_capacity():
+    alloc = product_allocation(6, 3, (4, 0, 0))  # the paper's windows need 8 positions
+    assert (alloc.count, alloc.windows) == (13, (6, 0, 0))
+    assert alloc.selections[0].radius == 1
+    assert alloc.density == window_measure(4, 1, Fraction(1, 3))
+    with pytest.raises(ParameterError):
+        product_allocation(3, 3, (2, 1, 1))  # demand sum exceeds n
+    with pytest.raises(ParameterError):
+        product_allocation(3, 1, (1,))
+
+
+def test_product_allocation_matches_enumeration():
+    # every radius tuple whose windows fit; the best density wins, then the
+    # smallest total window length, then the lexicographically smallest radii
+    ties = 0
+    for s, n_max in ((2, 10), (3, 8)):
+        p = Fraction(1, s)
+        for n in range(1, n_max + 1):
+            for t in product(range(n + 1), repeat=s):
+                if sum(t) > n:
+                    continue
+                options = []
+                for radii in product(*(range(max_window_radius(n, ti) + 1) for ti in t)):
+                    used = sum(ti + 2 * r for ti, r in zip(t, radii))
+                    if used <= n:
+                        density = prod(window_measure(ti, r, p) for ti, r in zip(t, radii))
+                        options.append((-density, used, radii))
+                options.sort()
+                if len(options) > 1 and options[1][0] == options[0][0]:
+                    ties += 1
+                alloc = product_allocation(n, s, t)
+                got = (-alloc.density, sum(alloc.windows), tuple(x.radius for x in alloc.selections))
+                assert got == options[0], (n, s, t)
+    assert ties > 0
+
+
+def test_product_allocation_binary_brute_force():
+    # two blocks of every size pair, each with its best majority threshold
+    n, t = 40, (3, 2)
+    best = max(
+        majority_tail_count(n1, t[0]) * majority_tail_count(n2, t[1]) * 2 ** (n - n1 - n2)
+        for n1 in range(n + 1)
+        for n2 in range(n - n1 + 1)
+    )
+    alloc = product_allocation(n, 2, t)
+    assert alloc.count == best
+    assert alloc.density == Fraction(best, 2**n)
+    assert alloc.count == majority_tail_count(alloc.windows[0], 3) * majority_tail_count(
+        alloc.windows[1], 2
+    ) * 2 ** (n - sum(alloc.windows))
 
 
 def test_rational_text_forms():

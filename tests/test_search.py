@@ -6,12 +6,9 @@ import pytest
 
 from isecode import (
     ParameterError,
-    SearchTimeout,
-    best_binary_majority,
     build_compat_graph,
-    majority_tail_count,
-    max_density,
     max_family,
+    product_allocation,
 )
 from isecode.words import SpaceParams
 
@@ -61,9 +58,14 @@ def test_max_family_known_values():
 
 
 def test_max_density_examples():
-    assert max_density(2, 3, (1, 0, 0)) == Fraction(1, 3)
-    assert max_density(3, 3, (0, 0, 0)) == 1
-    assert max_density(3, 3, (1, 1, 0)) == Fraction(1, 9)
+    for n, s, t, density in (
+        (2, 3, (1, 0, 0), Fraction(1, 3)),
+        (3, 3, (0, 0, 0), 1),
+        (3, 3, (1, 1, 0), Fraction(1, 9)),
+    ):
+        result = max_family(n, s, t)
+        assert result.complete
+        assert result.density() == density
 
 
 def test_empty_graph_when_demand_infeasible():
@@ -77,8 +79,7 @@ def test_timeout_gives_lower_bound():
     assert not result.complete
     assert result.max_size >= 1  # greedy incumbent survives
     assert result.witness.is_t_intersecting((1, 1, 1))
-    with pytest.raises(SearchTimeout):
-        max_density(5, 3, (1, 1, 1), timeout_ms=0)
+    assert max_family(5, 3, (1, 1, 1), timeout_ms=0).complete is False
 
 
 def test_timeout_covers_greedy_phase():
@@ -111,36 +112,19 @@ def test_max_family_leaves_recursion_limit_alone():
 
 
 def test_best_binary_majority_examples():
-    opt = best_binary_majority(4, (1, 1))
-    assert (opt.count, opt.size1, opt.size2) == (4, 3, 1)
+    # the two-block majority optimum is the block allocation at s = 2
+    assert product_allocation(4, 2, (1, 1)).count == 4
     # zero slack: the single fully constrained word
-    assert best_binary_majority(5, (2, 3)).count == 1
-    assert best_binary_majority(6, (2, 3)).count == 2
-    assert best_binary_majority(2, (1, 1)).count == 1
-    assert best_binary_majority(3, (1, 1)).count == 2
-
-
-def test_best_binary_majority_large_n():
-    # the sweep is a formula over block sizes, so n is not capped
-    n, t = 40, (3, 2)
-    best = max(
-        majority_tail_count(n1, t[0]) * majority_tail_count(n2, t[1]) * 2 ** (n - n1 - n2)
-        for n1 in range(n + 1)
-        for n2 in range(n - n1 + 1)
-    )
-    opt = best_binary_majority(n, t)
-    assert opt.count == best
-    assert opt.count == majority_tail_count(opt.size1, 3) * majority_tail_count(
-        opt.size2, 2
-    ) * 2 ** (n - opt.size1 - opt.size2)
-    assert opt.density == Fraction(best, 2**n)
+    assert product_allocation(5, 2, (2, 3)).count == 1
+    assert product_allocation(6, 2, (2, 3)).count == 2
+    assert product_allocation(2, 2, (1, 1)).count == 1
+    assert product_allocation(3, 2, (1, 1)).count == 2
 
 
 def test_best_binary_majority_validation():
+    assert product_allocation(4, 2, (0, 1)).count == 8  # the power bound
     with pytest.raises(ParameterError):
-        best_binary_majority(4, (0, 1))
-    with pytest.raises(ParameterError):
-        best_binary_majority(3, (2, 2))
+        product_allocation(3, 2, (2, 2))
 
 
 def test_vertex_cap(monkeypatch):
