@@ -36,14 +36,11 @@ from .measures import (
 from .constructions import (
     BlockSpec,
     ProductConstruction,
-    binary_majority_density,
-    binary_majority_family,
     block_product_family,
     fixed_coordinate_family,
     lift_family,
-    majority_tail_count,
-    symbol_majority_density,
-    symbol_majority_family,
+    majority_density,
+    majority_family,
     window_threshold_family,
 )
 from .search import (

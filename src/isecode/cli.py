@@ -14,15 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .constructions import (
-    binary_majority_density,
-    binary_majority_family,
-    block_product_family,
-    lift_family,
-    symbol_majority_density,
-    symbol_majority_family,
-    window_threshold_family,
-)
+from .constructions import block_product_family, majority_density, majority_family
 from .families import FamilyFormatError, load_family, save_family
 from .measures import (
     CapacityError,
@@ -32,7 +24,6 @@ from .measures import (
     parse_rational,
     power_bound,
     product_allocation,
-    window_measure,
     window_product_bound,
 )
 from .correlation import (
@@ -179,36 +170,24 @@ def cmd_construct(args) -> int:
                 for b in built.blocks
             ]
         report.update({"n": args.n, "s": args.s, "t": list(t)})
-    elif args.kind == "binary-majority":
-        x1 = _parse_ints(args.x1 or "")
-        x2 = _parse_ints(args.x2 or "")
+    else:
+        # Every other kind is a list of majority blocks, block i for symbol i + 1.
+        if args.kind == "binary-majority":
+            x1, x2 = (sorted(set(_parse_ints(x or ""))) for x in (args.x1, args.x2))
+            blocks, extra = (x1, x2), {"x1": x1, "x2": x2}
+        elif args.kind == "symbol-majority":
+            x = sorted(set(_parse_ints(args.x or "")))
+            blocks, extra = (x,), {"x": x}
+        else:  # window: at least t + r of the first t + 2r positions carry symbol 1
+            if len(t) != 1 or args.radius < 0:
+                raise ParameterError("window takes one threshold and a radius >= 0, e.g. -t 2 -r 1")
+            blocks, extra = (range(1, t[0] + 2 * args.radius + 1),), {"radius": args.radius}
         if args.density_only:
-            density = binary_majority_density(len(set(x1)), len(set(x2)), t)
+            density = majority_density(args.n, args.s, blocks, t)
         else:
-            family = binary_majority_family(args.n, x1, x2, t)
+            family = majority_family(args.n, args.s, blocks, t)
             density = family.density()
-        report.update({"n": args.n, "s": 2, "t": list(t), "x1": sorted(set(x1)), "x2": sorted(set(x2))})
-    elif args.kind == "symbol-majority":
-        if len(t) != 1:
-            raise ParameterError("symbol-majority takes a single threshold, e.g. -t 2")
-        x = _parse_ints(args.x or "")
-        if args.density_only:
-            density = symbol_majority_density(args.s, len(set(x)), t[0])
-        else:
-            family = symbol_majority_family(args.n, args.s, x, t[0])
-            density = family.density()
-        report.update({"n": args.n, "s": args.s, "t": list(t), "x": sorted(set(x))})
-    elif args.kind == "window":
-        if len(t) != 1:
-            raise ParameterError("window takes a single threshold, e.g. -t 2")
-        if args.density_only:
-            density = window_measure(t[0], args.radius, Fraction(1, 2))
-        else:
-            family = lift_family(window_threshold_family(args.n, t[0], args.radius), 1, 2)
-            density = family.density()
-        report.update({"n": args.n, "s": 2, "t": list(t), "radius": args.radius})
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown construction {args.kind!r}")
+        report.update({"n": args.n, "s": args.s, "t": list(t), **extra})
     report["density"] = density
     if args.density_only:
         if args.format == "text":

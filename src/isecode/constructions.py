@@ -1,28 +1,27 @@
 """Explicit families meeting intersection demands: majority blocks, window lifts, products.
 
-The binary two-block construction puts a majority threshold on symbol 1
-inside one block of positions and on symbol 2 inside another, on blocks the
-caller chooses; the best block sizes are those of the product construction
-at s = 2.  The general product construction, for every alphabet size,
-partitions the positions into consecutive blocks, one per symbol, with the
-window lengths of measures.product_allocation, and builds the family as the
-outer product of the lifted window-threshold families of the blocks, tiled
-over the free positions; its density is exactly the product of the
-per-symbol window measures at bias 1/s.
+A majority family puts a threshold on symbol i + 1 inside block i of
+disjoint blocks the caller chooses.  Each majority block is a window, so
+the family's density is a product of window measures.  The product
+construction, for every alphabet size, partitions the positions into
+consecutive blocks, one per symbol, with the window lengths of
+measures.product_allocation, and builds the family as the outer product of
+the lifted window-threshold families of the blocks, tiled over the free
+positions; its density is exactly the product of the per-symbol window
+measures at bias 1/s.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .families import Family, SetFamily
-from .measures import product_allocation
+from .measures import _check_demand_formula, product_allocation, window_measure
 from .words import ParameterError, SpaceParams, check_demand, symbol_count
 
 # Full pairwise verification of a constructed family is quadratic in its size;
@@ -30,102 +29,68 @@ from .words import ParameterError, SpaceParams, check_demand, symbol_count
 VERIFY_SIZE_LIMIT = 4096
 
 
-def majority_tail_count(m: int, t: int) -> int:
-    """Number of ways to mark at least ceil((m + t) / 2) out of m positions."""
-    if m < 0 or t < 0:
-        raise ParameterError("block size and threshold must be non-negative")
-    lo = (m + t + 1) // 2
-    return sum(comb(m, k) for k in range(lo, m + 1))
+def _majority_blocks(
+    n: int, s: int, blocks: Sequence[Iterable[int]], t: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Validate majority blocks; return them as sorted position tuples and the demand vector.
 
-
-def _positions(n: int, block: Iterable[int]) -> tuple[int, ...]:
-    pos = tuple(sorted(int(j) for j in set(block)))
-    for j in pos:
-        if not 1 <= j <= n:
-            raise ParameterError(f"position {j} outside 1..{n}")
-    return pos
-
-
-def binary_majority_family(
-    n: int, block1: Iterable[int], block2: Iterable[int], t: Sequence[int]
-) -> Family:
-    """Binary words holding a symbol-1 majority on block1 and a symbol-2 majority on block2.
-
-    Membership for i = 1, 2: at least (|block_i| + t_i) / 2 positions of
-    block_i carry symbol i.  For disjoint blocks the result is checked to be
-    (t1, t2)-intersecting when it has at most VERIFY_SIZE_LIMIT members.  A
-    threshold above the block size yields an empty family with a warning, not
-    an error.
+    Positions lie in 1..n, the blocks are pairwise disjoint and block i has a
+    threshold 1 <= t_i <= |block_i|; the demand pads t with zeros to s entries.
     """
-    params = SpaceParams(2, n)
-    t1, t2 = _majority_demand(check_demand(2, t))
-    x1 = _positions(n, block1)
-    x2 = _positions(n, block2)
-    if t1 > len(x1) or t2 > len(x2):
-        warnings.warn("threshold exceeds its block size; the family is empty", stacklevel=2)
-    keep = np.ones(params.size, dtype=bool)
-    for block, sym, ti in ((x1, 1, t1), (x2, 2, t2)):
-        keep &= 2 * symbol_count(params, block, sym) >= len(block) + ti
-    fam = Family.from_array(params, keep)
-    if not set(x1).intersection(x2) and len(fam) <= VERIFY_SIZE_LIMIT:
-        if not fam.is_t_intersecting((t1, t2)):
-            raise RuntimeError("internal check failed: majority family not intersecting")
-    return fam
+    blocks = tuple(tuple(sorted({int(j) for j in block})) for block in blocks)
+    t = tuple(int(x) for x in t)
+    if len(t) != len(blocks):
+        raise ParameterError(f"{len(blocks)} blocks need {len(blocks)} thresholds, got {len(t)}")
+    demand = _check_demand_formula(n, s, t + (0,) * (s - len(t)))
+    used: set[int] = set()
+    for block, ti in zip(blocks, t):
+        for j in block:
+            if not 1 <= j <= n:
+                raise ParameterError(f"position {j} outside 1..{n}")
+            if j in used:
+                raise ParameterError(f"position {j} lies in two blocks")
+        used.update(block)
+        if not 1 <= ti <= len(block):
+            raise ParameterError(f"threshold {ti} outside 1..{len(block)}, the block size")
+    return blocks, demand
 
 
-def _majority_demand(t: Sequence[int]) -> tuple[int, int]:
-    t1, t2 = (int(x) for x in t)
-    if t1 < 1 or t2 < 1:
-        raise ParameterError("both demand entries must be at least 1")
-    return t1, t2
+def majority_family(
+    n: int, s: int, blocks: Sequence[Iterable[int]], t: Sequence[int]
+) -> Family:
+    """Words holding a symbol-(i+1) majority on block i, for every block.
 
-
-def binary_majority_density(n1: int, n2: int, t: Sequence[int]) -> Fraction:
-    """Exact density of the two-block majority family from the block sizes alone."""
-    t1, t2 = _majority_demand(t)
-    if n1 < 0 or n2 < 0:
-        raise ParameterError("block sizes must be non-negative")
-    return Fraction(majority_tail_count(n1, t1), 1 << n1) * Fraction(
-        majority_tail_count(n2, t2), 1 << n2
-    )
-
-
-def symbol_majority_family(n: int, s: int, block: Iterable[int], t: int) -> Family:
-    """Words with at least (|block| + t) / 2 coordinates of the block equal to symbol 1.
-
-    The result shares >= t symbol-1 coordinates across every pair (checked
-    pairwise when it has at most VERIFY_SIZE_LIMIT members), and is
-    pinned-complete for {1} (only symbol-1 coordinates are constrained).
+    Membership: at least (|block_i| + t_i) / 2 positions of block i carry
+    symbol i + 1.  The blocks are disjoint, so every two members share at
+    least t_i coordinates carrying symbol i + 1; this is checked pairwise when
+    the family has at most VERIFY_SIZE_LIMIT members.  The family is
+    pinned-complete for the set of block symbols.
     """
     params = SpaceParams(s, n)
-    t = int(t)
-    x = _positions(n, block)
-    if t < 1:
-        raise ParameterError("threshold must be at least 1")
-    if t > len(x):
-        raise ParameterError(f"threshold {t} exceeds block size {len(x)}")
-    keep = 2 * symbol_count(params, x, 1) >= len(x) + t
+    blocks, demand = _majority_blocks(n, s, blocks, t)
+    keep = np.ones(params.size, dtype=bool)
+    for sym, (block, ti) in enumerate(zip(blocks, demand), start=1):
+        keep &= 2 * symbol_count(params, block, sym) >= len(block) + ti
     fam = Family.from_array(params, keep)
-    if len(fam) <= VERIFY_SIZE_LIMIT:
-        demand = (t,) + (0,) * (s - 1)
-        if not fam.is_t_intersecting(demand):
-            raise RuntimeError("internal check failed: majority family not intersecting")
+    if len(fam) <= VERIFY_SIZE_LIMIT and not fam.is_t_intersecting(demand):
+        raise RuntimeError("internal check failed: majority family not intersecting")
     return fam
 
 
-def symbol_majority_density(s: int, block_size: int, t: int) -> Fraction:
-    """Exact density of the one-symbol majority family from the block size alone."""
-    if s < 2:
-        raise ParameterError("alphabet size must be at least 2")
-    if t < 1 or t > block_size:
-        raise ParameterError("threshold must satisfy 1 <= t <= block size")
-    lo = (block_size + t + 1) // 2
+def majority_density(
+    n: int, s: int, blocks: Sequence[Iterable[int]], t: Sequence[int]
+) -> Fraction:
+    """Exact density of majority_family(n, s, blocks, t), without materializing it.
+
+    A block of m positions with threshold t is the window (t + (m - t) % 2,
+    (m - t) // 2): both ask for ceil((m + t) / 2) symbol positions among m.
+    The density is the product of the blocks' window measures at bias 1/s; it
+    is a pure formula, so the dense-storage cap does not apply.
+    """
+    blocks, demand = _majority_blocks(n, s, blocks, t)
     p = Fraction(1, s)
-    q = 1 - p
-    return sum(
-        (comb(block_size, k) * p**k * q ** (block_size - k) for k in range(lo, block_size + 1)),
-        start=Fraction(0),
-    )
+    windows = ((ti + (len(b) - ti) % 2, (len(b) - ti) // 2) for b, ti in zip(blocks, demand))
+    return prod((window_measure(w, r, p) for w, r in windows), start=Fraction(1))
 
 
 def window_threshold_family(n: int, t: int, r: int) -> SetFamily:

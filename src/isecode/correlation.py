@@ -9,7 +9,6 @@ verifies the structural slice facts the induction on n relies on.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -101,19 +100,22 @@ def check_correlation(
 
 
 def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Family:
-    """Seeded Bernoulli sample over all word indices (ascending draw order), then closure.
+    """Seeded Bernoulli sample over all word indices, then closure.
 
-    The same seed always produces the same family; the output is
-    pinned-complete by construction.
+    Word index i is kept when the i-th of s**n uniform draws from
+    [0, denominator) of numpy's default generator, seeded with |seed|, falls
+    below the numerator, so the sample is exactly Bernoulli(density).  The
+    same seed always produces the same family; the output is pinned-complete
+    by construction.  Denominators above 2**63 are refused.
     """
     syms = check_symbol_set(params, pins, proper=True, nonempty=True)
     rho = as_rational(density)
     if not 0 <= rho <= 1:
         raise ParameterError(f"density must lie in [0, 1], got {rho}")
-    rng = random.Random(seed)
     num, den = rho.numerator, rho.denominator
-    draws = (rng.randrange(den) < num for _ in range(params.size))
-    sample = np.fromiter(draws, dtype=bool, count=params.size)
+    if den > 1 << 63:
+        raise ParameterError(f"density denominator {den} exceeds 2**63")
+    sample = np.random.default_rng(abs(seed)).integers(den, size=params.size) < num
     return Family.from_array(params, sample).pinned_closure(syms)
 
 

@@ -27,7 +27,6 @@ from .words import (
     check_symbol_set,
     decode,
     decode_matrix,
-    dense_cap,
     encode,
     parse_word,
 )
@@ -405,9 +404,7 @@ def _ground_size(n: int) -> int:
     """2**n, the number of subsets of {1..n}, after checking n against the dense-storage cap."""
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"ground-set size must be an integer >= 1, got {n!r}")
-    if (1 << n) > dense_cap():
-        raise ParameterError(f"2**{n} exceeds the dense-storage cap {dense_cap()}")
-    return 1 << n
+    return SpaceParams(2, n).size  # subsets of [n] are binary words
 
 
 # -- file formats ------------------------------------------------------------

@@ -19,14 +19,12 @@ under this order is called pinned-complete for that symbol set.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_DENSE_CAP = 1 << 26
-DENSE_CAP_ENV = "ISECODE_DENSE_CAP"
 _GRAM_CHUNK_CELLS = 1 << 22  # bound on rows * m of one agreement block
 
 Word = tuple[int, ...]
@@ -34,20 +32,6 @@ Word = tuple[int, ...]
 
 class ParameterError(ValueError):
     """Raised when an operation's preconditions are violated."""
-
-
-def dense_cap() -> int:
-    """Cap on s**n for dense storage; ISECODE_DENSE_CAP overrides the default 2**26."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise ParameterError(f"{DENSE_CAP_ENV} must be at least 2, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -66,10 +50,9 @@ class SpaceParams:
             raise ParameterError(f"alphabet size must be an integer >= 2, got {self.s!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"word length must be an integer >= 1, got {self.n!r}")
-        cap = dense_cap()
-        if self.s**self.n > cap:
+        if self.s**self.n > DEFAULT_DENSE_CAP:
             raise ParameterError(
-                f"s**n = {self.s}**{self.n} exceeds the dense-storage cap {cap}"
+                f"s**n = {self.s}**{self.n} exceeds the dense-storage cap {DEFAULT_DENSE_CAP}"
             )
 
     @property

@@ -14,17 +14,17 @@ from isecode import (
     SpaceParams,
     best_window_measure,
     biased_measure,
-    binary_majority_density,
     block_product_family,
     exhaustive_correlation,
     fixed_coordinate_family,
     lift_family,
+    majority_density,
+    majority_family,
     max_family,
     power_bound,
     product_allocation,
     random_complete_family,
     random_correlation_trials,
-    symbol_majority_family,
     window_measure,
     window_product_bound,
     window_threshold_family,
@@ -179,9 +179,12 @@ def test_criterion_6_binary_small_slack_range():
 
 
 def test_criterion_7_majority_density_targets():
+    def two_blocks(n1, n2):
+        return range(1, n1 + 1), range(n1 + 1, n1 + n2 + 1)
+
     for n1, n2 in ((1, 1), (3, 1), (5, 9), (7, 7), (99, 101)):
-        assert binary_majority_density(n1, n2, (1, 1)) == Fraction(1, 4), (n1, n2)
-    dens = binary_majority_density(100, 100, (2, 2))
+        assert majority_density(n1 + n2, 2, two_blocks(n1, n2), (1, 1)) == Fraction(1, 4), (n1, n2)
+    dens = majority_density(200, 2, two_blocks(100, 100), (2, 2))
     assert Fraction(1, 5) <= dens <= Fraction(1, 4)
     print(f"\n[criterion 7] PASS: odd-block density exactly 1/4; "
           f"100+100 block density {float(dens):.4f} within [0.2, 0.25]")
@@ -199,8 +202,8 @@ def _bridge_corpus():
                 for r in range((n - t) // 2 + 1):
                     for sym in range(1, s + 1):
                         yield lift_family(window_threshold_family(n, t, r), sym, s), sym
-    yield symbol_majority_family(4, 3, {1, 2, 3}, 1), 1
-    yield symbol_majority_family(4, 2, {1, 2, 3, 4}, 2), 1
+    yield majority_family(4, 3, [{1, 2, 3}], [1]), 1
+    yield majority_family(4, 2, [{1, 2, 3, 4}], [2]), 1
 
 
 def test_criterion_8_projection_bridge():

@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from isecode import CorrelationCheck, SpaceParams, load_family, max_family, random_complete_family
 from isecode.cli import main
 
@@ -135,6 +137,43 @@ def test_construct_window(capsys):
     assert code == 0
     assert report["size"] == 4
     assert report["density"] == "1/2"
+    assert report["s"] == 2
+    code, report, _ = run_json(
+        capsys, "construct", "window", "-n", "3", "-s", "3", "-t", "1", "-r", "1"
+    )
+    assert code == 0
+    assert (report["s"], report["size"], report["density"]) == (3, 7, "7/27")
+
+
+_MAJORITY_COMMANDS = [
+    # overlapping blocks, a position outside 1..n, a window longer than n
+    ("binary-majority", "-n", "3", "-t", "1,1", "--x1", "1,2,3", "--x2", "1,2,3"),
+    ("binary-majority", "-n", "4", "-t", "1,1", "--x1", "1,2", "--x2", "2,3"),
+    ("binary-majority", "-n", "4", "-t", "1,1", "--x1", "1,9", "--x2", "3"),
+    ("symbol-majority", "-n", "3", "-s", "3", "-t", "1", "--x", "1,7"),
+    ("window", "-n", "3", "-t", "2", "-r", "1"),
+    # a threshold outside 1..|block|
+    ("binary-majority", "-n", "3", "-t", "2,1", "--x1", "1", "--x2", "2,3"),
+    ("symbol-majority", "-n", "3", "-s", "3", "-t", "2", "--x", "1"),
+    ("window", "-n", "3", "-t", "0", "-r", "1"),
+    # valid inputs
+    ("binary-majority", "-n", "4", "-t", "1,1", "--x1", "1,2,3", "--x2", "4"),
+    ("binary-majority", "-n", "5", "-s", "3", "-t", "1,2", "--x1", "1", "--x2", "2,3,4"),
+    ("symbol-majority", "-n", "3", "-s", "3", "-t", "1", "--x", "1,2,3"),
+    ("symbol-majority", "-n", "5", "-t", "2", "--x", "2,4,5"),
+    ("window", "-n", "3", "-t", "1", "-r", "1"),
+    ("window", "-n", "5", "-s", "3", "-t", "2", "-r", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _MAJORITY_COMMANDS, ids=" ".join)
+def test_construct_density_only_agrees_with_family(capsys, argv):
+    code, report, _ = run_json(capsys, "construct", *argv)
+    code_only, out, _ = run_cli(capsys, "construct", *argv, "--density-only")
+    assert code in (0, 2)
+    assert code_only == code
+    if code == 0:
+        assert out.strip() == report["density"]
 
 
 def test_search_json_contract(capsys, tmp_path):
@@ -215,8 +254,11 @@ def test_correlate_violation_replay_files(capsys, monkeypatch, tmp_path):
     assert fam_a == random_complete_family(params, {1}, rho, 6)
     assert fam_b == random_complete_family(params, {2, 3}, rho, 7)
     # the draws differ between the two sub-seeds, so a swapped rule would fail
-    assert fam_a != random_complete_family(params, {1}, rho, 7)
-    assert fam_b != random_complete_family(params, {2, 3}, rho, 6)
+    swapped = (
+        random_complete_family(params, {1}, rho, 7),
+        random_complete_family(params, {2, 3}, rho, 6),
+    )
+    assert (fam_a, fam_b) != swapped
 
 
 def test_correlate_exhaustive(capsys):

@@ -11,16 +11,13 @@ from isecode import (
     SpaceParams,
     best_window_measure,
     biased_measure,
-    binary_majority_density,
-    binary_majority_family,
     block_product_family,
     fixed_coordinate_family,
     lift_family,
-    majority_tail_count,
+    majority_density,
+    majority_family,
     max_family,
     product_allocation,
-    symbol_majority_density,
-    symbol_majority_family,
     window_product_bound,
     window_threshold_family,
 )
@@ -28,16 +25,30 @@ from isecode import (
 from conftest import brute_intersecting
 
 
+def two_blocks(n1, n2):
+    """Consecutive blocks 1..n1 and n1+1..n1+n2."""
+    return range(1, n1 + 1), range(n1 + 1, n1 + n2 + 1)
+
+
 @pytest.mark.parametrize("m", range(0, 8))
 @pytest.mark.parametrize("t", range(0, 4))
 def test_majority_tail_count_matches_enumeration(m, t):
-    threshold = Fraction(m + t, 2)
-    expected = sum(1 for mask in range(1 << m) if mask.bit_count() >= threshold)
-    assert majority_tail_count(m, t) == expected
+    # The majority tail of one block of m positions: words of [s]^m with at
+    # least (m + t) / 2 positions carrying symbol 1, counted over all words.
+    # Thresholds t and t + 4 together cover 0..7; only 1 <= t <= m is valid.
+    for s in (2, 3):
+        ones = [sum(1 for x in w if x == 1) for w in product(range(1, s + 1), repeat=m)]
+        for ti in (t, t + 4):
+            if not 1 <= ti <= m:
+                with pytest.raises(ParameterError):
+                    majority_density(max(m, 1), s, [range(1, m + 1)], [ti])
+                continue
+            expected = Fraction(sum(1 for k in ones if 2 * k >= m + ti), s**m)
+            assert majority_density(m, s, [range(1, m + 1)], [ti]) == expected, (s, m, ti)
 
 
 def test_binary_majority_example():
-    fam = binary_majority_family(4, {1, 2, 3}, {4}, (1, 1))
+    fam = majority_family(4, 2, ({1, 2, 3}, {4}), (1, 1))
     assert len(fam) == 4
     assert fam.density() == Fraction(1, 4)
     assert all(w[3] == 2 for w in fam.members())
@@ -45,14 +56,35 @@ def test_binary_majority_example():
 
 
 def test_binary_majority_single_word():
-    fam = binary_majority_family(2, {1}, {2}, (1, 1))
+    fam = majority_family(2, 2, ({1}, {2}), (1, 1))
     assert sorted(fam.members()) == [(1, 2)]
 
 
-def test_binary_majority_empty_warns():
-    with pytest.warns(UserWarning):
-        fam = binary_majority_family(3, {1}, {2, 3}, (2, 1))
-    assert len(fam) == 0
+def test_majority_threshold_above_block_refused():
+    for build in (majority_family, majority_density):
+        with pytest.raises(ParameterError):
+            build(3, 2, ({1}, {2, 3}), (2, 1))
+
+
+def test_majority_block_validation():
+    bad = [
+        (3, 2, ({1, 2}, {2, 3}), (1, 1)),  # overlapping blocks
+        (4, 2, ({1, 9}, {3}), (1, 1)),  # position outside 1..n
+        (3, 2, ({1}, {2}, {3}), (1, 1, 1)),  # more blocks than symbols
+        (3, 2, ({1}, {2}), (1,)),  # one threshold per block
+        (3, 1, ({1},), (1,)),  # alphabet too small
+        (0, 2, ((),), (1,)),  # word length too small
+    ]
+    for args in bad:
+        for build in (majority_family, majority_density):
+            with pytest.raises(ParameterError):
+                build(*args)
+
+
+def test_majority_density_is_a_formula_beyond_dense_cap():
+    assert majority_density(200, 3, [range(1, 200)], [1]) < Fraction(1, 10**6)
+    with pytest.raises(ParameterError):
+        majority_family(200, 3, [range(1, 200)], [1])
 
 
 def test_binary_majority_density_matches_materialized():
@@ -62,32 +94,30 @@ def test_binary_majority_density_matches_materialized():
                 if t1 > n1 or t2 > n2:
                     continue
                 n = n1 + n2 + 1
-                x1 = set(range(1, n1 + 1))
-                x2 = set(range(n1 + 1, n1 + n2 + 1))
-                fam = binary_majority_family(n, x1, x2, (t1, t2))
-                assert fam.density() == binary_majority_density(n1, n2, (t1, t2))
+                fam = majority_family(n, 2, two_blocks(n1, n2), (t1, t2))
+                assert fam.density() == majority_density(n, 2, two_blocks(n1, n2), (t1, t2))
                 assert fam.is_t_intersecting((t1, t2))
 
 
 def test_binary_majority_density_quarter_bound():
     # two odd blocks covering everything: each factor is exactly 1/2
     for n1, n2 in ((1, 1), (3, 5), (5, 7)):
-        assert binary_majority_density(n1, n2, (1, 1)) == Fraction(1, 4)
+        assert majority_density(n1 + n2, 2, two_blocks(n1, n2), (1, 1)) == Fraction(1, 4)
     # never above 1/4 for demands >= 1
     rng = random.Random(3)
     for _ in range(40):
         n1, n2 = rng.randint(1, 30), rng.randint(1, 30)
         t1, t2 = rng.randint(1, n1), rng.randint(1, n2)
-        assert binary_majority_density(n1, n2, (t1, t2)) <= Fraction(1, 4)
+        assert majority_density(n1 + n2, 2, two_blocks(n1, n2), (t1, t2)) <= Fraction(1, 4)
 
 
 def test_binary_majority_large_blocks_near_quarter():
-    dens = binary_majority_density(100, 100, (2, 2))
+    dens = majority_density(200, 2, two_blocks(100, 100), (2, 2))
     assert Fraction(1, 5) <= dens <= Fraction(1, 4)
 
 
 def test_symbol_majority_single_position():
-    fam = symbol_majority_family(3, 3, {1}, 1)
+    fam = majority_family(3, 3, [{1}], [1])
     assert len(fam) == 9
     assert fam.density() == Fraction(1, 3)
     assert all(w[0] == 1 for w in fam.members())
@@ -95,7 +125,7 @@ def test_symbol_majority_single_position():
 
 def test_symbol_majority_full_block_matches_enumeration():
     # independent recount over all 27 words
-    fam = symbol_majority_family(3, 3, {1, 2, 3}, 1)
+    fam = majority_family(3, 3, [{1, 2, 3}], [1])
     expected = [
         w for w in product((1, 2, 3), repeat=3) if sum(1 for x in w if x == 1) >= 2
     ]
@@ -103,19 +133,19 @@ def test_symbol_majority_full_block_matches_enumeration():
     assert sorted(fam.members()) == sorted(expected)
     assert fam.is_t_intersecting((1, 0, 0))
     assert fam.is_pinned_complete({1})
-    assert fam.density() == symbol_majority_density(3, 3, 1)
+    assert fam.density() == majority_density(3, 3, [{1, 2, 3}], [1])
 
 
 def test_symbol_majority_validation():
     with pytest.raises(ParameterError):
-        symbol_majority_family(3, 3, {1}, 2)  # t > block size
+        majority_family(3, 3, [{1}], [2])  # t > block size
     with pytest.raises(ParameterError):
-        symbol_majority_family(3, 3, {1}, 0)
+        majority_family(3, 3, [{1}], [0])
 
 
 def test_symbol_majority_wide_block_density_shrinks():
     # block covering all 20 positions: exact tail under the concentration bound
-    dens = symbol_majority_density(3, 20, 1)
+    dens = majority_density(20, 3, [range(1, 21)], [1])
     eps = 2 / 3 - 1 / 2
     assert float(dens) < math.exp(-2 * eps**2 * 20 / 9)
     assert dens == sum(

@@ -130,4 +130,27 @@ def test_random_complete_family_golden_bits():
     # the seeded draw order (ascending word index) is pinned, so replay files reproduce
     params = SpaceParams(3, 4)
     assert random_complete_family(params, {1}, Fraction(1, 4), seed=5).bits == (1 << 81) - 1
-    assert random_complete_family(params, {1, 2}, Fraction(1, 8), seed=5).bits == 0x14DA4C229B49FFFFFFF
+    fam = random_complete_family(params, {1, 2}, Fraction(1, 8), seed=5)
+    assert fam.bits == 0x10098E07E3F1F843FE3F
+
+
+def test_random_complete_family_negative_seed():
+    # a negative seed draws as its absolute value, as random.Random seeds do
+    params = SpaceParams(3, 3)
+    for seed in (1, 5, 12):
+        assert random_complete_family(params, {1}, Fraction(1, 8), -seed) == random_complete_family(
+            params, {1}, Fraction(1, 8), seed
+        )
+    checks = random_correlation_trials(3, 3, {1}, {2, 3}, 6, seed_base=-3)
+    assert [c.seed for c in checks] == list(range(-3, 3))
+    assert all(c.holds for c in checks)
+
+
+def test_random_complete_family_denominator_limit():
+    params = SpaceParams(2, 3)
+    assert len(random_complete_family(params, {1}, Fraction(1, 1 << 63), 0)) == 0
+    assert len(random_complete_family(params, {1}, 1 - Fraction(1, 1 << 63), 0)) == 8
+    with pytest.raises(ParameterError):
+        random_complete_family(params, {1}, Fraction(1, (1 << 63) + 1), 0)
+    with pytest.raises(ParameterError):
+        random_complete_family(params, {1}, Fraction(1, 1 << 64), 0)

@@ -12,7 +12,6 @@ from isecode import (
     best_window_measure,
     biased_measure,
     format_rational,
-    majority_tail_count,
     max_window_radius,
     min_window_length,
     parse_rational,
@@ -245,18 +244,21 @@ def test_product_allocation_matches_enumeration():
 
 def test_product_allocation_binary_brute_force():
     # two blocks of every size pair, each with its best majority threshold
+    def tail(m, ti):  # ways to mark at least (m + ti) / 2 of m positions
+        return sum(comb(m, k) for k in range((m + ti + 1) // 2, m + 1))
+
     n, t = 40, (3, 2)
     best = max(
-        majority_tail_count(n1, t[0]) * majority_tail_count(n2, t[1]) * 2 ** (n - n1 - n2)
+        tail(n1, t[0]) * tail(n2, t[1]) * 2 ** (n - n1 - n2)
         for n1 in range(n + 1)
         for n2 in range(n - n1 + 1)
     )
     alloc = product_allocation(n, 2, t)
     assert alloc.count == best
     assert alloc.density == Fraction(best, 2**n)
-    assert alloc.count == majority_tail_count(alloc.windows[0], 3) * majority_tail_count(
-        alloc.windows[1], 2
-    ) * 2 ** (n - sum(alloc.windows))
+    assert alloc.count == tail(alloc.windows[0], 3) * tail(alloc.windows[1], 2) * 2 ** (
+        n - sum(alloc.windows)
+    )
 
 
 def test_rational_text_forms():

@@ -7,7 +7,6 @@ from isecode import ParameterError, SpaceParams, decode, encode, leq_pinned, mee
 from isecode.words import (
     check_symbol_set,
     decode_matrix,
-    dense_cap,
     format_word,
     parse_word,
 )
@@ -24,17 +23,6 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         SpaceParams(3, 17)
     assert SpaceParams(3, 4).size == 81
-
-
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv("ISECODE_DENSE_CAP", "100")
-    assert dense_cap() == 100
-    with pytest.raises(ParameterError):
-        SpaceParams(2, 7)  # 128 > 100
-    SpaceParams(2, 6)
-    monkeypatch.setenv("ISECODE_DENSE_CAP", "junk")
-    with pytest.raises(ParameterError):
-        dense_cap()
 
 
 @pytest.mark.parametrize("s,n", [(2, 1), (2, 5), (2, 8), (3, 1), (3, 4), (3, 8)])
