@@ -149,7 +149,23 @@ def cmd_bound(args) -> int:
 # -- construct ------------------------------------------------------------------
 
 
+# The block flags of construct, by argparse dest, and the one kind that reads each.
+_BLOCK_FLAGS = {
+    "x1": ("--x1", "binary-majority"),
+    "x2": ("--x2", "binary-majority"),
+    "x": ("--x", "symbol-majority"),
+    "radius": ("-r", "window"),
+}
+
+
 def cmd_construct(args) -> int:
+    ignored = [
+        flag
+        for dest, (flag, kind) in _BLOCK_FLAGS.items()
+        if getattr(args, dest) is not None and args.kind != kind
+    ]
+    if ignored:
+        raise ParameterError(f"{args.kind} does not use {', '.join(ignored)}")
     t = _parse_ints(args.t) if args.t else ()
     report: dict = {"command": "construct", "kind": args.kind}
     family = None
@@ -179,9 +195,10 @@ def cmd_construct(args) -> int:
             x = sorted(set(_parse_ints(args.x or "")))
             blocks, extra = (x,), {"x": x}
         else:  # window: at least t + r of the first t + 2r positions carry symbol 1
-            if len(t) != 1 or args.radius < 0:
+            radius = args.radius or 0
+            if len(t) != 1 or radius < 0:
                 raise ParameterError("window takes one threshold and a radius >= 0, e.g. -t 2 -r 1")
-            blocks, extra = (range(1, t[0] + 2 * args.radius + 1),), {"radius": args.radius}
+            blocks, extra = (range(1, t[0] + 2 * radius + 1),), {"radius": radius}
         if args.density_only:
             density = majority_density(args.n, args.s, blocks, t)
         else:
@@ -220,6 +237,7 @@ def cmd_search(args) -> int:
         "max": result.max_size,
         "witness_file": witness_file,
         "nodes": result.nodes,
+        "orbits": result.orbits,
         "ms": int(result.elapsed * 1000),
         "complete": result.complete,
         "density": result.density(),
@@ -429,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=str, help="first block positions, e.g. 1,2,3")
     p.add_argument("--x2", type=str, help="second block positions")
     p.add_argument("--x", type=str, help="block positions for symbol-majority")
-    p.add_argument("-r", "--radius", type=int, default=0, help="window radius")
+    p.add_argument("-r", "--radius", type=int, default=None, help="window radius (default 0)")
     p.add_argument("-o", "--output", type=str, help="family file to write (.famb: binary)")
     p.add_argument(
         "--density-only",

@@ -8,6 +8,15 @@ The solver is one depth-first bitset branch-and-bound with greedy-coloring
 bounds (after San Segundo et al., BBMC), run on an explicit stack from a
 deterministic greedy incumbent.  Coloring and branching follow ascending
 vertex order, so witnesses and node counts are identical from run to run.
+
+The graph is invariant under permutations of the positions and under
+permutations of symbols with equal demand, and so is the vertex filter.  The
+root frame uses this by orbital branching (Ostrowski, Linderoth, Rossi &
+Smriglio, 2011): once every clique through v has been searched, v's whole
+orbit leaves the root candidate set R.  Only whole orbits are removed, so R
+stays invariant; a clique C in R through w = g(v) has the image g^-1(C) in R
+through v, of the same size, which was searched when v was.  Deeper frames
+branch on single vertices.
 """
 
 from __future__ import annotations
@@ -73,6 +82,26 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     return CompatGraph(params, t, tuple(int(v) for v in verts), tuple(rows))
 
 
+def _orbit_masks(graph: CompatGraph) -> tuple[list[int], list[int]]:
+    """Vertex-slot bitsets of the symmetry orbits, and each vertex's orbit number.
+
+    A word's orbit is its symbol histogram with the counts sorted within each
+    group of symbols sharing a demand value, keyed here as the sorted
+    (demand, count) pairs of the symbols it carries.
+    """
+    t = graph.demand
+    digits = decode_matrix(graph.params, np.asarray(graph.vertices, dtype=np.int64))
+    keys: dict[tuple, int] = {}
+    orbit = [
+        keys.setdefault(tuple(sorted((t[sym - 1], row.count(sym)) for sym in set(row))), len(keys))
+        for row in map(bytes, digits)
+    ]
+    member = np.zeros((len(keys), len(orbit)), dtype=bool)
+    member[orbit, np.arange(len(orbit))] = True
+    packed = np.packbits(member, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], orbit
+
+
 @dataclass(frozen=True)
 class SearchResult:
     params: SpaceParams
@@ -82,6 +111,7 @@ class SearchResult:
     nodes: int
     elapsed: float
     complete: bool
+    orbits: int  # vertex orbits of the root symmetry group
 
     def density(self) -> Fraction:
         return Fraction(self.max_size, self.params.size)
@@ -141,13 +171,19 @@ def _greedy_clique(
 
 
 def _branch(
-    adj: Sequence[int], cand: int, best: list[int], deadline: float | None
+    adj: Sequence[int],
+    cand: int,
+    best: list[int],
+    deadline: float | None,
+    root_drop: Sequence[int],
 ) -> tuple[list[int], int, bool]:
     """Depth-first branch-and-bound for a clique in cand larger than the incumbent best.
 
     Each stack frame holds the color-ordered vertices still to branch on, their
     color bounds and the remaining candidate set; clique[i] is the vertex that
-    opened frame i + 1.  Returns the best clique, the number of nodes expanded
+    opened frame i + 1.  After the root branches on v it drops root_drop[v],
+    v's orbit, from its candidates; a root vertex already dropped is skipped
+    and is not a node.  Returns the best clique, the number of nodes expanded
     and whether the search finished before the deadline.
     """
     order, bounds = _color_order(cand, adj)
@@ -165,7 +201,12 @@ def _branch(
             continue
         v = order.pop()
         bounds.pop()
-        frame[2] = cand & ~(1 << v)
+        if len(stack) > 1:
+            frame[2] = cand & ~(1 << v)
+        elif cand >> v & 1:
+            frame[2] = cand & ~root_drop[v]
+        else:
+            continue
         clique.append(v)
         nxt = cand & adj[v]
         if nxt:
@@ -186,18 +227,19 @@ def max_family(
 ) -> SearchResult:
     """Exact maximum demand-intersecting family, as a maximum clique of the compatibility graph.
 
-    The timeout covers the whole call, graph build included.  On timeout the
-    result carries complete=False and is a lower bound only.
+    The timeout covers the whole call, graph build and orbit masks included.
+    On timeout the result carries complete=False and is a lower bound only.
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
     graph = build_compat_graph(n, s, demand)
+    masks, orbit = _orbit_masks(graph)
     adj = graph.adjacency
     cand = (1 << graph.vertex_count) - 1
     best, expired = _greedy_clique(adj, cand, deadline)
     nodes, complete = 0, False
     if not expired:
-        best, nodes, complete = _branch(adj, cand, best, deadline)
+        best, nodes, complete = _branch(adj, cand, best, deadline, [masks[k] for k in orbit])
     witness = Family.from_indices(graph.params, (graph.vertices[v] for v in best))
     return SearchResult(
         graph.params,
@@ -207,4 +249,5 @@ def max_family(
         nodes,
         time.monotonic() - start,
         complete,
+        len(masks),
     )

@@ -219,12 +219,12 @@ def test_criterion_8_projection_bridge():
 
 # (n, s, t) -> (max_size, nodes) of the deterministic search
 _GOLDEN_SEARCH = {
-    (5, 3, (1, 1, 1)): (9, 108),
-    (4, 2, (1, 1)): (4, 13),
-    (6, 3, (1, 1, 0)): (81, 680),
-    (8, 2, (3, 1)): (29, 476),
-    (6, 2, (1, 1)): (16, 2783),
-    (6, 4, (1, 1, 0, 0)): (256, 58),
+    (5, 3, (1, 1, 1)): (9, 10),
+    (4, 2, (1, 1)): (4, 4),
+    (6, 3, (1, 1, 0)): (81, 27),
+    (8, 2, (3, 1)): (29, 126),
+    (6, 2, (1, 1)): (16, 454),
+    (6, 4, (1, 1, 0, 0)): (256, 9),
 }
 
 

@@ -145,6 +145,30 @@ def test_construct_window(capsys):
     assert (report["s"], report["size"], report["density"]) == (3, 7, "7/27")
 
 
+_IGNORED_FLAG_COMMANDS = [
+    (("product", "-n", "4", "-s", "3", "-t", "1,0,0", "--x1", "1,2"), "--x1"),
+    (("binary-majority", "-n", "4", "-t", "1,1", "--x1", "1,2", "--x2", "3", "-r", "1"), "-r"),
+    (("symbol-majority", "--x", "1", "--x1", "2,3", "-r", "5", "-n", "3", "-t", "1"), "--x1, -r"),
+    (("window", "-n", "3", "-t", "1", "-r", "1", "--x2", "2"), "--x2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flags", _IGNORED_FLAG_COMMANDS, ids=[c[0][0] for c in _IGNORED_FLAG_COMMANDS]
+)
+def test_construct_refuses_flags_its_kind_ignores(capsys, argv, flags):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]} does not use {flags}" in err
+
+
+def test_construct_window_radius_defaults_to_zero(capsys):
+    code, report, _ = run_json(capsys, "construct", "window", "-n", "3", "-t", "2")
+    assert code == 0
+    assert (report["radius"], report["size"], report["density"]) == (0, 2, "1/4")
+
+
 _MAJORITY_COMMANDS = [
     # overlapping blocks, a position outside 1..n, a window longer than n
     ("binary-majority", "-n", "3", "-t", "1,1", "--x1", "1,2,3", "--x2", "1,2,3"),
@@ -182,9 +206,10 @@ def test_search_json_contract(capsys, tmp_path):
         capsys, "search", "-n", "4", "-s", "2", "-t", "1,1", "-o", witness
     )
     assert code == 0
-    for key in ("n", "s", "t", "max", "witness_file", "nodes", "ms"):
+    for key in ("n", "s", "t", "max", "witness_file", "nodes", "orbits", "ms"):
         assert key in report
     assert report["max"] == 4
+    assert report["orbits"] == 2  # histograms {1, 3} and {2, 2} of the two symbols
     assert report["witness_file"] == witness
     fam = load_family(witness)
     assert len(fam) == 4 and fam.is_t_intersecting((1, 1))

@@ -2,6 +2,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isecode import (
@@ -10,7 +11,8 @@ from isecode import (
     max_family,
     product_allocation,
 )
-from isecode.words import SpaceParams
+from isecode.search import _orbit_masks
+from isecode.words import SpaceParams, decode_matrix
 
 from conftest import brute_max_intersecting
 
@@ -133,3 +135,73 @@ def test_vertex_cap(monkeypatch):
     monkeypatch.setattr(search_mod, "VERTEX_CAP", 8)
     with pytest.raises(ParameterError):
         build_compat_graph(2, 3, (0, 0, 0))
+
+
+def _adjacency_matrix(graph):
+    m = graph.vertex_count
+    nbytes = (m + 7) // 8
+    return np.array(
+        [
+            np.unpackbits(
+                np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8), bitorder="little"
+            )[:m]
+            for row in graph.adjacency
+        ],
+        dtype=bool,
+    )
+
+
+@pytest.mark.parametrize(
+    "n, s, t", [(6, 3, (1, 1, 0)), (5, 4, (1, 1, 0, 0)), (6, 2, (1, 1)), (6, 3, (2, 0, 0))]
+)
+def test_orbit_masks_are_symmetry_orbits(n, s, t):
+    graph = build_compat_graph(n, s, t)
+    m = graph.vertex_count
+    verts = np.asarray(graph.vertices)
+    digits = decode_matrix(graph.params, verts)
+    adj = _adjacency_matrix(graph)
+    masks, orbit = _orbit_masks(graph)
+    # the masks partition the vertex slots, and orbit[v] names v's mask
+    assert sum(mask.bit_count() for mask in masks) == m
+    union = 0
+    for mask in masks:
+        union |= mask
+    assert union == (1 << m) - 1
+    assert all(masks[orbit[v]] >> v & 1 for v in range(m))
+    # an orbit is one symbol histogram, counts sorted within equal-demand symbols
+    groups = [[sym for sym in range(1, s + 1) if t[sym - 1] == value] for value in set(t)]
+    keys = [
+        tuple(tuple(sorted(list(word).count(sym) for sym in group)) for group in groups)
+        for word in digits.tolist()
+    ]
+    assert len(set(keys)) == len(masks) == len(set(zip(keys, orbit)))
+    assert 1 < len(masks) < m
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        # a random position permutation and a random permutation of equal-demand symbols
+        positions = rng.permutation(n)
+        sigma = np.arange(s + 1)
+        for group in groups:
+            sigma[group] = rng.permutation(group)
+        image = sigma[digits[:, positions]].astype(np.int64)
+        index = ((image - 1) * s ** np.arange(n)).sum(axis=1)
+        slot = np.searchsorted(verts, index)
+        assert (slot < m).all() and (verts[np.minimum(slot, m - 1)] == index).all()
+        assert len(set(slot.tolist())) == m  # a bijection on the vertices
+        assert (adj[np.ix_(slot, slot)] == adj).all()  # that preserves adjacency
+        assert all(masks[orbit[v]] >> int(slot[v]) & 1 for v in range(m))
+
+
+@pytest.mark.parametrize(
+    "n, s, t, size, nodes", [(8, 2, (2, 0), 93, 1476), (7, 3, (3, 0, 0), 99, 3716)]
+)
+def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
+    # without root orbit pruning the first takes 10,903 nodes (~5 s) and the
+    # second is not proved within 20 s
+    start = time.monotonic()
+    result = max_family(n, s, t)
+    assert time.monotonic() - start < 15
+    assert result.complete
+    assert result.nodes == nodes
+    assert result.max_size == size == product_allocation(n, s, t).count
+    assert result.witness.is_t_intersecting(t)
