@@ -8,6 +8,16 @@ index sum(1 << (j - 1) for j in A), the layout of binary words with digit 1
 meaning "present".  Per-position operations act on the view
 `reshape(-1, s, s**(j-1))`, whose middle axis is the symbol at position j.
 `bits` and the file formats keep the little-endian bitset layout.
+
+Closures and completeness checks split the positions at h = n // 2.  The
+high positions h+1..n have strides of at least s**h and run on the array.
+The low positions 1..h, whose strides 1, s, s**2, ... make numpy's inner
+loops tiny, run on the (s**(n-h), s**h) matrix of the array one row block at
+a time: each block of r rows (about _BLOCK_BYTES bytes) is copied as its
+transpose, where position j has stride r * s**(j-1).  Blocks, not one
+whole-array transpose, keep the copy in cache and let a check that fails at
+position 1 stop after the first block.  A family's completeness answer is
+swept once per free-digit set and kept; its array is read-only.
 """
 
 from __future__ import annotations
@@ -72,6 +82,9 @@ def _copy_member(member, size: int) -> np.ndarray:
     return arr
 
 
+_BLOCK_BYTES = 1 << 16  # bytes of one transposed row block in the low-position sweep
+
+
 def _free_union(view: np.ndarray, free: Sequence[int]) -> np.ndarray:
     """OR of the digit slices in `free` of a (rows, s, stride) position view."""
     # Binary ORs of the digit slices beat a reduction over the short digit axis.
@@ -81,45 +94,113 @@ def _free_union(view: np.ndarray, free: Sequence[int]) -> np.ndarray:
     return acc
 
 
-def _closure(member: np.ndarray, s: int, free: Sequence[int]) -> np.ndarray:
+def _position_pass(
+    arr: np.ndarray, s: int, stride: int, free: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rewrite-reachability at the digit of stride `stride` of a contiguous array.
+
+    Returns (view, reach): `view` is `arr.reshape(-1, s, stride)`, whose middle
+    axis is that digit, and `reach` broadcasts against it, True where a
+    rewrite of a free digit there reaches the cell from a member.
+    """
+    view = arr.reshape(-1, s, stride)
+    return view, _free_union(view, free)[:, None, :]
+
+
+def _low_blocks(grid: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, transposed contiguous copy) of each row block of `grid`.
+
+    `grid` is the (s**(n-h), s**h) matrix of a membership array.  A block of
+    r rows is copied as its (s**h, r) transpose, about _BLOCK_BYTES bytes, so
+    the low position j <= h has stride r * s**(j-1) in the copy instead of
+    s**(j-1).
+    """
+    step = max(1, _BLOCK_BYTES // grid.shape[1])
+    for lo in range(0, grid.shape[0], step):
+        yield lo, np.ascontiguousarray(grid[lo : lo + step].T)
+
+
+def _closure(member: np.ndarray, s: int, n: int, free: Sequence[int]) -> np.ndarray:
     """Closure of `member` under rewriting any digit in `free` to any digit.
 
     One pass over the positions suffices: the rewrites at different
-    positions commute.
+    positions commute.  Positions 1..n // 2 run block by block on transposed
+    copies (`_low_blocks`), each written back; the rest run on the array.
     """
     out = member.copy()
-    stride = 1
-    while stride < out.size:
-        view = out.reshape(-1, s, stride)
-        view |= _free_union(view, free)[:, None, :]
-        stride *= s
+    h = n // 2
+    grid = out.reshape(-1, s**h)
+    for lo, block in _low_blocks(grid):
+        rows = block.shape[1]
+        for j in range(h):
+            view, reach = _position_pass(block, s, rows * s**j, free)
+            view |= reach
+        grid[lo : lo + rows] = block.T
+    for j in range(h, n):
+        view, reach = _position_pass(out, s, s**j, free)
+        view |= reach
     return out
 
 
-def _first_gap(member: np.ndarray, s: int, free: Sequence[int]) -> tuple[int, int, int] | None:
+def _first_gap(
+    member: np.ndarray, s: int, n: int, free: Sequence[int]
+) -> tuple[int, int, int] | None:
     """(position, stride, lowest added index) at the first position whose rewrites add words.
 
-    Returns None when no position adds a word, that is when `member` is closed.
+    Returns None when no position adds a word, that is when `member` is
+    closed.  Positions are checked in ascending order with an early exit.
+    The low positions 1..h (h = n // 2) are checked block by block on the
+    transposed row blocks of `_low_blocks`; a block only checks positions
+    below the first gap of the blocks before it, whose indices are all
+    lower, so the first gapped position and its lowest added index are
+    those of a sweep over the whole array.  The positions above h, whose
+    strides are at least s**h, are checked on the array itself.
     """
-    pos, stride = 1, 1
-    while stride < member.size:
-        view = member.reshape(-1, s, stride)
-        gap = _free_union(view, free)[:, None, :] > view  # reachable and not a member
-        if np.count_nonzero(gap):  # cheaper than gap.any() on small arrays
-            return pos, stride, int(np.argmax(gap))
-        pos, stride = pos + 1, stride * s
+    h = n // 2
+    width = s**h
+    found = None
+    for lo, block in _low_blocks(member.reshape(-1, width)):
+        rows = block.shape[1]
+        for j in range(h if found is None else found[0] - 1):
+            view, reach = _position_pass(block, s, rows * s**j, free)
+            gap = reach > view  # reachable and not a member
+            if np.count_nonzero(gap):  # cheaper than gap.any() on small arrays
+                # the block's cell (c, r) is index (lo + r) * width + c
+                first = int(np.argmax(gap.reshape(width, rows).T))
+                found = (j + 1, s**j, lo * width + first)
+                break
+        if found is not None and found[0] == 1:
+            break
+    if found is not None:
+        return found
+    for j in range(h, n):
+        view, reach = _position_pass(member, s, s**j, free)
+        gap = reach > view
+        if np.count_nonzero(gap):
+            return j + 1, s**j, int(np.argmax(gap))
     return None
 
 
 class _Dense:
-    """Read-only membership array with its cached cardinality."""
+    """Read-only membership array with its cached cardinality and completeness sweeps."""
 
-    __slots__ = ("_member", "_size")
+    __slots__ = ("_member", "_size", "_gaps")
 
     def _set(self, member: np.ndarray) -> None:
         member.flags.writeable = False
         self._member = member
         self._size = int(np.count_nonzero(member))
+        self._gaps: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
+
+    def _gap(self, s: int, n: int, free: Sequence[int]) -> tuple[int, int, int] | None:
+        """`_first_gap` of the membership array, swept once per free-digit set.
+
+        The array is read-only, so the answer cannot go stale.
+        """
+        key = tuple(free)
+        if key not in self._gaps:
+            self._gaps[key] = _first_gap(self._member, s, n, key)
+        return self._gaps[key]
 
     @property
     def array(self) -> np.ndarray:
@@ -260,7 +341,8 @@ class Family(_Dense):
         nonempty proper subset of the alphabet.
         """
         free = self._free_digits(pinned)
-        return Family._wrap(self.params, _closure(self._member, self.params.s, free))
+        s, n = self.params.s, self.params.n
+        return Family._wrap(self.params, _closure(self._member, s, n, free))
 
     def pinned_violation(self, pinned: Iterable[int]) -> tuple[Word, Word, int] | None:
         """A witness (x in F, y not in F, 1-based position) that x is below y, or None.
@@ -270,7 +352,7 @@ class Family(_Dense):
         """
         free = self._free_digits(pinned)
         member, s = self._member, self.params.s
-        found = _first_gap(member, s, free)
+        found = self._gap(s, self.params.n, free)
         if found is None:
             return None
         pos, stride, y_idx = found
@@ -279,7 +361,7 @@ class Family(_Dense):
         return decode(self.params, x_idx), decode(self.params, y_idx), pos
 
     def is_pinned_complete(self, pinned: Iterable[int]) -> bool:
-        return _first_gap(self._member, self.params.s, self._free_digits(pinned)) is None
+        return self._gap(self.params.s, self.params.n, self._free_digits(pinned)) is None
 
     # -- slices and projections ---------------------------------------------
 
@@ -394,10 +476,10 @@ class SetFamily(_Dense):
         return f"SetFamily(n={self.n}, size={self._size})"
 
     def is_upward_closed(self) -> bool:
-        return _first_gap(self._member, 2, [0]) is None
+        return self._gap(2, self.n, [0]) is None
 
     def up_closure(self) -> "SetFamily":
-        return SetFamily._wrap(self.n, _closure(self._member, 2, [0]))
+        return SetFamily._wrap(self.n, _closure(self._member, 2, self.n, [0]))
 
 
 def _ground_size(n: int) -> int:
@@ -454,18 +536,29 @@ def _load_text(path: str) -> Family:
         raise FamilyFormatError(str(exc), line=1) from exc
     if params.s > 9:
         raise FamilyFormatError("text family format needs s <= 9", line=1)
-    member = np.zeros(params.size, dtype=bool)
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
+    s, n = params.s, params.n
+    texts = [raw.strip() for raw in lines[1:]]  # texts[k] is line k + 2
+    sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    # one n-byte row per line: shorter lines are zero padded, longer cut
+    chars = np.array(texts, dtype=f"S{n}").view(np.uint8).reshape(len(texts), n)
+    ok = (sizes == n) & ((chars >= ord("1")) & (chars <= ord("0") + s)).all(axis=1)
+    rows, digits = np.flatnonzero(ok), chars[ok] - ord("1")
+    idx = np.zeros(rows.size, dtype=np.int64)
+    for j in reversed(range(n)):  # position 1 is the least significant digit
+        idx = idx * s + digits[:, j]
+    repeat = np.ones(rows.size, dtype=bool)
+    repeat[np.unique(idx, return_index=True)[1]] = False
+    first_bad = int(np.flatnonzero((sizes > 0) & ~ok).min(initial=len(texts)))
+    first_repeat = int(rows[repeat].min(initial=len(texts)))
+    if first_bad < first_repeat:
         try:
-            idx = encode(params, parse_word(params, text))
+            parse_word(params, texts[first_bad])  # rejects the line, with the reason
         except ParameterError as exc:
-            raise FamilyFormatError(str(exc), line=lineno) from exc
-        if member[idx]:
-            raise FamilyFormatError(f"duplicate word {text!r}", line=lineno)
-        member[idx] = True
+            raise FamilyFormatError(str(exc), line=first_bad + 2) from exc
+    if first_repeat < len(texts):
+        raise FamilyFormatError(f"duplicate word {texts[first_repeat]!r}", line=first_repeat + 2)
+    member = np.zeros(params.size, dtype=bool)
+    member[idx] = True
     return Family._wrap(params, member)
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_DENSE_CAP = 1 << 26
-_GRAM_CHUNK_CELLS = 1 << 22  # bound on rows * m of one agreement block
+_GRAM_CHUNK_BYTES = 1 << 22  # bound on the bytes of one float32 agreement gram, 4 * rows * m
 
 Word = tuple[int, ...]
 
@@ -149,17 +149,17 @@ def agreement_blocks(
     Yields (lo, block) with block[i, j] True when rows lo + i and j agree on
     at least demand[l] coordinates carrying symbol l + 1, for every l.  Self
     pairs are included; each block is a fresh bool array of at most
-    _GRAM_CHUNK_CELLS cells, or one row when m exceeds that.
+    _GRAM_CHUNK_BYTES / 4 cells, or one row when m exceeds that.
     """
     m = digits.shape[0]
-    # uint8 grams are exact: agreement counts are at most n, and s**n words
-    # fit in memory only for n < 256
+    # float32 grams take the BLAS path and are exact: agreement counts are at
+    # most n <= 26 (s**n fits the dense cap), far below 2**24
     marks = [
-        ((digits == sym).astype(np.uint8), need)
+        ((digits == sym).astype(np.float32), need)
         for sym, need in enumerate(demand, start=1)
         if need
     ]
-    chunk = max(1, _GRAM_CHUNK_CELLS // max(m, 1))
+    chunk = max(1, _GRAM_CHUNK_BYTES // (4 * max(m, 1)))
     for lo in range(0, m, chunk):
         block = np.ones((min(chunk, m - lo), m), dtype=bool)
         for e, need in marks:

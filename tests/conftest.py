@@ -2,7 +2,8 @@
 
 These recompute expected values from the raw definitions (explicit loops over
 words and pairs) so the bitset / gram-matrix implementations are checked
-against a second route.
+against a second route.  The `sweeps` fixture records the completeness sweeps
+a test causes, so tests can count them.
 """
 
 from __future__ import annotations
@@ -10,8 +11,25 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from isecode import Family, SpaceParams
+import pytest
+
+import isecode.families
+from isecode import Family, SetFamily, SpaceParams
 from isecode.words import decode, leq_pinned, satisfies
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """(membership array, free digits) of every completeness sweep, in call order."""
+    swept = []
+    sweep = isecode.families._first_gap
+
+    def recording(member, s, n, free):
+        swept.append((member, tuple(free)))
+        return sweep(member, s, n, free)
+
+    monkeypatch.setattr(isecode.families, "_first_gap", recording)
+    return swept
 
 
 def all_words(params: SpaceParams):
@@ -36,6 +54,31 @@ def brute_is_complete(family: Family, pinned) -> bool:
             if leq_pinned(params, x, z, pinned) and z not in family:
                 return False
     return True
+
+
+def brute_pinned_violation(family: Family, pinned):
+    """(x, y, position) at the first position whose rewrites add a word, or None.
+
+    y is the lowest-index non-member that some member x reaches by rewriting
+    a non-pinned symbol at that position, and x the lowest-index such member.
+    """
+    params = family.params
+    members = set(family.members())
+    for j in range(params.n):
+        for y in all_words(params):
+            if y in members:
+                continue
+            for sym in range(1, params.s + 1):
+                x = y[:j] + (sym,) + y[j + 1 :]
+                if x in members and sym not in pinned:
+                    return x, y, j + 1
+    return None
+
+
+def brute_up_closure(family: SetFamily) -> SetFamily:
+    masks = list(family.masks())
+    ups = [m for m in range(1 << family.n) if any(a & m == a for a in masks)]
+    return SetFamily.from_masks(family.n, ups)
 
 
 def brute_intersecting(family: Family, demand) -> bool:

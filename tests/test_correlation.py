@@ -14,7 +14,11 @@ from isecode import (
     slice_structure_report,
 )
 
-from conftest import brute_is_complete
+from conftest import brute_is_complete, brute_pinned_violation
+
+
+def _count(sweeps, fam):
+    return sum(member is fam.array for member, _ in sweeps)
 
 
 def test_full_pair_has_zero_slack():
@@ -104,6 +108,39 @@ def test_slice_report_on_single_word_closure():
     # slices off the pinned set are equal for the closed family
     free = [report.sizes_a[sym - 1] for sym in (2, 3)]
     assert free[0] == free[1] == report.common_a
+
+
+def test_check_then_slice_report_sweeps_each_family_once(sweeps):
+    p = SpaceParams(3, 5)
+    fam_a = random_complete_family(p, {1}, Fraction(1, 8), 4)
+    fam_b = random_complete_family(p, {2, 3}, Fraction(1, 8), 5)
+    assert sweeps == []
+    check = check_correlation(fam_a, fam_b, {1}, {2, 3})
+    report = slice_structure_report(fam_a, fam_b, {1}, {2, 3})
+    assert check.holds and report.ok
+    assert len(sweeps) == 2 and _count(sweeps, fam_a) == _count(sweeps, fam_b) == 1
+
+
+def test_slice_report_alone_rejects_an_incomplete_family(sweeps):
+    p = SpaceParams(3, 4)
+    fam_a = Family.from_words(p, [(1, 2, 3, 1), (3, 1, 1, 2)])
+    fam_b = Family.full(p)
+    with pytest.raises(CompletenessError) as err:
+        slice_structure_report(fam_a, fam_b, {1}, {2})
+    assert err.value.witness == brute_pinned_violation(fam_a, {1}) == fam_a.pinned_violation({1})
+    assert _count(sweeps, fam_a) == 1
+    with pytest.raises(CompletenessError) as again:
+        check_correlation(fam_a, fam_b, {1}, {2})
+    assert again.value.witness == err.value.witness and _count(sweeps, fam_a) == 1
+
+
+def test_check_sweeps_a_fresh_closure(sweeps):
+    # closure outputs are verified like any other input, once each
+    p = SpaceParams(3, 4)
+    fam_a = Family.from_words(p, [(1, 2, 3, 1)]).pinned_closure({1})
+    fam_b = Family.from_words(p, [(2, 2, 1, 3)]).pinned_closure({2})
+    check_correlation(fam_a, fam_b, {1}, {2})
+    assert len(sweeps) == 2 and _count(sweeps, fam_a) == _count(sweeps, fam_b) == 1
 
 
 def test_slice_report_needs_length_two():

@@ -14,10 +14,18 @@ from isecode import (
     load_family,
     save_family,
 )
+import isecode.families
 import isecode.words
 from isecode.words import agreement_blocks, decode, leq_pinned
 
-from conftest import brute_closure, brute_intersecting, brute_is_complete, random_family
+from conftest import (
+    brute_closure,
+    brute_intersecting,
+    brute_is_complete,
+    brute_pinned_violation,
+    brute_up_closure,
+    random_family,
+)
 
 
 def test_membership_and_algebra():
@@ -61,7 +69,8 @@ def test_is_t_intersecting_includes_self_pairs():
 
 
 def test_is_t_intersecting_across_chunks(monkeypatch):
-    monkeypatch.setattr(isecode.words, "_GRAM_CHUNK_CELLS", 1000)  # 10 rows per block of 100
+    # float32 grams of 100 members: 10 rows per block of 4,000 bytes
+    monkeypatch.setattr(isecode.words, "_GRAM_CHUNK_BYTES", 4000)
     p = SpaceParams(3, 8)
     demand = (2, 0, 0)
     # the 98 lowest-index words carrying symbol 1 at positions 1-3 agree there pairwise
@@ -80,6 +89,26 @@ def test_is_t_intersecting_across_chunks(monkeypatch):
         rest = fam - Family.from_words(p, [drop])
         assert rest.is_t_intersecting(demand)
         assert brute_intersecting(rest, demand)
+
+
+def test_is_t_intersecting_exact_at_the_threshold():
+    # at n = 26 the float32 gram counts must land exactly on need - 1 and need
+    p = SpaceParams(2, 26)
+    x = (1,) * 26
+    y = (1,) * 25 + (2,)
+    z = (2, 2) + (1,) * 24  # meets x on 24 ones and y on 23
+    for need, members, ok in [
+        (24, [x, y, z], False),
+        (23, [x, y, z], True),
+        (24, [x, y], True),
+        (25, [x, y], True),
+        (26, [x, y], False),
+    ]:
+        fam = Family.from_words(p, members)
+        assert fam.is_t_intersecting((need, 0)) is ok
+        assert brute_intersecting(fam, (need, 0)) is ok
+        blocks = list(agreement_blocks(np.array(members, dtype=np.uint8), (need, 0)))
+        assert len(blocks) == 1 and bool(blocks[0][1].all()) is ok
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -223,6 +252,82 @@ def test_pinned_violation_witness():
     assert Family.full(p).pinned_violation({1}) is None
 
 
+# Spaces for the sweep kernels: up to n = 8 the low positions 1..n // 2 span
+# several transposed row blocks once the block size is patched small.
+KERNEL_SPACES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)] + [(4, 4), (5, 3)]
+
+
+def _patch_block_rows(monkeypatch, rows, s, n):
+    """Make each transposed row block of the low positions `rows` rows high."""
+    if rows is not None:
+        monkeypatch.setattr(isecode.families, "_BLOCK_BYTES", rows * s ** (n // 2))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+@pytest.mark.parametrize("s,n", KERNEL_SPACES)
+def test_sweep_kernels_match_witness_oracle(monkeypatch, s, n, rows):
+    _patch_block_rows(monkeypatch, rows, s, n)
+    params = SpaceParams(s, n)
+    rng = random.Random(100 * s + n)
+    for _ in range(4):
+        pins = set(rng.sample(range(1, s + 1), rng.randint(1, s - 1)))
+        other = set(rng.sample(range(1, s + 1), rng.randint(1, s - 1)))
+        seeds = [tuple(rng.randint(1, s) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        raw = Family.from_words(params, seeds)
+        closed = raw.pinned_closure(pins)
+        assert closed == brute_closure(raw, pins)
+        # dropping one member opens gaps at the positions its neighbours reach it from
+        punctured = closed - Family.from_words(params, [rng.choice(list(closed.members()))])
+        for fam in (raw, closed, punctured):
+            for p in (pins, other):
+                want = brute_pinned_violation(fam, p)
+                assert fam.pinned_violation(p) == want
+                assert fam.is_pinned_complete(p) is (want is None)
+
+
+def test_first_gap_position_wins_over_block_order(monkeypatch):
+    # s = 2, n = 4: the low positions 1-2 run on one-row blocks of 4 indices
+    monkeypatch.setattr(isecode.families, "_BLOCK_BYTES", 4)
+    p = SpaceParams(2, 4)
+    cases = [
+        # block 0 gaps only at position 2, block 1 at position 1: position 1 wins
+        (Family.from_words(p, [(1, 2, 1, 1), (2, 1, 2, 1)]), ((2, 1, 2, 1), (1, 1, 2, 1), 1)),
+        # blocks 1 and 2 both gap first at position 2: the lower index wins
+        (Family.from_words(p, [(1, 2, 2, 1), (1, 2, 1, 2)]), ((1, 2, 2, 1), (1, 1, 2, 1), 2)),
+        # closed at the low positions: the first gap is at a high position
+        (Family.from_words(p, [(1, 1, 1, 2)]).pinned_closure({2}), ((1, 1, 1, 2), (1, 1, 1, 1), 4)),
+    ]
+    for fam, witness in cases:
+        assert fam.pinned_violation({1}) == witness == brute_pinned_violation(fam, {1})
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_set_family_sweeps_match_brute_force(monkeypatch, n, rows):
+    _patch_block_rows(monkeypatch, rows, 2, n)
+    rng = random.Random(n)
+    for _ in range(6):
+        fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(0, min(4, 1 << n))))
+        up = brute_up_closure(fam)
+        assert fam.up_closure() == up
+        assert fam.is_upward_closed() is (fam == up)
+        assert up.is_upward_closed()
+
+
+def test_completeness_sweep_runs_once_per_pin_set(sweeps):
+    p = SpaceParams(3, 3)
+    fam = Family.from_words(p, [(1, 2, 3)])
+    for _ in range(2):
+        assert fam.pinned_violation({1}) == brute_pinned_violation(fam, {1})
+        assert not fam.is_pinned_complete({1})
+    assert [free for _, free in sweeps] == [(1, 2)]
+    assert not fam.is_pinned_complete({1, 2})
+    assert [free for _, free in sweeps] == [(1, 2), (2,)]
+    # a new object sweeps again, even for the same members
+    assert not Family.from_words(p, [(1, 2, 3)]).is_pinned_complete({1})
+    assert [free for _, free in sweeps] == [(1, 2), (2,), (1, 2)]
+
+
 def test_slices_and_counting():
     p = SpaceParams(2, 2)
     f = Family.from_words(p, [(1, 1), (2, 1)])
@@ -340,6 +445,25 @@ def test_text_parse_errors(tmp_path):
     path.write_text("")
     with pytest.raises(FamilyFormatError):
         load_family(str(path))
+    # the first bad line is reported with parse_word's reason, counting blank lines
+    for text, line, reason in [
+        ("3 2\n12\n10\n", 3, "symbol 0 outside alphabet 1..3"),
+        ("3 2\n12\n21\n3\n", 4, "word length 1 does not match n = 2"),
+        ("3 2\n12\n\n1x\n12\n", 4, "word '1x' is not a digit string"),
+        ("3 2\r\n12\r\n\r\n12\r\n", 4, "duplicate word '12'"),
+        ("3 2\n12\n12\n14\n", 3, "duplicate word '12'"),
+        ("3 2\n14\n12\n12\n", 2, "symbol 4 outside alphabet 1..3"),
+    ]:
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(FamilyFormatError) as err:
+            load_family(str(path))
+        assert type(err.value.line) is int and err.value.line == line
+        assert str(err.value) == f"line {line}: {reason}"
+    # blank lines, surrounding whitespace and CRLF endings are accepted
+    want = Family.from_words(SpaceParams(3, 2), [(1, 2), (2, 1)])
+    for text in ("3 2\n\n 12 \n\t\n21\t\n", "3 2\r\n12\r\n\r\n21\r\n"):
+        path.write_bytes(text.encode("ascii"))
+        assert load_family(str(path)) == want
 
 
 def test_binary_round_trip(tmp_path):
