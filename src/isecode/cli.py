@@ -31,7 +31,7 @@ from .correlation import (
     random_correlation_trials,
     trial_pair,
 )
-from .search import max_family
+from .search import DEFAULT_TIMEOUT_MS, max_family
 from .words import SpaceParams
 
 
@@ -105,9 +105,7 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
 
 
 def _open_out(args):
-    if getattr(args, "output", None) and args.command in ("table", "correlate"):
-        return open(args.output, "w", newline="")
-    return None
+    return open(args.output, "w", newline="") if args.output else None
 
 
 # -- bound --------------------------------------------------------------------
@@ -458,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact maximum family via branch and bound")
     common(p, n=True, s=True, t=True)
-    p.add_argument("--timeout-ms", type=int, default=60_000)
+    p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     p.add_argument("-o", "--output", type=str, help="witness family file to write (.famb: binary)")
     p.set_defaults(func=cmd_search)
 
@@ -487,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("-p", type=str, help="bias as p/q (measures)")
-    p.add_argument("--timeout-ms", type=int, default=60_000)
+    p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     p.add_argument("-o", "--output", type=str)
     p.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p.set_defaults(func=cmd_table)

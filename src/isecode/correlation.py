@@ -9,7 +9,7 @@ verifies the structural slice facts the induction on n relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,8 +65,8 @@ class CorrelationCheck:
 
 
 def _check_pins(params: SpaceParams, pins_a, pins_b) -> tuple[frozenset[int], frozenset[int]]:
-    a = check_symbol_set(params, pins_a, proper=True, nonempty=True)
-    b = check_symbol_set(params, pins_b, proper=True, nonempty=True)
+    a = check_symbol_set(params, pins_a, nonempty=True)
+    b = check_symbol_set(params, pins_b, nonempty=True)
     if a & b:
         raise ParameterError(f"pinned sets must be disjoint, both contain {sorted(a & b)}")
     return a, b
@@ -79,24 +79,14 @@ def _require_complete(fam_a: Family, fam_b: Family, a: frozenset[int], b: frozen
             raise CompletenessError(label, witness)
 
 
-def check_correlation(
-    fam_a: Family,
-    fam_b: Family,
-    pins_a,
-    pins_b,
-    *,
-    seed: int | None = None,
-    trial_density: Fraction | None = None,
-) -> CorrelationCheck:
+def check_correlation(fam_a: Family, fam_b: Family, pins_a, pins_b) -> CorrelationCheck:
     """Exact correlation check; completeness of both inputs is verified, not assumed."""
     if fam_a.params != fam_b.params:
         raise ParameterError("families live in different word spaces")
     params = fam_a.params
     a, b = _check_pins(params, pins_a, pins_b)
     _require_complete(fam_a, fam_b, a, b)
-    return CorrelationCheck(
-        params, a, b, len(fam_a), len(fam_b), len(fam_a & fam_b), seed, trial_density
-    )
+    return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), len(fam_a & fam_b))
 
 
 def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Family:
@@ -108,7 +98,7 @@ def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Fam
     same seed always produces the same family; the output is pinned-complete
     by construction.  Denominators above 2**63 are refused.
     """
-    syms = check_symbol_set(params, pins, proper=True, nonempty=True)
+    syms = check_symbol_set(params, pins, nonempty=True)
     rho = as_rational(density)
     if not 0 <= rho <= 1:
         raise ParameterError(f"density must lie in [0, 1], got {rho}")
@@ -148,7 +138,8 @@ def random_correlation_trials(
         seed = seed_base + k
         rho = as_rational(densities[k % len(densities)])
         fam_a, fam_b = trial_pair(params, a, b, rho, seed)
-        checks.append(check_correlation(fam_a, fam_b, a, b, seed=seed, trial_density=rho))
+        check = check_correlation(fam_a, fam_b, a, b)
+        checks.append(replace(check, seed=seed, trial_density=rho))
     return checks
 
 

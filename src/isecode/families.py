@@ -3,11 +3,14 @@
 A Family is an immutable flat bool array over all s**n word indices, in the
 index order of `isecode.words`.  One byte per word (64 MB at the 2**26 cap)
 buys array operations that never decode the s**n x n word matrix.
-A SetFamily is the same over all 2**n subsets of {1..n}: subset A sits at
-index sum(1 << (j - 1) for j in A), the layout of binary words with digit 1
-meaning "present".  Per-position operations act on the view
-`reshape(-1, s, s**(j-1))`, whose middle axis is the symbol at position j.
-`bits` and the file formats keep the little-endian bitset layout.
+A SetFamily is the same object over the binary space SpaceParams(2, n):
+subset A of {1..n} is the binary word with digit 1 ("present") at each j in
+A, at index sum(1 << (j - 1) for j in A).  The two share one class body,
+`_Dense`, which holds the space, the array, construction, equality and the
+sweeps; each subclass only says what an index means.  Per-position
+operations act on the view `reshape(-1, s, s**(j-1))`, whose middle axis is
+the symbol at position j.  `bits` and the file formats keep the
+little-endian bitset layout.
 
 Closures and completeness checks split the positions at h = n // 2.  The
 high positions h+1..n have strides of at least s**h and run on the array.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,46 +55,12 @@ class FamilyFormatError(ValueError):
         self.line = line
 
 
-def _unpack(bits: int, size: int) -> np.ndarray:
-    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
-
-
 def _pack(member: np.ndarray) -> bytes:
     """Little-endian bitset bytes, ceil(len / 8) of them, zero padded."""
     return np.packbits(member, bitorder="little").tobytes()
 
 
-def _from_positions(positions: Iterable[int], size: int, what: str) -> np.ndarray:
-    try:
-        idx = np.fromiter(positions, dtype=np.int64)
-    except OverflowError as exc:
-        raise ParameterError(f"{what} outside [0, {size})") from exc
-    bad = (idx < 0) | (idx >= size)
-    if bad.any():
-        raise ParameterError(f"{what} {idx[bad][0]} outside [0, {size})")
-    member = np.zeros(size, dtype=bool)
-    member[idx] = True
-    return member
-
-
-def _copy_member(member, size: int) -> np.ndarray:
-    arr = np.array(member, dtype=bool)
-    if arr.shape != (size,):
-        raise ParameterError(f"membership array must have shape ({size},)")
-    return arr
-
-
 _BLOCK_BYTES = 1 << 16  # bytes of one transposed row block in the low-position sweep
-
-
-def _free_union(view: np.ndarray, free: Sequence[int]) -> np.ndarray:
-    """OR of the digit slices in `free` of a (rows, s, stride) position view."""
-    # Binary ORs of the digit slices beat a reduction over the short digit axis.
-    acc = view[:, free[0], :]
-    for c in free[1:]:
-        acc = acc | view[:, c, :]
-    return acc
 
 
 def _position_pass(
@@ -104,7 +73,11 @@ def _position_pass(
     rewrite of a free digit there reaches the cell from a member.
     """
     view = arr.reshape(-1, s, stride)
-    return view, _free_union(view, free)[:, None, :]
+    # Binary ORs of the digit slices beat a reduction over the short digit axis.
+    reach = view[:, free[0], :]
+    for c in free[1:]:
+        reach = reach | view[:, c, :]
+    return view, reach[:, None, :]
 
 
 def _low_blocks(grid: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -144,8 +117,8 @@ def _closure(member: np.ndarray, s: int, n: int, free: Sequence[int]) -> np.ndar
 
 def _first_gap(
     member: np.ndarray, s: int, n: int, free: Sequence[int]
-) -> tuple[int, int, int] | None:
-    """(position, stride, lowest added index) at the first position whose rewrites add words.
+) -> tuple[int, int] | None:
+    """(position, lowest added index) at the first position whose rewrites add words.
 
     Returns None when no position adds a word, that is when `member` is
     closed.  Positions are checked in ascending order with an early exit.
@@ -167,7 +140,7 @@ def _first_gap(
             if np.count_nonzero(gap):  # cheaper than gap.any() on small arrays
                 # the block's cell (c, r) is index (lo + r) * width + c
                 first = int(np.argmax(gap.reshape(width, rows).T))
-                found = (j + 1, s**j, lo * width + first)
+                found = (j + 1, lo * width + first)
                 break
         if found is not None and found[0] == 1:
             break
@@ -177,30 +150,82 @@ def _first_gap(
         view, reach = _position_pass(member, s, s**j, free)
         gap = reach > view
         if np.count_nonzero(gap):
-            return j + 1, s**j, int(np.argmax(gap))
+            return j + 1, int(np.argmax(gap))
     return None
 
 
+_D = TypeVar("_D", bound="_Dense")
+
+
 class _Dense:
-    """Read-only membership array with its cached cardinality and completeness sweeps."""
+    """Read-only membership array over a word space, with its cardinality and sweeps.
 
-    __slots__ = ("_member", "_size", "_gaps")
+    Nothing here depends on what an index means.  Each subclass names its
+    space through `_space`, which maps the first argument of every
+    constructor (a SpaceParams for a Family, n for a SetFamily) to the
+    SpaceParams whose words index the array.
+    """
 
-    def _set(self, member: np.ndarray) -> None:
+    __slots__ = ("params", "_member", "_size", "_gaps")
+    _unit = "index"  # what one array index is called in error messages
+
+    def __init__(self, space, bits: int = 0):
+        params = self._space(space)
+        if bits < 0 or bits >> params.size:
+            raise ParameterError(f"membership bits outside the {self._unit} range")
+        raw = np.frombuffer(bits.to_bytes((params.size + 7) // 8, "little"), dtype=np.uint8)
+        self._set(params, np.unpackbits(raw, count=params.size, bitorder="little").view(bool))
+
+    def _set(self, params: SpaceParams, member: np.ndarray) -> None:
         member.flags.writeable = False
+        self.params = params
         self._member = member
         self._size = int(np.count_nonzero(member))
-        self._gaps: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
+        self._gaps: dict[tuple[int, ...], tuple[int, int] | None] = {}
 
-    def _gap(self, s: int, n: int, free: Sequence[int]) -> tuple[int, int, int] | None:
-        """`_first_gap` of the membership array, swept once per free-digit set.
+    @classmethod
+    def _wrap(cls: type[_D], params: SpaceParams, member: np.ndarray) -> _D:
+        fam = cls.__new__(cls)
+        fam._set(params, member)
+        return fam
 
-        The array is read-only, so the answer cannot go stale.
-        """
-        key = tuple(free)
-        if key not in self._gaps:
-            self._gaps[key] = _first_gap(self._member, s, n, key)
-        return self._gaps[key]
+    # -- construction ------------------------------------------------------
+
+    @classmethod
+    def empty(cls: type[_D], space) -> _D:
+        params = cls._space(space)
+        return cls._wrap(params, np.zeros(params.size, dtype=bool))
+
+    @classmethod
+    def full(cls: type[_D], space) -> _D:
+        params = cls._space(space)
+        return cls._wrap(params, np.ones(params.size, dtype=bool))
+
+    @classmethod
+    def from_array(cls: type[_D], space, member) -> _D:
+        """From a bool membership array with one entry per index (copied)."""
+        params = cls._space(space)
+        arr = np.array(member, dtype=bool)
+        if arr.shape != (params.size,):
+            raise ParameterError(f"membership array must have shape ({params.size},)")
+        return cls._wrap(params, arr)
+
+    @classmethod
+    def from_indices(cls: type[_D], space, indices: Iterable[int]) -> _D:
+        params = cls._space(space)
+        size, what = params.size, cls._unit
+        try:
+            idx = np.fromiter(indices, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParameterError(f"{what} outside [0, {size})") from exc
+        bad = (idx < 0) | (idx >= size)
+        if bad.any():
+            raise ParameterError(f"{what} {idx[bad][0]} outside [0, {size})")
+        member = np.zeros(size, dtype=bool)
+        member[idx] = True
+        return cls._wrap(params, member)
+
+    # -- basic queries -----------------------------------------------------
 
     @property
     def array(self) -> np.ndarray:
@@ -215,43 +240,46 @@ class _Dense:
     def __len__(self) -> int:
         return self._size
 
+    def contains_index(self, index: int) -> bool:
+        return 0 <= index < self.params.size and bool(self._member[index])
+
+    def indices(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self._member).tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.params == other.params and np.array_equal(self._member, other._member)
+
+    def __hash__(self) -> int:
+        return hash((self.params, _pack(self._member)))
+
+    # -- sweeps ------------------------------------------------------------
+
+    def _closed(self: _D, free: Sequence[int]) -> _D:
+        """Closure under rewriting any digit in `free` to any digit."""
+        s, n = self.params.s, self.params.n
+        return self._wrap(self.params, _closure(self._member, s, n, free))
+
+    def _gap(self, free: Sequence[int]) -> tuple[int, int] | None:
+        """`_first_gap` of the membership array, swept once per free-digit set.
+
+        The array is read-only, so the answer cannot go stale.
+        """
+        key = tuple(free)
+        if key not in self._gaps:
+            self._gaps[key] = _first_gap(self._member, self.params.s, self.params.n, key)
+        return self._gaps[key]
+
 
 class Family(_Dense):
     """Immutable dense family F of words in [s]^n with cached cardinality."""
 
-    __slots__ = ("params",)
+    __slots__ = ()
 
-    def __init__(self, params: SpaceParams, bits: int = 0):
-        if bits < 0 or bits >> params.size:
-            raise ParameterError("membership bits outside the index range")
-        self.params = params
-        self._set(_unpack(bits, params.size))
-
-    @classmethod
-    def _wrap(cls, params: SpaceParams, member: np.ndarray) -> "Family":
-        fam = cls.__new__(cls)
-        fam.params = params
-        fam._set(member)
-        return fam
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def empty(cls, params: SpaceParams) -> "Family":
-        return cls._wrap(params, np.zeros(params.size, dtype=bool))
-
-    @classmethod
-    def full(cls, params: SpaceParams) -> "Family":
-        return cls._wrap(params, np.ones(params.size, dtype=bool))
-
-    @classmethod
-    def from_array(cls, params: SpaceParams, member) -> "Family":
-        """Family from a bool membership array of length s**n (copied)."""
-        return cls._wrap(params, _copy_member(member, params.size))
-
-    @classmethod
-    def from_indices(cls, params: SpaceParams, indices: Iterable[int]) -> "Family":
-        return cls._wrap(params, _from_positions(indices, params.size, "index"))
+    @staticmethod
+    def _space(params: SpaceParams) -> SpaceParams:
+        return params
 
     @classmethod
     def from_words(cls, params: SpaceParams, words: Iterable[Sequence[int]]) -> "Family":
@@ -259,14 +287,8 @@ class Family(_Dense):
 
     # -- basic queries -----------------------------------------------------
 
-    def contains_index(self, index: int) -> bool:
-        return 0 <= index < self.params.size and bool(self._member[index])
-
     def __contains__(self, word: Sequence[int]) -> bool:
         return self.contains_index(encode(self.params, word))
-
-    def indices(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._member).tolist())
 
     def _digits(self) -> np.ndarray:
         return decode_matrix(self.params, np.flatnonzero(self._member))
@@ -277,14 +299,6 @@ class Family(_Dense):
     def density(self) -> Fraction:
         """Exact |F| / s**n."""
         return Fraction(self._size, self.params.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Family):
-            return NotImplemented
-        return self.params == other.params and np.array_equal(self._member, other._member)
-
-    def __hash__(self) -> int:
-        return hash((self.params, _pack(self._member)))
 
     def __repr__(self) -> str:
         return f"Family(s={self.params.s}, n={self.params.n}, size={self._size})"
@@ -330,7 +344,7 @@ class Family(_Dense):
     # -- pinned closure ----------------------------------------------------
 
     def _free_digits(self, pinned: Iterable[int]) -> list[int]:
-        syms = check_symbol_set(self.params, pinned, proper=True, nonempty=True)
+        syms = check_symbol_set(self.params, pinned, nonempty=True)
         return [c for c in range(self.params.s) if c + 1 not in syms]
 
     def pinned_closure(self, pinned: Iterable[int]) -> "Family":
@@ -340,9 +354,7 @@ class Family(_Dense):
         non-pinned symbols rewritten arbitrarily.  The pinned set must be a
         nonempty proper subset of the alphabet.
         """
-        free = self._free_digits(pinned)
-        s, n = self.params.s, self.params.n
-        return Family._wrap(self.params, _closure(self._member, s, n, free))
+        return self._closed(self._free_digits(pinned))
 
     def pinned_violation(self, pinned: Iterable[int]) -> tuple[Word, Word, int] | None:
         """A witness (x in F, y not in F, 1-based position) that x is below y, or None.
@@ -351,17 +363,17 @@ class Family(_Dense):
         the lowest such non-member and x a member it is reached from.
         """
         free = self._free_digits(pinned)
-        member, s = self._member, self.params.s
-        found = self._gap(s, self.params.n, free)
+        found = self._gap(free)
         if found is None:
             return None
-        pos, stride, y_idx = found
+        pos, y_idx = found
+        s, stride = self.params.s, self.params.s ** (pos - 1)
         digit = (y_idx // stride) % s
-        x_idx = next(x for x in (y_idx + (c - digit) * stride for c in free) if member[x])
+        x_idx = next(x for x in (y_idx + (c - digit) * stride for c in free) if self._member[x])
         return decode(self.params, x_idx), decode(self.params, y_idx), pos
 
     def is_pinned_complete(self, pinned: Iterable[int]) -> bool:
-        return self._gap(self.params.s, self.params.n, self._free_digits(pinned)) is None
+        return self._gap(self._free_digits(pinned)) is None
 
     # -- slices and projections ---------------------------------------------
 
@@ -398,44 +410,26 @@ class Family(_Dense):
         for j in range(n):
             view = out.reshape(-1, s, 1 << j)
             out = np.stack((view[:, others, :].any(axis=1), view[:, symbol - 1, :]), axis=1)
-        return SetFamily._wrap(n, out.reshape(-1))
+        return SetFamily._wrap(SpaceParams(2, n), out.reshape(-1))
 
 
 class SetFamily(_Dense):
-    """Immutable dense family of subsets of {1..n}."""
+    """Immutable dense family of subsets of {1..n}, the binary words of SpaceParams(2, n)."""
 
-    __slots__ = ("n",)
+    __slots__ = ()
+    _unit = "subset mask"
 
-    def __init__(self, n: int, bits: int = 0):
-        size = _ground_size(n)
-        if bits < 0 or bits >> size:
-            raise ParameterError("membership bits outside the subset range")
-        self.n = n
-        self._set(_unpack(bits, size))
+    @staticmethod
+    def _space(n: int) -> SpaceParams:
+        return SpaceParams(2, n)
 
-    @classmethod
-    def _wrap(cls, n: int, member: np.ndarray) -> "SetFamily":
-        fam = cls.__new__(cls)
-        fam.n = n
-        fam._set(member)
-        return fam
-
-    @classmethod
-    def empty(cls, n: int) -> "SetFamily":
-        return cls._wrap(n, np.zeros(_ground_size(n), dtype=bool))
-
-    @classmethod
-    def full(cls, n: int) -> "SetFamily":
-        return cls._wrap(n, np.ones(_ground_size(n), dtype=bool))
-
-    @classmethod
-    def from_array(cls, n: int, member) -> "SetFamily":
-        """Subset family from a bool membership array of length 2**n (copied)."""
-        return cls._wrap(n, _copy_member(member, _ground_size(n)))
+    @property
+    def n(self) -> int:
+        return self.params.n
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        return cls._wrap(n, _from_positions(masks, _ground_size(n), "subset mask"))
+        return cls.from_indices(n, masks)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -450,13 +444,13 @@ class SetFamily(_Dense):
         return cls.from_masks(n, masks)
 
     def contains_mask(self, mask: int) -> bool:
-        return 0 <= mask < self._member.size and bool(self._member[mask])
+        return self.contains_index(mask)
 
     def __contains__(self, elems: Iterable[int]) -> bool:
-        return self.contains_mask(sum(1 << (int(j) - 1) for j in set(elems)))
+        return self.contains_index(sum(1 << (int(j) - 1) for j in set(elems)))
 
     def masks(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._member).tolist())
+        return self.indices()
 
     def sets(self) -> Iterator[frozenset[int]]:
         present = (np.flatnonzero(self._member)[:, None] >> np.arange(self.n)) & 1
@@ -464,29 +458,14 @@ class SetFamily(_Dense):
         for row in present.astype(bool):
             yield frozenset(elems[row].tolist())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetFamily):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self._member, other._member)
-
-    def __hash__(self) -> int:
-        return hash((self.n, _pack(self._member)))
-
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n}, size={self._size})"
 
     def is_upward_closed(self) -> bool:
-        return self._gap(2, self.n, [0]) is None
+        return self._gap([0]) is None
 
     def up_closure(self) -> "SetFamily":
-        return SetFamily._wrap(self.n, _closure(self._member, 2, self.n, [0]))
-
-
-def _ground_size(n: int) -> int:
-    """2**n, the number of subsets of {1..n}, after checking n against the dense-storage cap."""
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"ground-set size must be an integer >= 1, got {n!r}")
-    return SpaceParams(2, n).size  # subsets of [n] are binary words
+        return self._closed([0])
 
 
 # -- file formats ------------------------------------------------------------

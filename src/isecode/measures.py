@@ -20,16 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .families import SetFamily
-from .words import ParameterError, check_demand
+from .words import ParameterError, check_demand, check_space
 
 
 def _check_demand_formula(n: int, s: int, demand: Sequence[int]) -> tuple[int, ...]:
     # Bounds are pure formulas: validate shapes only, without the dense-storage
     # cap that applies to materialized families.
-    if not isinstance(s, int) or s < 2:
-        raise ParameterError(f"alphabet size must be an integer >= 2, got {s!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"word length must be an integer >= 1, got {n!r}")
+    check_space(s, n)
     return check_demand(s, demand)
 
 

@@ -229,10 +229,17 @@ def max_family(
 
     The timeout covers the whole call, graph build and orbit masks included.
     On timeout the result carries complete=False and is a lower bound only.
+    The search runs on the symbols relabelled so that the demand is
+    non-increasing (a stable sort, so such a demand keeps its labels), which
+    makes it independent of how the caller labels the symbols; the witness
+    is mapped back to the caller's labels.
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
-    graph = build_compat_graph(n, s, demand)
+    params = SpaceParams(s, n)  # a bad space is refused before the demand is read
+    t = check_demand(s, demand)
+    order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
+    graph = build_compat_graph(n, s, [t[c] for c in order])
     masks, orbit = _orbit_masks(graph)
     adj = graph.adjacency
     cand = (1 << graph.vertex_count) - 1
@@ -240,10 +247,12 @@ def max_family(
     nodes, complete = 0, False
     if not expired:
         best, nodes, complete = _branch(adj, cand, best, deadline, [masks[k] for k in orbit])
-    witness = Family.from_indices(graph.params, (graph.vertices[v] for v in best))
+    found = decode_matrix(params, np.array([graph.vertices[v] for v in best], dtype=np.int64))
+    digits = np.array(order, dtype=np.int64)[found - 1]
+    witness = Family.from_indices(params, digits @ s ** np.arange(n, dtype=np.int64))
     return SearchResult(
-        graph.params,
-        graph.demand,
+        params,
+        t,
         len(best),
         witness,
         nodes,

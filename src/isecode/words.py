@@ -34,6 +34,14 @@ class ParameterError(ValueError):
     """Raised when an operation's preconditions are violated."""
 
 
+def check_space(s: int, n: int) -> None:
+    """Validate an alphabet size s >= 2 and a word length n >= 1, without the dense-storage cap."""
+    if not isinstance(s, int) or s < 2:
+        raise ParameterError(f"alphabet size must be an integer >= 2, got {s!r}")
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError(f"word length must be an integer >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """The word space: alphabet {1..s} (s >= 2) and fixed length n >= 1.
@@ -46,10 +54,7 @@ class SpaceParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 2:
-            raise ParameterError(f"alphabet size must be an integer >= 2, got {self.s!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"word length must be an integer >= 1, got {self.n!r}")
+        check_space(self.s, self.n)
         if self.s**self.n > DEFAULT_DENSE_CAP:
             raise ParameterError(
                 f"s**n = {self.s}**{self.n} exceeds the dense-storage cap {DEFAULT_DENSE_CAP}"
@@ -87,15 +92,14 @@ def check_symbol_set(
     params: SpaceParams,
     symbols: Iterable[int],
     *,
-    proper: bool = True,
     nonempty: bool = False,
 ) -> frozenset[int]:
-    """Validate a subset of the alphabet."""
+    """Validate a proper subset of the alphabet."""
     syms = frozenset(int(x) for x in symbols)
     for sym in syms:
         if not 1 <= sym <= params.s:
             raise ParameterError(f"symbol {sym} outside alphabet 1..{params.s}")
-    if proper and len(syms) == params.s:
+    if len(syms) == params.s:
         raise ParameterError("symbol set must be a proper subset of the alphabet")
     if nonempty and not syms:
         raise ParameterError("symbol set must be nonempty")
@@ -201,7 +205,7 @@ def leq_pinned(
     symbol is not pinned are free, so two words that differ only on such
     coordinates are below each other in both directions.
     """
-    syms = check_symbol_set(params, pinned, proper=True)
+    syms = check_symbol_set(params, pinned)
     wx = check_word(params, x)
     wy = check_word(params, y)
     return all(a == b or a not in syms for a, b in zip(wx, wy))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -406,6 +407,78 @@ def test_membership_arrays_are_read_only_copies():
     with pytest.raises(ParameterError):
         Family.from_array(p, [True, False])
     assert SetFamily.from_array(2, [False, True, False, True]) == SetFamily.from_sets(2, [{1}, {1, 2}])
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 27])
+def test_set_family_refuses_bad_ground_size_before_allocating(n):
+    # 27 is past the dense-storage cap: 2**27 subsets would take 128 MB
+    builders = [
+        lambda: SetFamily(n),
+        lambda: SetFamily(n, 1),
+        lambda: SetFamily.empty(n),
+        lambda: SetFamily.full(n),
+        lambda: SetFamily.from_array(n, np.zeros(4, dtype=bool)),
+        lambda: SetFamily.from_masks(n, [0]),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builders:
+            with pytest.raises(ParameterError):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_set_family_refuses_bits_past_the_subset_range():
+    assert SetFamily(2, (1 << 4) - 1) == SetFamily.full(2)
+    for bits in (1 << 4, 1 << 40, -1):
+        with pytest.raises(ParameterError):
+            SetFamily(2, bits)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_family_and_set_family_over_the_same_bits_differ(n):
+    bits = 0b10110 & ((1 << (1 << n)) - 1)
+    words, subsets = Family(SpaceParams(2, n), bits), SetFamily(n, bits)
+    assert words.bits == subsets.bits and words.params == subsets.params
+    assert words != subsets and subsets != words
+    assert not words == subsets and not subsets == words
+
+
+def test_equal_families_built_separately_hash_equal():
+    sets = [{1}, {2, 3}, set(), {1, 2, 3}]
+    masks = [0b001, 0b110, 0b000, 0b111]
+    member = np.zeros(8, dtype=bool)
+    member[masks] = True
+    bits = sum(1 << m for m in masks)
+    built = [
+        SetFamily.from_sets(3, sets),
+        SetFamily.from_masks(3, masks),
+        SetFamily.from_array(3, member),
+        SetFamily(3, bits),
+    ]
+    p = SpaceParams(3, 2)
+    words = [(1, 1), (3, 2), (2, 3)]
+    indices = [isecode.words.encode(p, w) for w in words]
+    built_words = [
+        Family.from_words(p, words),
+        Family.from_indices(p, indices),
+        Family.from_array(p, np.isin(np.arange(9), indices)),
+        Family(p, sum(1 << i for i in indices)),
+    ]
+    for group in (built, built_words):
+        assert all(fam == group[0] for fam in group)
+        assert len({hash(fam) for fam in group}) == 1
+    assert SetFamily.from_masks(3, masks[:2]) != built[0]
+
+
+def test_upward_closed_sweeps_once(sweeps):
+    fam = SetFamily.from_sets(3, [{1}])
+    assert not fam.is_upward_closed()
+    assert not fam.is_upward_closed()
+    assert [free for _, free in sweeps] == [(0,)]
 
 
 def test_text_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isecode import (
+    Family,
     ParameterError,
     build_compat_graph,
     max_family,
@@ -205,3 +206,32 @@ def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
     assert result.nodes == nodes
     assert result.max_size == size == product_allocation(n, s, t).count
     assert result.witness.is_t_intersecting(t)
+
+
+@pytest.mark.parametrize(
+    "n, s, t, partner, to_caller",
+    [
+        (8, 2, (0, 2), (2, 0), (2, 1)),
+        (7, 2, (0, 2), (2, 0), (2, 1)),
+        (8, 2, (0, 3), (3, 0), (2, 1)),
+        (7, 2, (0, 1), (1, 0), (2, 1)),
+        (8, 2, (0, 1), (1, 0), (2, 1)),
+        (5, 3, (0, 0, 1), (1, 0, 0), (3, 1, 2)),
+        (5, 3, (0, 1, 2), (2, 1, 0), (3, 2, 1)),
+    ],
+)
+def test_max_family_does_not_depend_on_symbol_labels(n, s, t, partner, to_caller):
+    # partner symbol k carries the demand of the caller's symbol to_caller[k - 1]
+    assert all(partner[k] == t[c - 1] for k, c in enumerate(to_caller))
+    result, mirror = max_family(n, s, t), max_family(n, s, partner)
+    assert result.complete and mirror.complete
+    assert result.demand == t and mirror.demand == partner
+    assert (result.max_size, result.nodes, result.orbits) == (
+        mirror.max_size,
+        mirror.nodes,
+        mirror.orbits,
+    )
+    assert result.witness.is_t_intersecting(t)
+    relabel = np.array((0,) + to_caller)
+    relabelled = relabel[decode_matrix(mirror.params, np.array(list(mirror.witness.indices())))]
+    assert result.witness == Family.from_words(result.params, relabelled.tolist())
