@@ -6,8 +6,11 @@ edges join pairs meeting the demand.  Maximum cliques are maximum families.
 
 The solver is one depth-first bitset branch-and-bound with greedy-coloring
 bounds (after San Segundo et al., BBMC), run on an explicit stack from a
-deterministic greedy incumbent.  Coloring and branching follow ascending
-vertex order, so witnesses and node counts are identical from run to run.
+deterministic greedy incumbent.  Each node colors its candidates one class
+at a time, as BBMC and Tomita & Kameda's MCS do; the classes are those of
+first-fit coloring in ascending vertex order.  Coloring and branching follow
+ascending vertex order, so witnesses and node counts are identical from run
+to run.
 
 The graph is invariant under permutations of the positions and under
 permutations of symbols with equal demand, and so is the vertex filter.  The
@@ -86,16 +89,16 @@ def _orbit_masks(graph: CompatGraph) -> tuple[list[int], list[int]]:
     """Vertex-slot bitsets of the symmetry orbits, and each vertex's orbit number.
 
     A word's orbit is its symbol histogram with the counts sorted within each
-    group of symbols sharing a demand value, keyed here as the sorted
-    (demand, count) pairs of the symbols it carries.
+    group of symbols sharing a demand value.  Orbits are numbered by their
+    first vertex in ascending slot order.
     """
-    t = graph.demand
+    t = np.asarray(graph.demand)
     digits = decode_matrix(graph.params, np.asarray(graph.vertices, dtype=np.int64))
-    keys: dict[tuple, int] = {}
-    orbit = [
-        keys.setdefault(tuple(sorted((t[sym - 1], row.count(sym)) for sym in set(row))), len(keys))
-        for row in map(bytes, digits)
-    ]
+    syms = range(1, len(t) + 1)  # counts are at most n <= 26 (the dense cap), so uint8
+    counts = np.stack([(digits == sym).sum(axis=1, dtype=np.uint8) for sym in syms], axis=1)
+    key = np.hstack([np.sort(counts[:, t == value], axis=1) for value in set(graph.demand)])
+    keys: dict[bytes, int] = {}
+    orbit = [keys.setdefault(row, len(keys)) for row in map(bytes, key)]
     member = np.zeros((len(keys), len(orbit)), dtype=bool)
     member[orbit, np.arange(len(orbit))] = True
     packed = np.packbits(member, axis=1, bitorder="little")
@@ -118,25 +121,26 @@ class SearchResult:
 
 
 def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring in ascending index order; vertices returned by ascending color."""
-    classes: list[int] = []
-    rest = cand
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        av = adj[v]
-        for k, cls in enumerate(classes):
-            if not (cls & av):
-                classes[k] |= low
-                break
-        else:
-            classes.append(low)
+    """Greedy coloring of cand; vertices returned by ascending color, ascending within a color.
+
+    Classes are built one at a time (BBMC): class k takes the lowest vertex
+    left in q, the uncolored vertices not adjacent to the class so far, until
+    q is empty.  By induction on ascending index these are exactly the
+    classes of first-fit coloring in ascending vertex order, at O(1) bitset
+    operations per vertex whatever the number of classes.
+    """
     order: list[int] = []
     bounds: list[int] = []
-    for k, cls in enumerate(classes):
-        color = k + 1
-        for v in _iter_bits(cls):
+    rest = cand
+    color = 0
+    while rest:
+        color += 1
+        q = rest
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            q ^= low | (q & adj[v])
+            rest ^= low
             order.append(v)
             bounds.append(color)
     return order, bounds

@@ -119,7 +119,8 @@ def test_pinned_order_rejects_full_alphabet():
     with pytest.raises(ParameterError):
         leq_pinned(p, (1, 1), (1, 1), {1, 2})
     with pytest.raises(ParameterError):
-        check_symbol_set(p, {1}, nonempty=True) and None
+        check_symbol_set(p, {1, 2})
+    with pytest.raises(ParameterError):
         check_symbol_set(p, set(), nonempty=True)
 
 
