@@ -45,6 +45,7 @@ from .constructions import (
 )
 from .search import (
     CompatGraph,
+    SearchPhases,
     SearchResult,
     build_compat_graph,
     max_family,

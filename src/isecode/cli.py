@@ -237,6 +237,11 @@ def cmd_search(args) -> int:
         "nodes": result.nodes,
         "orbits": result.orbits,
         "ms": int(result.elapsed * 1000),
+        "phase_ms": {
+            name: round(getattr(result.phases, name) * 1000, 3)
+            for name in ("build", "orbits", "greedy", "branch")
+        },
+        "incumbent": result.phases.incumbent,
         "complete": result.complete,
         "density": result.density(),
     }

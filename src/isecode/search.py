@@ -43,6 +43,7 @@ from .words import (
 
 VERTEX_CAP = 1 << 16
 DEFAULT_TIMEOUT_MS = 60_000
+_ROW_CHUNK_BYTES = 1 << 20  # bound on the bytes of one block of unpacked adjacency rows
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,23 @@ def _orbit_masks(graph: CompatGraph) -> tuple[list[int], list[int]]:
 
 
 @dataclass(frozen=True)
+class SearchPhases:
+    """Seconds spent in each phase of one max_family call, and the greedy incumbent's size.
+
+    build includes the argument checks; when the greedy runs out of time there
+    is no branching and branch is near 0.  The four phases are consecutive,
+    so they sum to at most the call's elapsed time, which also covers
+    decoding the witness.
+    """
+
+    build: float
+    orbits: float
+    greedy: float
+    branch: float
+    incumbent: int
+
+
+@dataclass(frozen=True)
 class SearchResult:
     params: SpaceParams
     demand: tuple[int, ...]
@@ -115,6 +133,7 @@ class SearchResult:
     elapsed: float
     complete: bool
     orbits: int  # vertex orbits of the root symmetry group
+    phases: SearchPhases
 
     def density(self) -> Fraction:
         return Fraction(self.max_size, self.params.size)
@@ -146,6 +165,12 @@ def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
+def _slots(x: int, m: int) -> np.ndarray:
+    """Ascending slots of the set bits of a bitset over m vertex slots."""
+    raw = np.frombuffer(x.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, count=m, bitorder="little"))
+
+
 def _greedy_clique(
     adj: Sequence[int], cand: int, deadline: float | None
 ) -> tuple[list[int], bool]:
@@ -155,22 +180,49 @@ def _greedy_clique(
     repeatedly adds the pool vertex with most pool neighbours.  Degree is
     constant on symmetry orbits, so the other highest-degree vertices are
     mostly images of this start and would grow cliques of the same size.
-    Returns the clique and whether the
-    deadline expired; on expiry, the clique so far, since every prefix of
-    the pass is a clique.
+
+    Each vertex's count of pool neighbours is kept in one numpy array
+    (negative off the pool), set once from the adjacency rows, and the pick is
+    its first argmax: the same vertex, by the same lowest-index tie rule, as
+    recounting the whole pool after every pick.  After a pick the counts lose
+    the adjacency rows of the vertices that left the pool, unpacked at most
+    _ROW_CHUNK_BYTES at a time; when fewer vertices stay than left, the
+    counts are recounted over the new pool instead.  Either way a step costs
+    at most one row operation per departing vertex, so the pass does O(m)
+    row operations in all rather than one per pool vertex and pick.
+    Returns the clique and whether the deadline expired; on expiry, the
+    clique so far, since every prefix of the pass is a clique.
     """
+    m = len(adj)
+    nbytes = (m + 7) // 8
+    chunk = max(1, _ROW_CHUNK_BYTES // max(m, 1))
+    score = np.full(m, -1, dtype=np.int32)
+    live = _slots(cand, m)
+    score[live] = [(adj[u] & cand).bit_count() for u in live.tolist()]
     clique: list[int] = []
     pool = cand
     while pool:
-        pick, score = -1, -1
-        for u in _iter_bits(pool):
-            c = (adj[u] & pool).bit_count()
-            if c > score:
-                pick, score = u, c
+        pick = int(score.argmax())
         clique.append(pick)
-        pool &= adj[pick]
-        if pool and deadline is not None and time.monotonic() > deadline:
+        gone = pool & ~adj[pick]
+        pool ^= gone
+        if not pool:
+            break
+        if deadline is not None and time.monotonic() > deadline:
             return clique, True
+        if pool.bit_count() < gone.bit_count():
+            score.fill(-1)
+            live = _slots(pool, m)
+            score[live] = [(adj[u] & pool).bit_count() for u in live.tolist()]
+            continue
+        out = list(_iter_bits(gone))
+        for lo in range(0, len(out), chunk):
+            rows = b"".join(adj[r].to_bytes(nbytes, "little") for r in out[lo : lo + chunk])
+            block = np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes)
+            score -= np.unpackbits(block, axis=1, count=m, bitorder="little").sum(
+                axis=0, dtype=np.int32
+            )
+        score[out] = -1
     return clique, False
 
 
@@ -244,13 +296,19 @@ def max_family(
     t = check_demand(s, demand)
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
     graph = build_compat_graph(n, s, [t[c] for c in order])
+    marks = [start, time.monotonic()]
     masks, orbit = _orbit_masks(graph)
+    marks.append(time.monotonic())
     adj = graph.adjacency
     cand = (1 << graph.vertex_count) - 1
     best, expired = _greedy_clique(adj, cand, deadline)
+    marks.append(time.monotonic())
+    incumbent = len(best)
     nodes, complete = 0, False
     if not expired:
         best, nodes, complete = _branch(adj, cand, best, deadline, [masks[k] for k in orbit])
+    marks.append(time.monotonic())
+    phases = SearchPhases(*(b - a for a, b in zip(marks, marks[1:])), incumbent)
     found = decode_matrix(params, np.array([graph.vertices[v] for v in best], dtype=np.int64))
     digits = np.array(order, dtype=np.int64)[found - 1]
     witness = Family.from_indices(params, digits @ s ** np.arange(n, dtype=np.int64))
@@ -263,4 +321,5 @@ def max_family(
         time.monotonic() - start,
         complete,
         len(masks),
+        phases,
     )

@@ -206,8 +206,11 @@ def test_search_json_contract(capsys, tmp_path):
         capsys, "search", "-n", "4", "-s", "2", "-t", "1,1", "-o", witness
     )
     assert code == 0
-    for key in ("n", "s", "t", "max", "witness_file", "nodes", "orbits", "ms"):
+    for key in ("n", "s", "t", "max", "witness_file", "nodes", "orbits", "ms", "incumbent"):
         assert key in report
+    assert set(report["phase_ms"]) == {"build", "orbits", "greedy", "branch"}
+    assert sum(report["phase_ms"].values()) <= report["ms"] + 1  # ms is truncated, phases rounded
+    assert report["incumbent"] <= report["max"]
     assert report["max"] == 4
     assert report["orbits"] == 2  # histograms {1, 3} and {2, 2} of the two symbols
     assert report["witness_file"] == witness

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 import sys
 import time
@@ -13,7 +15,7 @@ from isecode import (
     max_family,
     product_allocation,
 )
-from isecode.search import _color_order, _orbit_masks
+from isecode.search import _color_order, _greedy_clique, _orbit_masks
 from isecode.words import SpaceParams, decode_matrix
 
 from conftest import brute_max_intersecting
@@ -86,26 +88,54 @@ def test_timeout_gives_lower_bound():
     assert max_family(5, 3, (1, 1, 1), timeout_ms=0).complete is False
 
 
-def test_timeout_covers_greedy_phase():
-    # one greedy pass alone takes several seconds on this instance (4095 vertices)
-    start = time.monotonic()
-    result = max_family(12, 2, (1, 0), timeout_ms=1000)
-    assert time.monotonic() - start < 3
-    assert not result.complete
-    assert result.max_size >= 1 and result.witness.is_t_intersecting((1, 0))
-
-
-def test_elapsed_covers_graph_build(monkeypatch):
+def _slow_graph_build(monkeypatch, seconds):
+    """Make every graph build inside max_family take `seconds` longer."""
     import isecode.search as search_mod
 
     build = search_mod.build_compat_graph
 
     def slow_build(*args):
-        time.sleep(0.05)
+        time.sleep(seconds)
         return build(*args)
 
     monkeypatch.setattr(search_mod, "build_compat_graph", slow_build)
-    assert max_family(4, 2, (1, 1)).elapsed >= 0.05
+
+
+def test_timeout_covers_greedy_phase(monkeypatch):
+    # the graph build alone outlasts the timeout, so the greedy stops after its first pick
+    _slow_graph_build(monkeypatch, 0.05)
+    start = time.monotonic()
+    result = max_family(12, 2, (1, 0), timeout_ms=10)
+    assert time.monotonic() - start < 1
+    assert not result.complete
+    assert result.max_size == 1 and result.nodes == 0
+    assert result.phases.incumbent == 1
+    assert len(result.witness) == 1 and result.witness.is_t_intersecting((1, 0))
+
+
+def test_greedy_clique_stops_at_expired_deadline():
+    adj = build_compat_graph(6, 3, (1, 1, 0)).adjacency
+    first = max(range(len(adj)), key=lambda u: (adj[u].bit_count(), -u))
+    cand = (1 << len(adj)) - 1
+    assert _greedy_clique(adj, cand, time.monotonic() - 1) == ([first], True)
+
+
+def test_elapsed_covers_graph_build(monkeypatch):
+    _slow_graph_build(monkeypatch, 0.05)
+    result = max_family(4, 2, (1, 1))
+    assert result.elapsed >= result.phases.build >= 0.05
+
+
+def test_search_phases_are_consecutive():
+    result = max_family(6, 3, (1, 1, 0))
+    phases = result.phases
+    seconds = (phases.build, phases.orbits, phases.greedy, phases.branch)
+    assert all(x >= 0 for x in seconds)
+    assert sum(seconds) <= result.elapsed
+    assert phases.incumbent <= result.max_size == 81
+    assert hash(phases) == hash(dataclasses.replace(phases))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phases.greedy = 0.0
 
 
 def test_max_family_leaves_recursion_limit_alone():
@@ -274,3 +304,51 @@ def test_max_family_does_not_depend_on_symbol_labels(n, s, t, partner, to_caller
     relabel = np.array((0,) + to_caller)
     relabelled = relabel[decode_matrix(mirror.params, np.array(list(mirror.witness.indices())))]
     assert result.witness == Family.from_words(result.params, relabelled.tolist())
+
+
+def _rescoring_greedy(cand, adj):
+    """Reference greedy: after each pick, recount every pool vertex's pool neighbours."""
+    clique, pool = [], cand
+    while pool:
+        live = [u for u in range(pool.bit_length()) if pool >> u & 1]
+        pick = max(live, key=lambda u: ((adj[u] & pool).bit_count(), -u))
+        clique.append(pick)
+        pool &= adj[pick]
+    return clique
+
+
+@pytest.mark.parametrize(
+    "n, s, t", [(6, 4, (1, 1, 0, 0)), (6, 3, (2, 0, 0)), (8, 2, (2, 2)), (10, 2, (1, 0))]
+)
+def test_greedy_clique_matches_rescoring(n, s, t):
+    adj = build_compat_graph(n, s, t).adjacency
+    m = len(adj)
+    rng = random.Random(5)
+    cands = [(1 << m) - 1]
+    cands += [rng.getrandbits(m) for _ in range(4)]
+    cands += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(4)]
+    for cand in cands:
+        assert _greedy_clique(adj, cand, None) == (_rescoring_greedy(cand, adj), False)
+    assert len(_greedy_clique(adj, cands[0], None)[0]) > 1
+
+
+def test_max_family_proves_dense_binary_instance():
+    # 4,095 vertices, clique 2,048: the greedy incumbent is optimal and the root bound proves it
+    result = max_family(12, 2, (1, 0))
+    assert result.complete
+    assert result.max_size == 2048 == product_allocation(12, 2, (1, 0)).count
+    assert result.phases.incumbent == 2048
+    assert result.witness.is_t_intersecting((1, 0))
+
+
+def test_greedy_clique_matches_rescoring_on_random_graphs():
+    # unstructured graphs reach the recount branch with pools whose counts differ
+    rng = random.Random(3)
+    for m, p in [(20, 0.3), (60, 0.6), (150, 0.9), (150, 0.6), (60, 0.9)]:
+        adj = [0] * m
+        for u, v in itertools.combinations(range(m), 2):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        for cand in [(1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]:
+            assert _greedy_clique(adj, cand, None) == (_rescoring_greedy(cand, adj), False)
