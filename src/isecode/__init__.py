@@ -45,8 +45,8 @@ from .constructions import (
 )
 from .search import (
     CompatGraph,
-    SearchPhases,
     SearchResult,
+    SearchStats,
     build_compat_graph,
     max_family,
 )

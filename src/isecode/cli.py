@@ -238,10 +238,10 @@ def cmd_search(args) -> int:
         "orbits": result.orbits,
         "ms": int(result.elapsed * 1000),
         "phase_ms": {
-            name: round(getattr(result.phases, name) * 1000, 3)
+            name: round(getattr(result.stats, name) * 1000, 3)
             for name in ("build", "orbits", "greedy", "branch")
         },
-        "incumbent": result.phases.incumbent,
+        "incumbent": result.stats.incumbent,
         "complete": result.complete,
         "density": result.density(),
     }

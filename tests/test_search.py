@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -105,12 +106,12 @@ def test_timeout_covers_greedy_phase(monkeypatch):
     # the graph build alone outlasts the timeout, so the greedy stops after its first pick
     _slow_graph_build(monkeypatch, 0.05)
     start = time.monotonic()
-    result = max_family(12, 2, (1, 0), timeout_ms=10)
+    result = max_family(4, 2, (1, 1), timeout_ms=10)  # maximum 4, so the pool outlives the first pick
     assert time.monotonic() - start < 1
     assert not result.complete
     assert result.max_size == 1 and result.nodes == 0
-    assert result.phases.incumbent == 1
-    assert len(result.witness) == 1 and result.witness.is_t_intersecting((1, 0))
+    assert result.stats.incumbent == 1
+    assert len(result.witness) == 1 and result.witness.is_t_intersecting((1, 1))
 
 
 def test_greedy_clique_stops_at_expired_deadline():
@@ -120,22 +121,37 @@ def test_greedy_clique_stops_at_expired_deadline():
     assert _greedy_clique(adj, cand, time.monotonic() - 1) == ([first], True)
 
 
+def test_greedy_clique_checks_deadline_between_row_chunks(monkeypatch):
+    import isecode.search as search_mod
+
+    adj = build_compat_graph(6, 3, (1, 1, 0)).adjacency
+    first = max(range(len(adj)), key=lambda u: (adj[u].bit_count(), -u))
+    degree = adj[first].bit_count()
+    assert degree > len(adj) - degree  # the second step subtracts the rows that left
+    monkeypatch.setattr(search_mod, "_ROW_CHUNK_BYTES", 1)  # one row per chunk
+    clock = itertools.count(1)
+    monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    # the clock reads 1 after the first pick, 2 before the first row chunk and 3 before the second
+    cand = (1 << len(adj)) - 1
+    assert _greedy_clique(adj, cand, 2.5) == ([first], True)
+
+
 def test_elapsed_covers_graph_build(monkeypatch):
     _slow_graph_build(monkeypatch, 0.05)
     result = max_family(4, 2, (1, 1))
-    assert result.elapsed >= result.phases.build >= 0.05
+    assert result.elapsed >= result.stats.build >= 0.05
 
 
 def test_search_phases_are_consecutive():
     result = max_family(6, 3, (1, 1, 0))
-    phases = result.phases
-    seconds = (phases.build, phases.orbits, phases.greedy, phases.branch)
+    stats = result.stats
+    seconds = (stats.build, stats.orbits, stats.greedy, stats.branch)
     assert all(x >= 0 for x in seconds)
     assert sum(seconds) <= result.elapsed
-    assert phases.incumbent <= result.max_size == 81
-    assert hash(phases) == hash(dataclasses.replace(phases))
+    assert stats.incumbent <= result.max_size == 81
+    assert hash(stats) == hash(dataclasses.replace(stats))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        phases.greedy = 0.0
+        stats.greedy = 0.0
 
 
 def test_max_family_leaves_recursion_limit_alone():
@@ -337,7 +353,7 @@ def test_max_family_proves_dense_binary_instance():
     result = max_family(12, 2, (1, 0))
     assert result.complete
     assert result.max_size == 2048 == product_allocation(12, 2, (1, 0)).count
-    assert result.phases.incumbent == 2048
+    assert result.stats.incumbent == 2048
     assert result.witness.is_t_intersecting((1, 0))
 
 
