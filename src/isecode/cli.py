@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -27,6 +29,7 @@ from .measures import (
     window_product_bound,
 )
 from .correlation import (
+    DEFAULT_TRIAL_DENSITIES,
     exhaustive_correlation,
     random_correlation_trials,
     trial_pair,
@@ -104,8 +107,14 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
         writer.writerow([row.get(k, "") for k in header])
 
 
-def _open_out(args):
-    return open(args.output, "w", newline="") if args.output else None
+@contextmanager
+def _output(path):
+    """The stream a report goes to: a file at `path`, or stdout when no path is given."""
+    if path:
+        with open(path, "w", newline="") as f:
+            yield f
+    else:
+        yield sys.stdout
 
 
 # -- bound --------------------------------------------------------------------
@@ -157,6 +166,8 @@ _BLOCK_FLAGS = {
 
 
 def cmd_construct(args) -> int:
+    if args.density_only and args.output:
+        raise ParameterError("--density-only builds no family to write; drop -o")
     ignored = [
         flag
         for dest, (flag, kind) in _BLOCK_FLAGS.items()
@@ -173,30 +184,22 @@ def cmd_construct(args) -> int:
         else:
             built = block_product_family(args.n, args.s, t)
             family, density = built.family, built.density
-            report["blocks"] = [
-                {
-                    "symbol": b.symbol,
-                    "positions": list(b.positions),
-                    "window": list(b.window),
-                    "t": b.t,
-                    "radius": b.radius,
-                }
-                for b in built.blocks
-            ]
+            report["blocks"] = [dataclasses.asdict(b) for b in built.blocks]
         report.update({"n": args.n, "s": args.s, "t": list(t)})
     else:
         # Every other kind is a list of majority blocks, block i for symbol i + 1.
-        if args.kind == "binary-majority":
-            x1, x2 = (sorted(set(_parse_ints(x or ""))) for x in (args.x1, args.x2))
-            blocks, extra = (x1, x2), {"x1": x1, "x2": x2}
-        elif args.kind == "symbol-majority":
-            x = sorted(set(_parse_ints(args.x or "")))
-            blocks, extra = (x,), {"x": x}
-        else:  # window: at least t + r of the first t + 2r positions carry symbol 1
+        if args.kind == "window":  # at least t + r of the first t + 2r positions carry symbol 1
             radius = args.radius or 0
             if len(t) != 1 or radius < 0:
                 raise ParameterError("window takes one threshold and a radius >= 0, e.g. -t 2 -r 1")
             blocks, extra = (range(1, t[0] + 2 * radius + 1),), {"radius": radius}
+        else:  # the majority kinds: one block per flag of the kind, in _BLOCK_FLAGS order
+            extra = {
+                dest: sorted(set(_parse_ints(getattr(args, dest) or "")))
+                for dest, (_, kind) in _BLOCK_FLAGS.items()
+                if kind == args.kind
+            }
+            blocks = tuple(extra.values())
         if args.density_only:
             density = majority_density(args.n, args.s, blocks, t)
         else:
@@ -224,16 +227,14 @@ def cmd_construct(args) -> int:
 def cmd_search(args) -> int:
     t = _parse_ints(args.t)
     result = max_family(args.n, args.s, t, timeout_ms=args.timeout_ms)
-    witness_file = None
     if args.output:
         save_family(result.witness, args.output)
-        witness_file = args.output
     report = {
         "n": args.n,
         "s": args.s,
         "t": list(t),
         "max": result.max_size,
-        "witness_file": witness_file,
+        "witness_file": args.output or None,
         "nodes": result.nodes,
         "orbits": result.orbits,
         "ms": int(result.elapsed * 1000),
@@ -284,15 +285,18 @@ def cmd_verify(args) -> int:
 # -- correlate --------------------------------------------------------------------
 
 
+# The CorrelationCheck attributes that make one trial row, in column order.
+_TRIAL_FIELDS = ("seed", "trial_density", "size_a", "size_b", "common", "lhs", "rhs", "slack")
+
+
 def cmd_correlate(args) -> int:
     pins_a = _parse_ints(args.pins_a)
     pins_b = _parse_ints(args.pins_b)
     if args.exhaustive:
+        mode, n = "exhaustive", 1
         checks = exhaustive_correlation(args.s, pins_a, pins_b)
-        mode = "exhaustive"
-        n = 1
     else:
-        densities = _parse_rationals(args.rho)
+        mode, n = "random", args.n
         checks = random_correlation_trials(
             args.s,
             args.n,
@@ -300,23 +304,9 @@ def cmd_correlate(args) -> int:
             pins_b,
             args.trials,
             seed_base=args.seed,
-            densities=densities,
+            densities=_parse_rationals(args.rho),
         )
-        mode = "random"
-        n = args.n
-    rows = [
-        {
-            "seed": c.seed,
-            "trial_density": c.trial_density,
-            "size_a": c.size_a,
-            "size_b": c.size_b,
-            "common": c.common,
-            "lhs": c.lhs,
-            "rhs": c.rhs,
-            "slack": c.slack,
-        }
-        for c in checks
-    ]
+    rows = [{name: getattr(c, name) for name in _TRIAL_FIELDS} for c in checks]
     report = {
         "command": "correlate",
         "mode": mode,
@@ -341,19 +331,13 @@ def cmd_correlate(args) -> int:
                 save_family(fam, path)
                 replay.append(path)
         report["replay_files"] = replay
-    out = _open_out(args)
-    stream = out or sys.stdout
-    try:
+    if args.format == "json":
+        report["trials"] = rows
+    with _output(args.output) as out:
         if args.format == "csv":
-            _emit_rows(rows, "csv", stream)
-        elif args.format == "json":
-            report["trials"] = rows
-            _emit_report(report, "json", stream)
+            _emit_rows(rows, "csv", out)
         else:
-            _emit_report(report, "text", stream)
-    finally:
-        if out:
-            out.close()
+            _emit_report(report, args.format, out)
     return 0
 
 
@@ -403,13 +387,8 @@ def cmd_table(args) -> int:
                     "value": sel.value,
                 }
             )
-    out = _open_out(args)
-    stream = out or sys.stdout
-    try:
-        _emit_rows(rows, "json" if args.format == "json" else "csv", stream)
-    finally:
-        if out:
-            out.close()
+    with _output(args.output) as out:
+        _emit_rows(rows, "json" if args.format == "json" else "csv", out)
     return 0
 
 
@@ -468,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="report properties of a family file")
     p.add_argument("family", type=str)
     p.add_argument("-t", type=str, help="demand vector to test")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("correlate", help="negative-correlation checks")
@@ -479,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="all complete pairs at n = 1")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=str, default="1/8,1/4,1/2", help="trial densities")
+    rho = ",".join(map(format_rational, DEFAULT_TRIAL_DENSITIES))
+    p.add_argument("--rho", type=str, default=rho, help="trial densities")
     p.add_argument("-o", "--output", type=str)
     p.set_defaults(func=cmd_correlate)
 

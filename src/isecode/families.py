@@ -428,10 +428,6 @@ class SetFamily(_Dense):
         return self.params.n
 
     @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        return cls.from_indices(n, masks)
-
-    @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
         masks = []
         for elems in sets:
@@ -441,22 +437,10 @@ class SetFamily(_Dense):
                     raise ParameterError(f"element {j} outside ground set 1..{n}")
                 mask |= 1 << (j - 1)
             masks.append(mask)
-        return cls.from_masks(n, masks)
-
-    def contains_mask(self, mask: int) -> bool:
-        return self.contains_index(mask)
+        return cls.from_indices(n, masks)
 
     def __contains__(self, elems: Iterable[int]) -> bool:
         return self.contains_index(sum(1 << (int(j) - 1) for j in set(elems)))
-
-    def masks(self) -> Iterator[int]:
-        return self.indices()
-
-    def sets(self) -> Iterator[frozenset[int]]:
-        present = (np.flatnonzero(self._member)[:, None] >> np.arange(self.n)) & 1
-        elems = np.arange(1, self.n + 1)
-        for row in present.astype(bool):
-            yield frozenset(elems[row].tolist())
 
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n}, size={self._size})"

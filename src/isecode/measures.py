@@ -129,13 +129,7 @@ def best_window_measure(n: int, t: int, p) -> WindowSelection:
     for r in range(cap):
         if Fraction(r, t + 2 * r - 1) <= p <= Fraction(r + 1, t + 2 * r + 1):
             return WindowSelection(t, p, r, cap, window_measure(t, r, p))
-    if p < Fraction(cap, t + 2 * cap - 1):
-        raise ParameterError(f"no radius interval covers bias {p}")  # unreachable for p in (0, 1/2]
     return WindowSelection(t, p, cap, cap, window_measure(t, cap, p))
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def min_window_length(t: int, s: int) -> int:
@@ -144,7 +138,7 @@ def min_window_length(t: int, s: int) -> int:
         raise ParameterError("window-length rule needs alphabet size s >= 3")
     if t < 0:
         raise ParameterError("threshold must be non-negative")
-    return t + 2 * max(0, ceil_div(t - s + 1, s - 2))
+    return t + 2 * max(0, -((s - 1 - t) // (s - 2)))  # r = ceil((t - s + 1) / (s - 2))
 
 
 def power_bound(n: int, s: int, demand: Sequence[int]) -> int:

@@ -76,9 +76,9 @@ def brute_pinned_violation(family: Family, pinned):
 
 
 def brute_up_closure(family: SetFamily) -> SetFamily:
-    masks = list(family.masks())
+    masks = list(family.indices())
     ups = [m for m in range(1 << family.n) if any(a & m == a for a in masks)]
-    return SetFamily.from_masks(family.n, ups)
+    return SetFamily.from_indices(family.n, ups)
 
 
 def brute_intersecting(family: Family, demand) -> bool:

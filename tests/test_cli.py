@@ -83,6 +83,23 @@ def test_construct_density_only(capsys):
     assert out.strip() == "11/243"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("product", "-n", "5", "-s", "3", "-t", "3,0,0"),
+        ("window", "-n", "3", "-t", "1", "-r", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_construct_density_only_refuses_output(capsys, tmp_path, argv):
+    path = tmp_path / "x.fam"
+    code, out, err = run_cli(capsys, "construct", *argv, "--density-only", "-o", str(path))
+    assert code == 2
+    assert out == ""
+    assert "refusal: --density-only builds no family to write" in err
+    assert not path.exists()
+
+
 def test_construct_product_beyond_capacity(capsys):
     argv = ("construct", "product", "-n", "6", "-s", "3", "-t", "4,0,0")
     code, report, _ = run_json(capsys, *argv)

@@ -159,11 +159,11 @@ def test_window_threshold_family_examples():
     assert fam == SetFamily.from_sets(3, [{1, 2}, {1, 2, 3}])
     fam = window_threshold_family(3, 1, 1)
     assert len(fam) == 4
-    assert fam == SetFamily.from_masks(3, [m for m in range(8) if (m & 7).bit_count() >= 2])
+    assert fam == SetFamily.from_indices(3, [m for m in range(8) if (m & 7).bit_count() >= 2])
     # radius 0 is the fixed-prefix family
     for n in range(2, 6):
         for t in range(0, n + 1):
-            assert window_threshold_family(n, t, 0) == SetFamily.from_masks(
+            assert window_threshold_family(n, t, 0) == SetFamily.from_indices(
                 n, [m for m in range(1 << n) if m & ((1 << t) - 1) == (1 << t) - 1]
             )
     with pytest.raises(ParameterError):
@@ -190,7 +190,7 @@ def test_lift_density_and_projection():
         n = rng.randint(1, 4)
         s = rng.choice((2, 3))
         sym = rng.randint(1, s)
-        base = SetFamily.from_masks(
+        base = SetFamily.from_indices(
             n, [m for m in range(1 << n) if rng.random() < 0.4]
         ).up_closure()
         lifted = lift_family(base, sym, s)

@@ -308,7 +308,7 @@ def test_set_family_sweeps_match_brute_force(monkeypatch, n, rows):
     _patch_block_rows(monkeypatch, rows, 2, n)
     rng = random.Random(n)
     for _ in range(6):
-        fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(0, min(4, 1 << n))))
+        fam = SetFamily.from_indices(n, rng.sample(range(1 << n), rng.randint(0, min(4, 1 << n))))
         up = brute_up_closure(fam)
         assert fam.up_closure() == up
         assert fam.is_upward_closed() is (fam == up)
@@ -418,7 +418,7 @@ def test_set_family_refuses_bad_ground_size_before_allocating(n):
         lambda: SetFamily.empty(n),
         lambda: SetFamily.full(n),
         lambda: SetFamily.from_array(n, np.zeros(4, dtype=bool)),
-        lambda: SetFamily.from_masks(n, [0]),
+        lambda: SetFamily.from_indices(n, [0]),
     ]
     tracemalloc.start()
     try:
@@ -455,7 +455,7 @@ def test_equal_families_built_separately_hash_equal():
     bits = sum(1 << m for m in masks)
     built = [
         SetFamily.from_sets(3, sets),
-        SetFamily.from_masks(3, masks),
+        SetFamily.from_indices(3, masks),
         SetFamily.from_array(3, member),
         SetFamily(3, bits),
     ]
@@ -471,7 +471,7 @@ def test_equal_families_built_separately_hash_equal():
     for group in (built, built_words):
         assert all(fam == group[0] for fam in group)
         assert len({hash(fam) for fam in group}) == 1
-    assert SetFamily.from_masks(3, masks[:2]) != built[0]
+    assert SetFamily.from_indices(3, masks[:2]) != built[0]
 
 
 def test_upward_closed_sweeps_once(sweeps):
