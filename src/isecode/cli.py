@@ -288,14 +288,31 @@ def cmd_verify(args) -> int:
 # The CorrelationCheck attributes that make one trial row, in column order.
 _TRIAL_FIELDS = ("seed", "trial_density", "size_a", "size_b", "common", "lhs", "rhs", "slack")
 
+# The random-mode options of correlate, by argparse dest: flag, type, default, meaning.
+# They parse as None, so --exhaustive can refuse any that is given.
+_RANDOM_OPTIONS = {
+    "n": ("-n", int, 2, "word length"),
+    "trials": ("--trials", int, 200, "number of trials"),
+    "seed": ("--seed", int, 0, "seed of the first trial"),
+    "rho": ("--rho", str, ",".join(map(format_rational, DEFAULT_TRIAL_DENSITIES)), "densities"),
+}
+
 
 def cmd_correlate(args) -> int:
     pins_a = _parse_ints(args.pins_a)
     pins_b = _parse_ints(args.pins_b)
     if args.exhaustive:
+        given = [
+            flag for dest, (flag, *_) in _RANDOM_OPTIONS.items() if getattr(args, dest) is not None
+        ]
+        if given:
+            raise ParameterError(f"--exhaustive does not use {', '.join(given)}")
         mode, n = "exhaustive", 1
         checks = exhaustive_correlation(args.s, pins_a, pins_b)
     else:
+        for dest, (_, _, default, _) in _RANDOM_OPTIONS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
         mode, n = "random", args.n
         checks = random_correlation_trials(
             args.s,
@@ -388,7 +405,7 @@ def cmd_table(args) -> int:
                 }
             )
     with _output(args.output) as out:
-        _emit_rows(rows, "json" if args.format == "json" else "csv", out)
+        _emit_rows(rows, args.format, out)
     return 0
 
 
@@ -452,14 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="negative-correlation checks")
     common(p, s=True)
-    p.add_argument("-n", type=int, default=2, help="word length (random mode)")
     p.add_argument("--pins-a", type=str, required=True, help="pinned symbols of side A")
     p.add_argument("--pins-b", type=str, required=True, help="pinned symbols of side B")
     p.add_argument("--exhaustive", action="store_true", help="all complete pairs at n = 1")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    rho = ",".join(map(format_rational, DEFAULT_TRIAL_DENSITIES))
-    p.add_argument("--rho", type=str, default=rho, help="trial densities")
+    for dest, (flag, kind, default, meaning) in _RANDOM_OPTIONS.items():
+        text = f"{meaning} (random mode, default {default})"
+        p.add_argument(flag, dest=dest, type=kind, help=text)
     p.add_argument("-o", "--output", type=str)
     p.set_defaults(func=cmd_correlate)
 
@@ -472,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=str, help="bias as p/q (measures)")
     p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     p.add_argument("-o", "--output", type=str)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     p.set_defaults(func=cmd_table)
 
     return parser

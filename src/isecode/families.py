@@ -12,8 +12,14 @@ operations act on the view `reshape(-1, s, s**(j-1))`, whose middle axis is
 the symbol at position j.  `bits` and the file formats keep the
 little-endian bitset layout.
 
-Closures and completeness checks split the positions at h = n // 2.  The
-high positions h+1..n have strides of at least s**h and run on the array.
+A closure of at most n members is the union of its members' cylinders (a
+member's pinned digits kept, every free digit allowed), one array assignment
+per member; m <= n such writes touch at most n * s**n cells, the bound of the
+position sweep that closes larger families.
+
+The position sweeps of closures and completeness checks split the positions
+at h = n // 2.  The high positions h+1..n have strides of at least s**h and
+run on the array.
 The low positions 1..h, whose strides 1, s, s**2, ... make numpy's inner
 loops tiny, run on the (s**(n-h), s**h) matrix of the array one row block at
 a time: each block of r rows (about _BLOCK_BYTES bytes) is copied as its
@@ -93,13 +99,31 @@ def _low_blocks(grid: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, np.ascontiguousarray(grid[lo : lo + step].T)
 
 
-def _closure(member: np.ndarray, s: int, n: int, free: Sequence[int]) -> np.ndarray:
-    """Closure of `member` under rewriting any digit in `free` to any digit.
+def _closure(
+    member: np.ndarray, s: int, n: int, free: Sequence[int], size: int
+) -> np.ndarray:
+    """Closure of `member`, with `size` members, under rewriting any digit in `free`.
 
-    One pass over the positions suffices: the rewrites at different
-    positions commute.  Positions 1..n // 2 run block by block on transposed
-    copies (`_low_blocks`), each written back; the rest run on the array.
+    A member x reaches exactly the cylinder that keeps x's non-free digits
+    and allows any digit elsewhere.  With size <= n the closure is the union
+    of those cylinders, one basic-index assignment each into the (s,) * n
+    view; these write at most n * s**n cells, the bound of the sweep below.
+    Larger families take that sweep: one pass over the positions suffices,
+    because the rewrites at different positions commute.  Positions
+    1..n // 2 run block by block on transposed copies (`_low_blocks`), each
+    written back; the rest run on the array.
     """
+    if size <= n:
+        out = np.zeros(member.size, dtype=bool)
+        cube = out.reshape((s,) * n)
+        for x in np.flatnonzero(member).tolist():
+            axes = [slice(None)] * n
+            for j in reversed(range(n)):  # position 1 is the last axis
+                x, d = divmod(x, s)
+                if d not in free:
+                    axes[j] = d
+            cube[tuple(axes)] = True
+        return out
     out = member.copy()
     h = n // 2
     grid = out.reshape(-1, s**h)
@@ -259,7 +283,7 @@ class _Dense:
     def _closed(self: _D, free: Sequence[int]) -> _D:
         """Closure under rewriting any digit in `free` to any digit."""
         s, n = self.params.s, self.params.n
-        return self._wrap(self.params, _closure(self._member, s, n, free))
+        return self._wrap(self.params, _closure(self._member, s, n, free, self._size))
 
     def _gap(self, free: Sequence[int]) -> tuple[int, int] | None:
         """`_first_gap` of the membership array, swept once per free-digit set.
@@ -352,7 +376,9 @@ class Family(_Dense):
 
         Equivalently: every member may have all coordinates carrying
         non-pinned symbols rewritten arbitrarily.  The pinned set must be a
-        nonempty proper subset of the alphabet.
+        nonempty proper subset of the alphabet.  A family of at most n
+        members is closed as the union of its members' cylinders, a larger
+        one by the position sweep; both give the same family.
         """
         return self._closed(self._free_digits(pinned))
 

@@ -316,6 +316,40 @@ def test_correlate_exhaustive(capsys):
     assert report["min_slack"] == 0
 
 
+@pytest.mark.parametrize(
+    "extra,flags",
+    [
+        (("-n", "5"), "-n"),
+        (("--trials", "3"), "--trials"),
+        (("--seed", "0"), "--seed"),
+        (("--rho", "1/8,1/4,1/2"), "--rho"),
+        (("-n", "5", "--trials", "3"), "-n, --trials"),
+    ],
+)
+def test_correlate_exhaustive_refuses_random_options(capsys, extra, flags):
+    # passing a random-mode option, even at its default value, is refused
+    code, out, err = run_cli(
+        capsys, "correlate", "-s", "3", "--pins-a", "1", "--pins-b", "2", "--exhaustive", *extra
+    )
+    assert (code, out) == (2, "")
+    assert err == f"refusal: --exhaustive does not use {flags}\n"
+
+
+def test_correlate_random_defaults(capsys):
+    code, report, _ = run_json(capsys, "correlate", "-s", "3", "--pins-a", "1", "--pins-b", "2")
+    assert code == 0
+    assert report["mode"] == "random" and report["n"] == 2
+    assert [row["seed"] for row in report["trials"]] == list(range(200))
+    assert [row["trial_density"] for row in report["trials"][:4]] == ["1/8", "1/4", "1/2", "1/8"]
+
+
+def test_table_refuses_text_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--what", "bounds", "--format", "text"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
+
+
 def test_table_bounds_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--what", "bounds", "-s", "3", "--n-max", "2")
     assert code == 0

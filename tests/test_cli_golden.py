@@ -1,8 +1,9 @@
 """Byte-exact CLI output: stdout, stderr and exit code of a fixed command matrix.
 
 The expected text lives in cli_golden.json next to this file.  `search` is left
-out because its report carries timings.  After a deliberate output change,
-regenerate the file with
+out because its report carries timings.  A command that argparse refuses is
+recorded with its exit code and usage text, formatted at 80 columns.  After a
+deliberate output change, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -64,8 +67,12 @@ def _family_file(directory: Path) -> str:
 
 def _run(argv) -> dict:
     out, err = io.StringIO(newline=""), io.StringIO(newline="")
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+    # argparse wraps its usage text to COLUMNS, else to the terminal's width
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses before main returns
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -97,6 +104,9 @@ def test_cli_output_is_byte_identical(golden, case, tmp_path):
 def test_output_file_holds_the_stdout_bytes(golden, case, tmp_path):
     path = tmp_path / "report.out"
     result = _run_case(case, tmp_path, "-o", str(path))
+    if golden[case]["code"] != 0:  # a refused command writes no file and reports as before
+        assert result == golden[case] and not path.exists()
+        return
     assert result == {"code": golden[case]["code"], "stdout": "", "stderr": ""}
     with open(path, newline="") as f:
         assert f.read() == golden[case]["stdout"]

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -277,6 +278,9 @@ def test_sweep_kernels_match_witness_oracle(monkeypatch, s, n, rows):
         raw = Family.from_words(params, seeds)
         closed = raw.pinned_closure(pins)
         assert closed == brute_closure(raw, pins)
+        # more than n members: the position sweep over the patched row blocks
+        many = Family.from_indices(params, rng.sample(range(params.size), n + 1))
+        assert many.pinned_closure(pins) == brute_closure(many, pins)
         # dropping one member opens gaps at the positions its neighbours reach it from
         punctured = closed - Family.from_words(params, [rng.choice(list(closed.members()))])
         for fam in (raw, closed, punctured):
@@ -284,6 +288,54 @@ def test_sweep_kernels_match_witness_oracle(monkeypatch, s, n, rows):
                 want = brute_pinned_violation(fam, p)
                 assert fam.pinned_violation(p) == want
                 assert fam.is_pinned_complete(p) is (want is None)
+
+
+# Spaces for the two closure rules, small enough for the brute-force closure.
+RULE_SPACES = [(2, n) for n in range(1, 5)] + [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+
+
+def _pin_sets(s):
+    """Every nonempty proper subset of the alphabet 1..s."""
+    return [set(c) for r in range(1, s) for c in combinations(range(1, s + 1), r)]
+
+
+@pytest.mark.parametrize("s,n", RULE_SPACES)
+def test_both_closure_rules_match_brute_force(s, n):
+    # 0, 1 and n members take the cylinder rule, n + 1 members the sweep
+    params = SpaceParams(s, n)
+    rng = random.Random(10 * s + n)
+    for pins in _pin_sets(s):
+        for m in (0, 1, n, n + 1):
+            fam = Family.from_indices(params, rng.sample(range(params.size), m))
+            assert len(fam) == m
+            assert fam.pinned_closure(pins) == brute_closure(fam, pins)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_both_up_closure_rules_match_brute_force(n):
+    rng = random.Random(n)
+    for m in (0, 1, n, n + 1):
+        for _ in range(3):
+            fam = SetFamily.from_indices(n, rng.sample(range(1 << n), m))
+            assert fam.up_closure() == brute_up_closure(fam)
+
+
+def test_few_member_closures_never_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("position sweep called")
+
+    monkeypatch.setattr(isecode.families, "_position_pass", no_sweep)
+    rng = random.Random(7)
+    for s, n in [(2, 6), (3, 4), (4, 3), (5, 2)]:
+        params = SpaceParams(s, n)
+        for m in range(n + 1):
+            fam = Family.from_indices(params, rng.sample(range(params.size), m))
+            assert fam.pinned_closure({1}) == brute_closure(fam, {1})
+        sets = SetFamily.from_indices(n, rng.sample(range(1 << n), n))
+        assert sets.up_closure() == brute_up_closure(sets)
+        more = Family.from_indices(params, rng.sample(range(params.size), n + 1))
+        with pytest.raises(AssertionError, match="position sweep called"):
+            more.pinned_closure({1})
 
 
 def test_first_gap_position_wins_over_block_order(monkeypatch):
