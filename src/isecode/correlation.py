@@ -73,8 +73,10 @@ def _check_pins(params: SpaceParams, pins_a, pins_b) -> tuple[frozenset[int], fr
 
 
 def _require_complete(fam_a: Family, fam_b: Family, a: frozenset[int], b: frozenset[int]) -> None:
+    """Raise CompletenessError for the first incomplete input; a and b are validated pin sets."""
+    s = fam_a.params.s
     for label, fam, pins in (("A", fam_a, a), ("B", fam_b, b)):
-        witness = fam.pinned_violation(pins)
+        witness = fam._violation([c for c in range(s) if c + 1 not in pins])
         if witness is not None:
             raise CompletenessError(label, witness)
 
@@ -86,7 +88,8 @@ def check_correlation(fam_a: Family, fam_b: Family, pins_a, pins_b) -> Correlati
     params = fam_a.params
     a, b = _check_pins(params, pins_a, pins_b)
     _require_complete(fam_a, fam_b, a, b)
-    return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), len(fam_a & fam_b))
+    common = int(np.count_nonzero(fam_a.array & fam_b.array))
+    return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), common)
 
 
 def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Family:
@@ -189,8 +192,12 @@ def slice_structure_report(
         raise ParameterError("slice facts need word length n >= 2")
     a, b = _check_pins(params, pins_a, pins_b)
     _require_complete(fam_a, fam_b, a, b)
-    sizes_a = tuple(len(sl) for sl in fam_a.slices())
-    sizes_b = tuple(len(sl) for sl in fam_b.slices())
+    # the last position is the most significant digit: slice i is row i of the (s, -1)
+    # view; counting row by row beats count_nonzero(axis=1), which is not a byte count
+    sizes_a, sizes_b = (
+        tuple(np.count_nonzero(row) for row in fam.array.reshape(params.s, -1))
+        for fam in (fam_a, fam_b)
+    )
     free_a = [sizes_a[sym - 1] for sym in range(1, params.s + 1) if sym not in a]
     free_b = [sizes_b[sym - 1] for sym in range(1, params.s + 1) if sym not in b]
     violations = []

@@ -41,12 +41,13 @@ from .words import (
     ParameterError,
     SpaceParams,
     Word,
-    agreement_blocks,
+    agreement_rows,
     check_demand,
     check_symbol_set,
     decode,
     decode_matrix,
     encode,
+    pack_rows,
     parse_word,
 )
 
@@ -363,7 +364,8 @@ class Family(_Dense):
         for sym, need in enumerate(t, start=1):
             if need and int((digits == sym).sum(axis=1).min()) < need:
                 return False  # some self pair already fails
-        return all(block.all() for _, block in agreement_blocks(digits, t))
+        full = pack_rows(np.ones((1, self._size), dtype=bool))
+        return all((rows == full).all() for _, rows in agreement_rows(digits, t))
 
     # -- pinned closure ----------------------------------------------------
 
@@ -388,7 +390,10 @@ class Family(_Dense):
         The position is the first one whose rewrites reach a non-member, y
         the lowest such non-member and x a member it is reached from.
         """
-        free = self._free_digits(pinned)
+        return self._violation(self._free_digits(pinned))
+
+    def _violation(self, free: Sequence[int]) -> tuple[Word, Word, int] | None:
+        """`pinned_violation` for the free digits of a pinned set already validated."""
         found = self._gap(free)
         if found is None:
             return None

@@ -8,9 +8,10 @@ The solver is one depth-first bitset branch-and-bound with greedy-coloring
 bounds (after San Segundo et al., BBMC), run on an explicit stack from a
 deterministic greedy incumbent.  Each node colors its candidates one class
 at a time, as BBMC and Tomita & Kameda's MCS do; the classes are those of
-first-fit coloring in ascending vertex order.  Coloring and branching follow
-ascending vertex order, so witnesses and node counts are identical from run
-to run.
+first-fit coloring in ascending vertex order, and classes whose color bound
+cannot beat the incumbent are colored but not kept (Tomita & Seki's MCQ
+rule).  Coloring and branching follow ascending vertex order, so witnesses
+and node counts are identical from run to run.
 
 The graph is invariant under permutations of the positions and under
 permutations of symbols with equal demand, and so is the vertex filter.  The
@@ -35,7 +36,7 @@ from .families import Family
 from .words import (
     ParameterError,
     SpaceParams,
-    agreement_blocks,
+    agreement_rows,
     check_demand,
     decode_matrix,
     symbol_count,
@@ -78,11 +79,11 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
     rows: list[int] = []
-    for lo, block in agreement_blocks(decode_matrix(params, verts), t):
-        diag = np.arange(block.shape[0])
-        block[diag, lo + diag] = False
-        packed = np.packbits(block, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    for lo, block in agreement_rows(decode_matrix(params, verts), t):
+        i = np.arange(block.shape[0])
+        slot = lo + i  # the self bit: bit slot % 8 of the row's byte slot // 8
+        block.view(np.uint8)[i, slot >> 3] &= ~(1 << (slot & 7)).astype(np.uint8)
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in block)
     return CompatGraph(params, t, tuple(int(v) for v in verts), tuple(rows))
 
 
@@ -140,14 +141,17 @@ class SearchResult:
         return Fraction(self.max_size, self.params.size)
 
 
-def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of cand; vertices returned by ascending color, ascending within a color.
+def _color_order(cand: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of cand; the vertices of colors >= kmin, by ascending color,
+    ascending within a color, and their colors.
 
     Classes are built one at a time (BBMC): class k takes the lowest vertex
     left in q, the uncolored vertices not adjacent to the class so far, until
     q is empty.  By induction on ascending index these are exactly the
     classes of first-fit coloring in ascending vertex order, at O(1) bitset
-    operations per vertex whatever the number of classes.
+    operations per vertex whatever the number of classes.  Classes below
+    kmin are colored but not returned (the MCQ rule of Tomita & Seki): their
+    color bound cannot beat the incumbent, so they are never branched on.
     """
     order: list[int] = []
     bounds: list[int] = []
@@ -156,13 +160,15 @@ def _color_order(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     while rest:
         color += 1
         q = rest
+        keep = color >= kmin
         while q:
             low = q & -q
             v = low.bit_length() - 1
             q ^= low | (q & adj[v])
             rest ^= low
-            order.append(v)
-            bounds.append(color)
+            if keep:
+                order.append(v)
+                bounds.append(color)
     return order, bounds
 
 
@@ -244,7 +250,7 @@ def _branch(
     and is not a node.  Returns the best clique, the number of nodes expanded
     and whether the search finished before the deadline.
     """
-    order, bounds = _color_order(cand, adj)
+    order, bounds = _color_order(cand, adj, len(best) + 1)
     stack = [[order, bounds, cand]]
     clique: list[int] = []
     nodes = 1
@@ -271,7 +277,8 @@ def _branch(
             nodes += 1
             if deadline is not None and time.monotonic() > deadline:
                 return best, nodes, False
-            order, bounds = _color_order(nxt, adj)
+            # the new frame opens with clique as it is now
+            order, bounds = _color_order(nxt, adj, len(best) - len(clique) + 1)
             stack.append([order, bounds, nxt])
         else:
             if len(clique) > len(best):

@@ -1,9 +1,10 @@
 """Shared brute-force oracles, kept independent of the library's fast paths.
 
 These recompute expected values from the raw definitions (explicit loops over
-words and pairs) so the bitset / gram-matrix implementations are checked
-against a second route.  The `sweeps` fixture records the completeness sweeps
-a test causes, so tests can count them.
+words and pairs) so the bitset implementations, the agreement kernel's
+packed rows among them, are checked against a second route.  The `sweeps`
+fixture records the completeness sweeps a test causes, so tests can count
+them.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import isecode.families
 from isecode import Family, SetFamily, SpaceParams
-from isecode.words import decode, leq_pinned, satisfies
+from isecode.words import decode, leq_pinned, profile, satisfies
 
 
 @pytest.fixture
@@ -91,6 +93,19 @@ def brute_intersecting(family: Family, demand) -> bool:
         if not satisfies(params, y, z, demand):
             return False
     return True
+
+
+def brute_agreement(params: SpaceParams, rows, demands) -> dict:
+    """Per demand, the (m, m) bool matrix of `satisfies` over ordered pairs of rows.
+
+    Each pair's profile is computed once by `profile` and compared with every
+    demand componentwise, as `satisfies` compares it.
+    """
+    m = len(rows)
+    prof = np.array(
+        [profile(params, y, z) for y in rows for z in rows], dtype=np.int64
+    ).reshape(m, m, params.s)
+    return {t: (prof >= np.array(t, dtype=np.int64)).all(axis=2) for t in demands}
 
 
 def brute_max_intersecting(n: int, s: int, demand) -> int:

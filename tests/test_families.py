@@ -18,7 +18,7 @@ from isecode import (
 )
 import isecode.families
 import isecode.words
-from isecode.words import agreement_blocks, decode, leq_pinned
+from isecode.words import agreement_rows, decode, leq_pinned, pack_rows
 
 from conftest import (
     brute_closure,
@@ -71,8 +71,8 @@ def test_is_t_intersecting_includes_self_pairs():
 
 
 def test_is_t_intersecting_across_chunks(monkeypatch):
-    # float32 grams of 100 members: 10 rows per block of 4,000 bytes
-    monkeypatch.setattr(isecode.words, "_GRAM_CHUNK_BYTES", 4000)
+    # packed rows of 100 members are two uint64 words: 10 rows per plane of 160 bytes
+    monkeypatch.setattr(isecode.words, "_PLANE_BYTES", 160)
     p = SpaceParams(3, 8)
     demand = (2, 0, 0)
     # the 98 lowest-index words carrying symbol 1 at positions 1-3 agree there pairwise
@@ -84,7 +84,10 @@ def test_is_t_intersecting_across_chunks(monkeypatch):
     fam = Family.from_words(p, base + [y, z])
     members = list(fam.members())
     assert len(members) == 100 and set(members[-2:]) == {y, z}
-    assert len(list(agreement_blocks(np.array(members), demand))) == 10
+    full = pack_rows(np.ones((1, 100), dtype=bool))
+    chunks = list(agreement_rows(np.array(members), demand))
+    assert [lo for lo, _ in chunks] == list(range(0, 100, 10))
+    assert [bool((rows == full).all()) for _, rows in chunks] == [True] * 9 + [False]
     assert not fam.is_t_intersecting(demand)
     assert not brute_intersecting(fam, demand)
     for drop in (y, z):
@@ -94,7 +97,7 @@ def test_is_t_intersecting_across_chunks(monkeypatch):
 
 
 def test_is_t_intersecting_exact_at_the_threshold():
-    # at n = 26 the float32 gram counts must land exactly on need - 1 and need
+    # at n = 26 the agreement counters must land exactly on need - 1 and need
     p = SpaceParams(2, 26)
     x = (1,) * 26
     y = (1,) * 25 + (2,)
@@ -109,8 +112,9 @@ def test_is_t_intersecting_exact_at_the_threshold():
         fam = Family.from_words(p, members)
         assert fam.is_t_intersecting((need, 0)) is ok
         assert brute_intersecting(fam, (need, 0)) is ok
-        blocks = list(agreement_blocks(np.array(members, dtype=np.uint8), (need, 0)))
-        assert len(blocks) == 1 and bool(blocks[0][1].all()) is ok
+        chunks = list(agreement_rows(np.array(members, dtype=np.uint8), (need, 0)))
+        full = pack_rows(np.ones((1, len(members)), dtype=bool))
+        assert len(chunks) == 1 and bool((chunks[0][1] == full).all()) is ok
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -271,8 +271,14 @@ def test_color_order_is_ascending_first_fit(n, s, t):
     cands += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
     cands += [adj[v] for v in rng.sample(range(m), 10)]
     for cand in cands:
-        assert _color_order(cand, adj) == _first_fit(cand, adj)
-    assert _color_order(cands[0], adj)[1][-1] > 1  # the whole graph needs several classes
+        order, bounds = _first_fit(cand, adj)
+        assert _color_order(cand, adj, 1) == (order, bounds)
+        top = bounds[-1] if bounds else 0
+        for kmin in (2, 3, top, top + 1):
+            # classes below kmin are colored (they shape the later classes) but not returned
+            kept = [(v, c) for v, c in zip(order, bounds) if c >= kmin]
+            assert _color_order(cand, adj, kmin) == ([v for v, _ in kept], [c for _, c in kept])
+    assert _color_order(cands[0], adj, 1)[1][-1] > 1  # the whole graph needs several classes
 
 
 @pytest.mark.parametrize(
