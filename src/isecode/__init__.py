@@ -6,17 +6,7 @@ explicit constructions, pinned closures, exact biased measures, size bounds,
 a brute-force maximum-family search, and negative-correlation checks.
 """
 
-from .words import (
-    DEFAULT_DENSE_CAP,
-    ParameterError,
-    SpaceParams,
-    decode,
-    encode,
-    leq_pinned,
-    meet,
-    profile,
-    satisfies,
-)
+from .words import DEFAULT_DENSE_CAP, ParameterError, SpaceParams, decode, encode
 from .families import Family, FamilyFormatError, SetFamily, load_family, save_family
 from .measures import (
     CapacityError,

@@ -419,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n=False, s=False, t=False):
+    def common(p, *, n=False, s=False, t=None):
         if n:
             p.add_argument("-n", type=int, required=True, help="word length")
         if s:
             p.add_argument("-s", type=int, required=True, help="alphabet size")
-        if t:
-            p.add_argument("-t", type=str, help="demand vector, e.g. 1,1,0")
+        if t is not None:  # t says whether -t is required
+            p.add_argument("-t", type=str, required=t, help="demand vector, e.g. 1,1,0")
         p.add_argument(
             "--format",
             choices=("text", "json", "csv"),
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "kind", choices=("product", "binary-majority", "symbol-majority", "window")
     )
-    common(p, n=True, t=True)
+    common(p, n=True, t=False)
     p.add_argument("-s", type=int, default=2, help="alphabet size (default 2)")
     p.add_argument("--x1", type=str, help="first block positions, e.g. 1,2,3")
     p.add_argument("--x2", type=str, help="second block positions")

@@ -136,6 +136,8 @@ def random_correlation_trials(
     a, b = _check_pins(params, pins_a, pins_b)
     if trials < 0:
         raise ParameterError("trial count must be non-negative")
+    if not densities:
+        raise ParameterError("trial densities must be nonempty")
     checks = []
     for k in range(trials):
         seed = seed_base + k

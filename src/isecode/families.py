@@ -47,8 +47,11 @@ from .words import (
     decode,
     decode_matrix,
     encode,
+    encode_matrix,
+    int_rows,
     pack_rows,
     parse_word,
+    unpack_ints,
 )
 
 
@@ -140,43 +143,26 @@ def _closure(
     return out
 
 
-def _first_gap(
-    member: np.ndarray, s: int, n: int, free: Sequence[int]
-) -> tuple[int, int] | None:
-    """(position, lowest added index) at the first position whose rewrites add words.
+def _is_closed(member: np.ndarray, s: int, n: int, free: Sequence[int]) -> bool:
+    """True when no rewrite of a digit in `free` at any position reaches a non-member.
 
-    Returns None when no position adds a word, that is when `member` is
-    closed.  Positions are checked in ascending order with an early exit.
     The low positions 1..h (h = n // 2) are checked block by block on the
-    transposed row blocks of `_low_blocks`; a block only checks positions
-    below the first gap of the blocks before it, whose indices are all
-    lower, so the first gapped position and its lowest added index are
-    those of a sweep over the whole array.  The positions above h, whose
-    strides are at least s**h, are checked on the array itself.
+    transposed row blocks of `_low_blocks`, the positions above h, whose
+    strides are at least s**h, on the array itself; the check stops at the
+    first gap it meets.
     """
     h = n // 2
-    width = s**h
-    found = None
-    for lo, block in _low_blocks(member.reshape(-1, width)):
+    for _, block in _low_blocks(member.reshape(-1, s**h)):
         rows = block.shape[1]
-        for j in range(h if found is None else found[0] - 1):
+        for j in range(h):
             view, reach = _position_pass(block, s, rows * s**j, free)
-            gap = reach > view  # reachable and not a member
-            if np.count_nonzero(gap):  # cheaper than gap.any() on small arrays
-                # the block's cell (c, r) is index (lo + r) * width + c
-                first = int(np.argmax(gap.reshape(width, rows).T))
-                found = (j + 1, lo * width + first)
-                break
-        if found is not None and found[0] == 1:
-            break
-    if found is not None:
-        return found
+            if np.count_nonzero(reach > view):  # cheaper than any() on small arrays
+                return False
     for j in range(h, n):
         view, reach = _position_pass(member, s, s**j, free)
-        gap = reach > view
-        if np.count_nonzero(gap):
-            return j + 1, int(np.argmax(gap))
-    return None
+        if np.count_nonzero(reach > view):
+            return False
+    return True
 
 
 _D = TypeVar("_D", bound="_Dense")
@@ -191,22 +177,21 @@ class _Dense:
     SpaceParams whose words index the array.
     """
 
-    __slots__ = ("params", "_member", "_size", "_gaps")
+    __slots__ = ("params", "_member", "_size", "_complete_for")
     _unit = "index"  # what one array index is called in error messages
 
     def __init__(self, space, bits: int = 0):
         params = self._space(space)
         if bits < 0 or bits >> params.size:
             raise ParameterError(f"membership bits outside the {self._unit} range")
-        raw = np.frombuffer(bits.to_bytes((params.size + 7) // 8, "little"), dtype=np.uint8)
-        self._set(params, np.unpackbits(raw, count=params.size, bitorder="little").view(bool))
+        self._set(params, unpack_ints([bits], params.size)[0])
 
     def _set(self, params: SpaceParams, member: np.ndarray) -> None:
         member.flags.writeable = False
         self.params = params
         self._member = member
         self._size = int(np.count_nonzero(member))
-        self._gaps: dict[tuple[int, ...], tuple[int, int] | None] = {}
+        self._complete_for: dict[tuple[int, ...], bool] = {}
 
     @classmethod
     def _wrap(cls: type[_D], params: SpaceParams, member: np.ndarray) -> _D:
@@ -260,7 +245,7 @@ class _Dense:
     @property
     def bits(self) -> int:
         """Membership as a little-endian int bitset: bit k is index k."""
-        return int.from_bytes(_pack(self._member), "little")
+        return int_rows(pack_rows(self._member[None]))[0]
 
     def __len__(self) -> int:
         return self._size
@@ -286,15 +271,15 @@ class _Dense:
         s, n = self.params.s, self.params.n
         return self._wrap(self.params, _closure(self._member, s, n, free, self._size))
 
-    def _gap(self, free: Sequence[int]) -> tuple[int, int] | None:
-        """`_first_gap` of the membership array, swept once per free-digit set.
+    def _complete(self, free: Sequence[int]) -> bool:
+        """`_is_closed` of the membership array, swept once per free-digit set.
 
         The array is read-only, so the answer cannot go stale.
         """
         key = tuple(free)
-        if key not in self._gaps:
-            self._gaps[key] = _first_gap(self._member, self.params.s, self.params.n, key)
-        return self._gaps[key]
+        if key not in self._complete_for:
+            self._complete_for[key] = _is_closed(self._member, self.params.s, self.params.n, key)
+        return self._complete_for[key]
 
 
 class Family(_Dense):
@@ -393,18 +378,28 @@ class Family(_Dense):
         return self._violation(self._free_digits(pinned))
 
     def _violation(self, free: Sequence[int]) -> tuple[Word, Word, int] | None:
-        """`pinned_violation` for the free digits of a pinned set already validated."""
-        found = self._gap(free)
-        if found is None:
+        """`pinned_violation` for the free digits of a pinned set already validated.
+
+        After a failed completeness check, one plain pass per position over
+        the array names the witness.
+        """
+        if self._complete(free):
             return None
-        pos, y_idx = found
-        s, stride = self.params.s, self.params.s ** (pos - 1)
-        digit = (y_idx // stride) % s
-        x_idx = next(x for x in (y_idx + (c - digit) * stride for c in free) if self._member[x])
-        return decode(self.params, x_idx), decode(self.params, y_idx), pos
+        s = self.params.s
+        for j in range(self.params.n):
+            view, reach = _position_pass(self._member, s, s**j, free)
+            gap = reach > view  # reachable and not a member, in index order
+            if gap.any():
+                y_idx, stride = int(np.argmax(gap)), s**j
+                digit = (y_idx // stride) % s
+                x_idx = next(
+                    x for x in (y_idx + (c - digit) * stride for c in free) if self._member[x]
+                )
+                return decode(self.params, x_idx), decode(self.params, y_idx), j + 1
+        raise AssertionError("a family that failed the completeness check has no gap")
 
     def is_pinned_complete(self, pinned: Iterable[int]) -> bool:
-        return self._gap(self._free_digits(pinned)) is None
+        return self._complete(self._free_digits(pinned))
 
     # -- slices and projections ---------------------------------------------
 
@@ -477,7 +472,7 @@ class SetFamily(_Dense):
         return f"SetFamily(n={self.n}, size={self._size})"
 
     def is_upward_closed(self) -> bool:
-        return self._gap([0]) is None
+        return self._complete([0])
 
     def up_closure(self) -> "SetFamily":
         return self._closed([0])
@@ -536,10 +531,7 @@ def _load_text(path: str) -> Family:
     # one n-byte row per line: shorter lines are zero padded, longer cut
     chars = np.array(texts, dtype=f"S{n}").view(np.uint8).reshape(len(texts), n)
     ok = (sizes == n) & ((chars >= ord("1")) & (chars <= ord("0") + s)).all(axis=1)
-    rows, digits = np.flatnonzero(ok), chars[ok] - ord("1")
-    idx = np.zeros(rows.size, dtype=np.int64)
-    for j in reversed(range(n)):  # position 1 is the least significant digit
-        idx = idx * s + digits[:, j]
+    rows, idx = np.flatnonzero(ok), encode_matrix(params, chars[ok] - ord("0"))
     repeat = np.ones(rows.size, dtype=bool)
     repeat[np.unique(idx, return_index=True)[1]] = False
     first_bad = int(np.flatnonzero((sizes > 0) & ~ok).min(initial=len(texts)))

@@ -39,7 +39,11 @@ from .words import (
     agreement_rows,
     check_demand,
     decode_matrix,
+    encode_matrix,
+    int_rows,
+    pack_rows,
     symbol_count,
+    unpack_ints,
 )
 
 VERTEX_CAP = 1 << 16
@@ -83,7 +87,7 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
         i = np.arange(block.shape[0])
         slot = lo + i  # the self bit: bit slot % 8 of the row's byte slot // 8
         block.view(np.uint8)[i, slot >> 3] &= ~(1 << (slot & 7)).astype(np.uint8)
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in block)
+        rows.extend(int_rows(block))
     return CompatGraph(params, t, tuple(int(v) for v in verts), tuple(rows))
 
 
@@ -103,8 +107,7 @@ def _orbit_masks(graph: CompatGraph) -> tuple[list[int], list[int]]:
     orbit = [keys.setdefault(row, len(keys)) for row in map(bytes, key)]
     member = np.zeros((len(keys), len(orbit)), dtype=bool)
     member[orbit, np.arange(len(orbit))] = True
-    packed = np.packbits(member, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed], orbit
+    return int_rows(pack_rows(member)), orbit
 
 
 @dataclass(frozen=True)
@@ -172,12 +175,6 @@ def _color_order(cand: int, adj: Sequence[int], kmin: int) -> tuple[list[int], l
     return order, bounds
 
 
-def _slots(x: int, m: int) -> np.ndarray:
-    """Ascending slots of the set bits of a bitset over m vertex slots."""
-    raw = np.frombuffer(x.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, count=m, bitorder="little"))
-
-
 def _greedy_clique(
     adj: Sequence[int], cand: int, deadline: float | None
 ) -> tuple[list[int], bool]:
@@ -203,7 +200,6 @@ def _greedy_clique(
     the pass is a clique.
     """
     m = len(adj)
-    nbytes = (m + 7) // 8
     chunk = max(1, _ROW_CHUNK_BYTES // max(m, 1))
     score = np.full(m, -1, dtype=np.int32)
     clique: list[int] = []
@@ -211,19 +207,16 @@ def _greedy_clique(
     while pool:
         if pool.bit_count() <= gone.bit_count():
             score.fill(-1)
-            live = _slots(pool, m)
+            live = np.flatnonzero(unpack_ints([pool], m)[0])
             score[live] = [(adj[u] & pool).bit_count() for u in live.tolist()]
         else:
-            # often two vertices on dense graphs, where _slots' m-bit unpack would dominate
+            # often two vertices on dense graphs, where unpacking the m-bit pool would dominate
             out = list(_iter_bits(gone))
             for lo in range(0, len(out), chunk):
                 if deadline is not None and time.monotonic() > deadline:
                     return clique, True
-                rows = b"".join(adj[r].to_bytes(nbytes, "little") for r in out[lo : lo + chunk])
-                block = np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes)
-                score -= np.unpackbits(block, axis=1, count=m, bitorder="little").sum(
-                    axis=0, dtype=np.int32
-                )
+                rows = [adj[r] for r in out[lo : lo + chunk]]
+                score -= unpack_ints(rows, m).sum(axis=0, dtype=np.int32)
             score[out] = -1
         pick = int(score.argmax())
         clique.append(pick)
@@ -319,8 +312,8 @@ def max_family(
     marks.append(time.monotonic())
     stats = SearchStats(*(b - a for a, b in zip(marks, marks[1:])), incumbent)
     found = decode_matrix(params, np.array([graph.vertices[v] for v in best], dtype=np.int64))
-    digits = np.array(order, dtype=np.int64)[found - 1]
-    witness = Family.from_indices(params, digits @ s ** np.arange(n, dtype=np.int64))
+    caller = np.array(order, dtype=np.uint8) + 1  # the caller's symbol of each searched digit
+    witness = Family.from_indices(params, encode_matrix(params, caller[found - 1]))
     return SearchResult(
         params,
         t,

@@ -1,11 +1,17 @@
-"""Words over the alphabet {1..s}: index codec, meets, agreement profiles, pinned order.
+"""Words over the alphabet {1..s}: index codec, bitset rows, agreement kernel, pinned order.
 
 A word is a plain tuple of n symbols from {1..s}.  Its dense index is
 little-endian in positions: position 1 is the least significant base-s digit,
 so slicing a family by the symbol at the last position is a contiguous block
 of the index range.  Families are bool arrays in this order, one byte per
 word; `reshape(-1, s, s**(j-1))` of one puts the symbol at position j on the
-middle axis, so whole-space work never decodes every index.
+middle axis, so whole-space work never decodes every index.  `encode` and
+`decode` map one word, `encode_matrix` and `decode_matrix` many at once.
+
+This module also owns the little-endian bitset layout: bit y of a row is
+column y.  `pack_rows` packs bool rows into uint64 words, `int_rows` turns
+packed rows into Python ints and `unpack_ints` turns ints back into bool
+rows; the search's adjacency rows and `Family.bits` use no other route.
 
 The agreement kernel `agreement_rows` answers the pairwise demand for the
 rows of a decoded symbol matrix as packed uint64 bitset rows, one row chunk
@@ -142,6 +148,15 @@ def decode_matrix(params: SpaceParams, indices: np.ndarray) -> np.ndarray:
     return out
 
 
+def encode_matrix(params: SpaceParams, digits: np.ndarray) -> np.ndarray:
+    """Int64 indices of the rows of an (m, n) symbol matrix, unchecked; inverse of decode_matrix."""
+    idx = np.zeros(digits.shape[0], dtype=np.int64)
+    for pos in reversed(range(params.n)):  # Horner: position 1 is the least significant digit
+        idx *= params.s
+        idx += digits[:, pos] - 1
+    return idx
+
+
 def symbol_count(params: SpaceParams, positions: Iterable[int], symbol: int) -> np.ndarray:
     """Per word index, how many of the given 1-based positions carry `symbol` (uint8, length s**n)."""
     count = np.zeros(params.size, dtype=np.uint8)
@@ -154,13 +169,30 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (k, m) bool matrix into (k, ceil(m / 64)) uint64 bitset rows.
 
     Column y is bit y % 8 of byte y // 8 of a row's bytes (little-endian bit
-    order), so `int.from_bytes(row.tobytes(), "little")` has bit y set for
-    column y; the padding bits at and above m are zero.
+    order), so `int_rows` has bit y set for column y; the padding bits at and
+    above m are zero.
     """
     k, m = bits.shape
     out = np.zeros((k, 8 * ((m + 63) // 64)), dtype=np.uint8)
     out[:, : (m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return out.view(np.uint64)
+
+
+def int_rows(packed: np.ndarray) -> list[int]:
+    """Each row of a packed bitset matrix (`pack_rows` layout) as an int: bit y is column y."""
+    raw, width = packed.tobytes(), packed.shape[1] * packed.itemsize
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
+def unpack_ints(rows: Sequence[int], m: int) -> np.ndarray:
+    """The (len(rows), m) bool matrix of int bitsets over m columns; inverse of `int_rows`.
+
+    Every row must be below 2**m.
+    """
+    nbytes = (m + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in rows), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(rows), nbytes), axis=1, count=m, bitorder="little")
+    return bits.view(bool)
 
 
 def _at_least(planes: np.ndarray, marks: np.ndarray, credit: np.ndarray, depth: int) -> np.ndarray:
@@ -237,55 +269,8 @@ def agreement_rows(
         yield lo, out
 
 
-def meet(params: SpaceParams, y: Sequence[int], z: Sequence[int]) -> Word:
-    """Coordinatewise agreement vector: agreeing coordinates keep their symbol, others become 0."""
-    wy = check_word(params, y)
-    wz = check_word(params, z)
-    return tuple(a if a == b else 0 for a, b in zip(wy, wz))
-
-
-def profile(params: SpaceParams, y: Sequence[int], z: Sequence[int]) -> tuple[int, ...]:
-    """Agreement profile (c_1, ..., c_s): c_l = number of coordinates where both words carry l."""
-    counts = [0] * params.s
-    for sym in meet(params, y, z):
-        if sym:
-            counts[sym - 1] += 1
-    return tuple(counts)
-
-
-def satisfies(
-    params: SpaceParams, y: Sequence[int], z: Sequence[int], demand: Sequence[int]
-) -> bool:
-    """True when the pair's agreement profile dominates the demand componentwise."""
-    t = check_demand(params.s, demand)
-    prof = profile(params, y, z)
-    return all(c >= need for c, need in zip(prof, t))
-
-
-def leq_pinned(
-    params: SpaceParams, x: Sequence[int], y: Sequence[int], pinned: Iterable[int]
-) -> bool:
-    """Pinned order: every coordinate of x carrying a pinned symbol must be unchanged in y.
-
-    The pinned set must be a proper subset of the alphabet.  Coordinates whose
-    symbol is not pinned are free, so two words that differ only on such
-    coordinates are below each other in both directions.
-    """
-    syms = check_symbol_set(params, pinned)
-    wx = check_word(params, x)
-    wy = check_word(params, y)
-    return all(a == b or a not in syms for a, b in zip(wx, wy))
-
-
-def format_word(params: SpaceParams, word: Sequence[int]) -> str:
-    """Digit-string text form, e.g. (1, 2, 3, 1) -> \"1231\"; requires s <= 9."""
-    if params.s > 9:
-        raise ParameterError("digit-string form needs s <= 9; use the binary family format")
-    return "".join(str(sym) for sym in check_word(params, word))
-
-
 def parse_word(params: SpaceParams, text: str) -> Word:
-    """Inverse of format_word."""
+    """A word from its digit-string text form, e.g. "1231" -> (1, 2, 3, 1); requires s <= 9."""
     if params.s > 9:
         raise ParameterError("digit-string form needs s <= 9; use the binary family format")
     if not text.isdigit():

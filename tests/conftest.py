@@ -2,36 +2,94 @@
 
 These recompute expected values from the raw definitions (explicit loops over
 words and pairs) so the bitset implementations, the agreement kernel's
-packed rows among them, are checked against a second route.  The `sweeps`
-fixture records the completeness sweeps a test causes, so tests can count
-them.
+packed rows among them, are checked against a second route.  The per-word
+definitions of the paper (`meet`, `profile`, `satisfies`, the pinned order
+`leq_pinned` and the text form `format_word`) live here, not in the
+package, which computes the same notions only in vectorised form.  The
+`sweeps` fixture records the completeness checks a test causes, so tests
+can count them.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
 import isecode.families
 from isecode import Family, SetFamily, SpaceParams
-from isecode.words import decode, leq_pinned, profile, satisfies
+from isecode.words import (
+    ParameterError,
+    Word,
+    check_demand,
+    check_symbol_set,
+    check_word,
+    decode,
+)
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """(membership array, free digits) of every completeness sweep, in call order."""
+    """(membership array, free digits) of every completeness check, in call order."""
     swept = []
-    sweep = isecode.families._first_gap
+    sweep = isecode.families._is_closed
 
     def recording(member, s, n, free):
         swept.append((member, tuple(free)))
         return sweep(member, s, n, free)
 
-    monkeypatch.setattr(isecode.families, "_first_gap", recording)
+    monkeypatch.setattr(isecode.families, "_is_closed", recording)
     return swept
+
+
+def meet(params: SpaceParams, y: Sequence[int], z: Sequence[int]) -> Word:
+    """Coordinatewise agreement vector: agreeing coordinates keep their symbol, others become 0."""
+    wy = check_word(params, y)
+    wz = check_word(params, z)
+    return tuple(a if a == b else 0 for a, b in zip(wy, wz))
+
+
+def profile(params: SpaceParams, y: Sequence[int], z: Sequence[int]) -> tuple[int, ...]:
+    """Agreement profile (c_1, ..., c_s): c_l = number of coordinates where both words carry l."""
+    counts = [0] * params.s
+    for sym in meet(params, y, z):
+        if sym:
+            counts[sym - 1] += 1
+    return tuple(counts)
+
+
+def satisfies(
+    params: SpaceParams, y: Sequence[int], z: Sequence[int], demand: Sequence[int]
+) -> bool:
+    """True when the pair's agreement profile dominates the demand componentwise."""
+    t = check_demand(params.s, demand)
+    prof = profile(params, y, z)
+    return all(c >= need for c, need in zip(prof, t))
+
+
+def leq_pinned(
+    params: SpaceParams, x: Sequence[int], y: Sequence[int], pinned: Iterable[int]
+) -> bool:
+    """Pinned order: every coordinate of x carrying a pinned symbol must be unchanged in y.
+
+    The pinned set must be a proper subset of the alphabet.  Coordinates whose
+    symbol is not pinned are free, so two words that differ only on such
+    coordinates are below each other in both directions.
+    """
+    syms = check_symbol_set(params, pinned)
+    wx = check_word(params, x)
+    wy = check_word(params, y)
+    return all(a == b or a not in syms for a, b in zip(wx, wy))
+
+
+def format_word(params: SpaceParams, word: Sequence[int]) -> str:
+    """Digit-string text form, e.g. (1, 2, 3, 1) -> "1231"; requires s <= 9."""
+    if params.s > 9:
+        raise ParameterError("digit-string form needs s <= 9; use the binary family format")
+    return "".join(str(sym) for sym in check_word(params, word))
 
 
 def all_words(params: SpaceParams):

@@ -350,6 +350,22 @@ def test_table_refuses_text_format(capsys):
     assert "invalid choice: 'text'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "search"])
+def test_demand_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-n", "4", "-s", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: -t" in err and "Traceback" not in err
+
+
+def test_correlate_refuses_empty_densities(capsys):
+    code, out, err = run_cli(
+        capsys, "correlate", "-s", "3", "-n", "2", "--pins-a", "1", "--pins-b", "2", "--rho", ","
+    )
+    assert (code, out, err) == (2, "", "refusal: trial densities must be nonempty\n")
+
+
 def test_table_bounds_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--what", "bounds", "-s", "3", "--n-max", "2")
     assert code == 0

@@ -18,7 +18,7 @@ from isecode import (
 )
 import isecode.families
 import isecode.words
-from isecode.words import agreement_rows, decode, leq_pinned, pack_rows
+from isecode.words import agreement_rows, decode, pack_rows
 
 from conftest import (
     brute_closure,
@@ -26,6 +26,7 @@ from conftest import (
     brute_is_complete,
     brute_pinned_violation,
     brute_up_closure,
+    leq_pinned,
     random_family,
 )
 

@@ -19,7 +19,7 @@ from isecode import (
 from isecode.search import _color_order, _greedy_clique, _orbit_masks
 from isecode.words import SpaceParams, decode_matrix
 
-from conftest import brute_max_intersecting
+from conftest import brute_max_intersecting, satisfies
 
 
 def test_graph_vertex_counts():
@@ -33,7 +33,7 @@ def test_graph_vertex_counts():
 
 
 def test_graph_edges_match_pair_rule():
-    from isecode.words import decode, satisfies
+    from isecode.words import decode
 
     g = build_compat_graph(3, 2, (1, 1))
     params = SpaceParams(2, 3)

@@ -5,17 +5,27 @@ import numpy as np
 import pytest
 
 import isecode.words
-from isecode import ParameterError, SpaceParams, decode, encode, leq_pinned, meet, profile, satisfies
+from isecode import ParameterError, SpaceParams, decode, encode
 from isecode.words import (
     agreement_rows,
     check_symbol_set,
     decode_matrix,
-    format_word,
+    encode_matrix,
+    int_rows,
     pack_rows,
     parse_word,
+    unpack_ints,
 )
 
-from conftest import all_words, brute_agreement
+from conftest import (
+    all_words,
+    brute_agreement,
+    format_word,
+    leq_pinned,
+    meet,
+    profile,
+    satisfies,
+)
 
 
 def test_params_validation():
@@ -34,6 +44,11 @@ def test_encode_decode_round_trip(s, n):
     params = SpaceParams(s, n)
     for idx in range(params.size):
         assert encode(params, decode(params, idx)) == idx
+    whole = np.arange(params.size, dtype=np.int64)
+    encoded = encode_matrix(params, decode_matrix(params, whole))
+    assert encoded.dtype == np.int64 and np.array_equal(encoded, whole)
+    empty = encode_matrix(params, decode_matrix(params, whole[:0]))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_encode_examples():
@@ -264,3 +279,13 @@ def test_pack_rows_layout():
     assert rows.shape == (2, 2) and rows.dtype == np.uint64
     assert int.from_bytes(rows[0].tobytes(), "little") == (1 << 0) | (1 << 9) | (1 << 64) | (1 << 69)
     assert int.from_bytes(rows[1].tobytes(), "little") == 0
+    assert int_rows(rows) == [(1 << 0) | (1 << 9) | (1 << 64) | (1 << 69), 0]
+    rng = np.random.default_rng(7)
+    for m in (0, 1, 7, 8, 63, 64, 65, 200):
+        for k in (0, 1, 5):
+            bits = rng.random((k, m)) < 0.5
+            ints = int_rows(pack_rows(bits))
+            assert ints == [sum(1 << y for y in np.flatnonzero(row).tolist()) for row in bits]
+            back = unpack_ints(ints, m)
+            assert back.dtype == bool and back.shape == (k, m)
+            assert np.array_equal(back, bits), (m, k)
