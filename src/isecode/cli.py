@@ -237,6 +237,7 @@ def cmd_search(args) -> int:
         "witness_file": args.output or None,
         "nodes": result.nodes,
         "orbits": result.orbits,
+        "rule": result.stats.rule,
         "ms": int(result.elapsed * 1000),
         "phase_ms": {
             name: round(getattr(result.stats, name) * 1000, 3)

@@ -21,6 +21,27 @@ orbit leaves the root candidate set R.  Only whole orbits are removed, so R
 stays invariant; a clique C in R through w = g(v) has the image g^-1(C) in R
 through v, of the same size, which was searched when v was.  Deeper frames
 branch on single vertices.
+
+At s = 2 a shift rule replaces the orbit rule.  A word stands for its 1-set
+S, the positions holding symbol 1.  Frankl's shift S_ij (i < j) moves j to i
+in each member whose image is not a member; it keeps the size and the
+t1-intersection of the 1-sets, and since it acts on the complements as S_ji,
+the t2-intersection of the 2-sets too (Frankl, "The shifting technique in
+extremal set theory", 1987).  Shifting until nothing moves therefore turns a
+maximum family into a left-shifted one: closed downward in the shift order,
+where T <= S when |T| = |S| and every prefix of the positions holds at least
+as many elements of T as of S.  So the search visits left-shifted cliques
+only.  Including v adds its whole down-set, which must still be candidate;
+after v's branch its frame drops v's whole up-set, at every depth, since a
+shifted clique through any of them holds v; and a vertex whose down-set is
+not a clique never enters.  Only the greedy incumbent's size prunes; when
+no shifted clique beats it, the witness is the greedy clique shifted until
+nothing moves, so every s = 2 witness is left-shifted.  The rule does not
+combine with the orbit rule:
+the shifted cliques are not invariant under permutations of the positions,
+so the image of a shifted clique need not be searched.  It does not apply at
+s >= 3 with two nonzero demands, where swapping two symbols between two
+positions can lose an agreement that nothing makes up for.
 """
 
 from __future__ import annotations
@@ -28,6 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,6 +60,7 @@ from .words import (
     SpaceParams,
     agreement_rows,
     check_demand,
+    clear_diagonal,
     decode_matrix,
     encode_matrix,
     int_rows,
@@ -84,15 +107,13 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
     rows: list[int] = []
     for lo, block in agreement_rows(decode_matrix(params, verts), t):
-        i = np.arange(block.shape[0])
-        slot = lo + i  # the self bit: bit slot % 8 of the row's byte slot // 8
-        block.view(np.uint8)[i, slot >> 3] &= ~(1 << (slot & 7)).astype(np.uint8)
+        clear_diagonal(block, lo)
         rows.extend(int_rows(block))
     return CompatGraph(params, t, tuple(int(v) for v in verts), tuple(rows))
 
 
-def _orbit_masks(graph: CompatGraph) -> tuple[list[int], list[int]]:
-    """Vertex-slot bitsets of the symmetry orbits, and each vertex's orbit number.
+def _orbits(graph: CompatGraph) -> list[int]:
+    """Each vertex's symmetry orbit number.
 
     A word's orbit is its symbol histogram with the counts sorted within each
     group of symbols sharing a demand value.  Orbits are numbered by their
@@ -104,19 +125,113 @@ def _orbit_masks(graph: CompatGraph) -> tuple[list[int], list[int]]:
     counts = np.stack([(digits == sym).sum(axis=1, dtype=np.uint8) for sym in syms], axis=1)
     key = np.hstack([np.sort(counts[:, t == value], axis=1) for value in set(graph.demand)])
     keys: dict[bytes, int] = {}
-    orbit = [keys.setdefault(row, len(keys)) for row in map(bytes, key)]
-    member = np.zeros((len(keys), len(orbit)), dtype=bool)
+    return [keys.setdefault(row, len(keys)) for row in map(bytes, key)]
+
+
+def _orbit_masks(orbit: Sequence[int]) -> list[int]:
+    """Vertex-slot bitsets of the orbits, given each vertex's orbit number."""
+    member = np.zeros((max(orbit, default=-1) + 1, len(orbit)), dtype=bool)
     member[orbit, np.arange(len(orbit))] = True
-    return int_rows(pack_rows(member)), orbit
+    return int_rows(pack_rows(member))
+
+
+def _shift_tables(
+    graph: CompatGraph, deadline: float | None
+) -> tuple[int, list[int], list[int]] | None:
+    """The s = 2 shift order: the vertices whose down-set is a clique, and the order's tables.
+
+    Vertex v stands for its 1-set S.  T <= S exactly when T comes from S by
+    moves of one element to the free position just left of it, and each
+    such move raises the word index (a 2-position moves right), so the
+    down-set of slot v lies at slots >= v and its up-set at slots <= v.
+    Returns the bitset of the vertices whose down-set is a clique, down[v],
+    the down-set shifted right by v (bit 0 is v), and up[v], the up-set less
+    v.  A vertex's two rows hold at most m bits, as many as its adjacency
+    row, so the tables never outgrow the adjacency rows: at VERTEX_CAP at
+    most 65,536**2 bits, 512 MiB.
+
+    The one-step moves of all vertices are found at once.  A down-set is
+    then v and the down-sets one move below it, built in descending slot
+    order; in ascending order each vertex passes itself and its up-set on to
+    the vertices one move below it.  That is at most n - 1 bitset ORs per
+    vertex for each table.  The deadline is checked before each chunk of
+    vertices whose rows, m bits each, hold at most _ROW_CHUNK_BYTES; on
+    expiry the result is None.
+
+    A down-set is a clique exactly when v is adjacent to the rest of it.
+    Distinct words S and X are joined exactly when |S & X| >= tau, where
+    tau = max(t1, t2 + |S| + |X| - n) depends on the sizes alone.  If
+    |S & [j]| + |X & [j]| - j >= tau for some j >= 0, every T <= S and
+    Y <= X meet in at least that many positions, since they hold at least
+    as many of the first j positions as S and X do.  Otherwise the U <= S
+    that takes each position outside X as early as it may, and a position
+    of X only when it must, meets X in
+    max(0, max_j (|S & [j]| + |X & [j]| - j)) < tau positions: a ballot
+    count, as in Frankl's lemma on shifted t-intersecting families.  With
+    X = S, U != S since tau <= |S| for a vertex, and v is not adjacent to U.
+    """
+    verts = np.asarray(graph.vertices, dtype=np.int64)
+    m, n = len(verts), graph.params.n
+    adj = graph.adjacency
+    # a move takes symbol 1 (digit 0) from position p + 2 to p + 1: the index grows by 2**p
+    digit = verts[:, None] >> np.arange(n) & 1
+    src, p = np.nonzero((digit[:, :-1] == 1) & (digit[:, 1:] == 0))  # src ascends
+    moves = np.searchsorted(verts, verts[src] + (1 << p)).tolist()
+    start = np.searchsorted(src, np.arange(m + 1)).tolist()  # v's moves: moves[start[v]:start[v + 1]]
+    chunk = max(1, 8 * _ROW_CHUNK_BYTES // max(m, 1))
+    down, up = [0] * m, [0] * m
+    whole = np.zeros(m, dtype=bool)  # the vertices whose down-set is a clique
+    for v in reversed(range(m)):
+        if v % chunk == 0 and deadline is not None and time.monotonic() > deadline:
+            return None
+        below = 1 << v
+        for u in moves[start[v] : start[v + 1]]:
+            below |= down[u] << u
+        down[v] = below >> v
+        whole[v] = (below & ~adj[v]) == 1 << v
+    for v in range(m):
+        if v % chunk == 0 and deadline is not None and time.monotonic() > deadline:
+            return None
+        above = up[v] | 1 << v  # every vertex above v is done: it has a smaller slot
+        for u in moves[start[v] : start[v + 1]]:
+            up[u] |= above
+    return int_rows(pack_rows(whole[None, :]))[0], down, up
+
+
+def _left_shift(words: Sequence[int], n: int) -> list[int]:
+    """Frankl's shifts S_ij (i < j) applied to an s = 2 family of word indices until nothing moves.
+
+    Digit 0 is symbol 1.  S_ij moves symbol 1 from position j to position i:
+    each member with digit 1 at i and 0 at j becomes the word with the two
+    digits swapped, unless that word is a member.  Every move raises the
+    index sum, so the loop ends, and the result is closed under every S_ij:
+    a left-shifted family of the same size, which keeps the demand.  Returns
+    the indices ascending.
+    """
+    family = set(words)
+    moved = True
+    while moved:
+        moved = False
+        for i, j in combinations(range(n), 2):
+            step = (1 << j) - (1 << i)
+            src = [x for x in family if x >> i & 1 and not x >> j & 1 and x + step not in family]
+            if src:
+                family.difference_update(src)
+                family.update(x + step for x in src)
+                moved = True
+    return sorted(family)
 
 
 @dataclass(frozen=True)
 class SearchStats:
     """What one max_family call spent and found beside its answer.
 
-    The seconds of each phase, and the greedy incumbent's size.  build
-    includes the argument checks; when the greedy runs out of time there is
-    no branching and branch is near 0.  The four phases are consecutive, so
+    The seconds of each phase, the greedy incumbent's size and the rule that
+    restricted the branching: "shift" at s = 2, "orbit" otherwise.  build
+    includes the argument checks; orbits is the time of the orbit masks, or
+    under the shift rule of the shift tables; when the greedy runs out of
+    time, or the shift tables did, there is no branching and branch is
+    near 0.  The four phases are consecutive, so
     they sum to at most the call's elapsed time, which also covers decoding
     the witness.
     """
@@ -126,6 +241,7 @@ class SearchStats:
     greedy: float
     branch: float
     incumbent: int
+    rule: str
 
 
 @dataclass(frozen=True)
@@ -229,55 +345,75 @@ def _greedy_clique(
 
 def _branch(
     adj: Sequence[int],
-    cand: int,
-    best: list[int],
+    floor: int,
     deadline: float | None,
-    root_drop: Sequence[int],
-) -> tuple[list[int], int, bool]:
-    """Depth-first branch-and-bound for a clique in cand larger than the incumbent best.
+    cand: int,
+    down: Sequence[int],
+    up: Sequence[int],
+    root_up: Sequence[int] | None = None,
+) -> tuple[int, int, bool]:
+    """Depth-first branch-and-bound for a clique in cand larger than floor, the incumbent's size.
 
     Each stack frame holds the color-ordered vertices still to branch on, their
-    color bounds and the remaining candidate set; clique[i] is the vertex that
-    opened frame i + 1.  After the root branches on v it drops root_drop[v],
-    v's orbit, from its candidates; a root vertex already dropped is skipped
-    and is not a node.  Returns the best clique, the number of nodes expanded
-    and whether the search finished before the deadline.
+    color bounds and the remaining candidate set.  Branching on v adds
+    the part of down[v] << v not yet in the clique, which is its part in the
+    frame's candidates; the new frame's candidates are the common neighbours
+    of what was added.  After v's branch the frame drops v and up[v] from
+    its candidates, and the root drops v and root_up[v] (default up[v]).  A
+    vertex already dropped is skipped and is not a node.  The clique is the
+    stack of added sets and its size.  The orbit rule adds {v}
+    (down[v] = 1) and drops nothing more below the root (up[v] = 0).
+    Returns the best clique found as a bitset (0 if none beat floor), the
+    number of nodes expanded and whether the search finished before the
+    deadline.
+
+    Under the shift rule every u <= v outside the clique is candidate.  The
+    clique is down-closed and a candidate v is adjacent to all of it, so by
+    the ballot count of `_shift_tables`, for each member x some j has
+    |x & [j]| + |v & [j]| - j >= tau, and u is adjacent to x too; and a u
+    dropped from the candidates took v with its up-set.
     """
-    order, bounds = _color_order(cand, adj, len(best) + 1)
+    root_up = up if root_up is None else root_up
+    order, bounds = _color_order(cand, adj, floor + 1)
     stack = [[order, bounds, cand]]
-    clique: list[int] = []
+    added: list[int] = []  # added[i] opened frame i + 1
+    size = found = 0
     nodes = 1
     while stack:
         frame = stack[-1]
         order, bounds, cand = frame
         # bounds ascend along order, so a failed bound prunes the whole frame
-        if not order or len(clique) + bounds[-1] <= len(best):
+        if not order or size + bounds[-1] <= floor:
             stack.pop()
-            if clique:
-                clique.pop()
+            if added:
+                size -= added.pop().bit_count()
             continue
         v = order.pop()
         bounds.pop()
-        if len(stack) > 1:
-            frame[2] = cand & ~(1 << v)
-        elif cand >> v & 1:
-            frame[2] = cand & ~root_drop[v]
-        else:
+        bit = 1 << v
+        if not cand & bit:
             continue
-        clique.append(v)
+        frame[2] = cand & ~(bit | (up if len(stack) > 1 else root_up)[v])
+        new = down[v] << v & cand  # the down-set less the clique
         nxt = cand & adj[v]
+        if new != bit:
+            for u in _iter_bits(new ^ bit):
+                nxt &= adj[u]
         if nxt:
             nodes += 1
             if deadline is not None and time.monotonic() > deadline:
-                return best, nodes, False
-            # the new frame opens with clique as it is now
-            order, bounds = _color_order(nxt, adj, len(best) - len(clique) + 1)
+                return found, nodes, False
+            added.append(new)
+            size += new.bit_count()
+            # the new frame opens with the clique as it is now; its first vertex is
+            # candidate, so a clique above floor grows on to a leaf and is recorded there
+            order, bounds = _color_order(nxt, adj, floor - size + 1)
             stack.append([order, bounds, nxt])
-        else:
-            if len(clique) > len(best):
-                best = clique.copy()
-            clique.pop()
-    return best, nodes, True
+        elif size + new.bit_count() > floor:
+            floor, found = size + new.bit_count(), new
+            for part in added:
+                found |= part
+    return found, nodes, True
 
 
 def max_family(
@@ -285,12 +421,14 @@ def max_family(
 ) -> SearchResult:
     """Exact maximum demand-intersecting family, as a maximum clique of the compatibility graph.
 
-    The timeout covers the whole call, graph build and orbit masks included.
-    On timeout the result carries complete=False and is a lower bound only.
-    The search runs on the symbols relabelled so that the demand is
-    non-increasing (a stable sort, so such a demand keeps its labels), which
-    makes it independent of how the caller labels the symbols; the witness
-    is mapped back to the caller's labels.
+    The timeout covers the whole call, graph build and orbit masks or shift
+    tables included.  On timeout the result carries complete=False and is a
+    lower bound only.  The search runs on the symbols relabelled so that the
+    demand is non-increasing (a stable sort, so such a demand keeps its
+    labels), which makes it independent of how the caller labels the
+    symbols; the witness is mapped back to the caller's labels.  At s = 2
+    the branching visits left-shifted cliques only (the shift rule, see the
+    module docstring), elsewhere it prunes root orbits.
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
@@ -299,21 +437,33 @@ def max_family(
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
     graph = build_compat_graph(n, s, [t[c] for c in order])
     marks = [start, time.monotonic()]
-    masks, orbit = _orbit_masks(graph)
+    m = graph.vertex_count
+    every = (1 << m) - 1
+    orbit = _orbits(graph)
+    if s == 2:
+        rule, tables = "shift", _shift_tables(graph, deadline)
+    else:
+        masks = _orbit_masks(orbit)
+        rule, tables = "orbit", (every, [1] * m, [0] * m, [masks[k] for k in orbit])
     marks.append(time.monotonic())
     adj = graph.adjacency
-    cand = (1 << graph.vertex_count) - 1
-    best, expired = _greedy_clique(adj, cand, deadline)
+    best, expired = _greedy_clique(adj, every, deadline)
     marks.append(time.monotonic())
     incumbent = len(best)
-    nodes, complete = 0, False
-    if not expired:
-        best, nodes, complete = _branch(adj, cand, best, deadline, [masks[k] for k in orbit])
+    found = nodes = 0
+    complete = False
+    if tables is not None and not expired:
+        found, nodes, complete = _branch(adj, incumbent, deadline, *tables)
+        if found:
+            best = list(_iter_bits(found))
     marks.append(time.monotonic())
-    stats = SearchStats(*(b - a for a, b in zip(marks, marks[1:])), incumbent)
-    found = decode_matrix(params, np.array([graph.vertices[v] for v in best], dtype=np.int64))
+    stats = SearchStats(*(b - a for a, b in zip(marks, marks[1:])), incumbent, rule)
+    chosen = [graph.vertices[v] for v in best]
+    if rule == "shift" and not found:
+        chosen = _left_shift(chosen, n)  # the greedy clique, made left-shifted like the branch's
+    digits = decode_matrix(params, np.array(chosen, dtype=np.int64))
     caller = np.array(order, dtype=np.uint8) + 1  # the caller's symbol of each searched digit
-    witness = Family.from_indices(params, encode_matrix(params, caller[found - 1]))
+    witness = Family.from_indices(params, encode_matrix(params, caller[digits - 1]))
     return SearchResult(
         params,
         t,
@@ -322,6 +472,6 @@ def max_family(
         nodes,
         time.monotonic() - start,
         complete,
-        len(masks),
+        max(orbit, default=-1) + 1,
         stats,
     )

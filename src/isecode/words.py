@@ -12,6 +12,7 @@ This module also owns the little-endian bitset layout: bit y of a row is
 column y.  `pack_rows` packs bool rows into uint64 words, `int_rows` turns
 packed rows into Python ints and `unpack_ints` turns ints back into bool
 rows; the search's adjacency rows and `Family.bits` use no other route.
+`clear_diagonal` drops the self bits from a chunk of a square matrix's rows.
 
 The agreement kernel `agreement_rows` answers the pairwise demand for the
 rows of a decoded symbol matrix as packed uint64 bitset rows, one row chunk
@@ -176,6 +177,17 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     out = np.zeros((k, 8 * ((m + 63) // 64)), dtype=np.uint8)
     out[:, : (m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return out.view(np.uint64)
+
+
+def clear_diagonal(packed: np.ndarray, lo: int) -> None:
+    """Clear bit lo + i of row i of a packed bitset chunk (`pack_rows` layout), in place.
+
+    The chunk holds rows lo, lo + 1, ... of a square matrix, so this clears its
+    diagonal.
+    """
+    i = np.arange(packed.shape[0])
+    col = lo + i  # bit col % 8 of the row's byte col // 8
+    packed.view(np.uint8)[i, col >> 3] &= ~(1 << (col & 7)).astype(np.uint8)
 
 
 def int_rows(packed: np.ndarray) -> list[int]:

@@ -186,6 +186,36 @@ def brute_max_intersecting(n: int, s: int, demand) -> int:
     return best
 
 
+def brute_shift(family: Family, i: int, j: int, symbol: int = 1) -> Family:
+    """Frankl's shift S_ij (1-based positions i < j) of the `symbol`-sets of an s = 2 family.
+
+    Each member carrying `symbol` at j and the other symbol at i moves to the
+    word with those two symbols swapped, unless that word is a member.
+    """
+    params = family.params
+    assert params.s == 2 and 1 <= i < j <= params.n
+    other = 3 - symbol
+    members = set(family.members())
+    out = []
+    for word in members:
+        image = list(word)
+        if word[j - 1] == symbol and word[i - 1] == other:
+            image[i - 1], image[j - 1] = symbol, other
+        out.append(word if tuple(image) in members else tuple(image))
+    return Family.from_words(params, out)
+
+
+def random_intersecting_family(params: SpaceParams, demand, rng: random.Random) -> Family:
+    """About half of a maximal demand-intersecting family, grown from the words in random order."""
+    words = all_words(params)
+    rng.shuffle(words)
+    chosen: list[Word] = []
+    for w in words:
+        if all(satisfies(params, w, y, demand) for y in chosen + [w]):
+            chosen.append(w)
+    return Family.from_words(params, [w for w in chosen if rng.random() < 0.5])
+
+
 def random_family(params: SpaceParams, seed: int, density_num: int = 1, density_den: int = 4) -> Family:
     rng = random.Random(seed)
     bits = 0

@@ -223,16 +223,20 @@ def test_search_json_contract(capsys, tmp_path):
         capsys, "search", "-n", "4", "-s", "2", "-t", "1,1", "-o", witness
     )
     assert code == 0
-    for key in ("n", "s", "t", "max", "witness_file", "nodes", "orbits", "ms", "incumbent"):
+    keys = ("n", "s", "t", "max", "witness_file", "nodes", "orbits", "rule", "ms", "incumbent")
+    for key in keys:
         assert key in report
     assert set(report["phase_ms"]) == {"build", "orbits", "greedy", "branch"}
     assert sum(report["phase_ms"].values()) <= report["ms"] + 1  # ms is truncated, phases rounded
     assert report["incumbent"] <= report["max"]
     assert report["max"] == 4
     assert report["orbits"] == 2  # histograms {1, 3} and {2, 2} of the two symbols
+    assert report["rule"] == "shift"  # s = 2
     assert report["witness_file"] == witness
     fam = load_family(witness)
     assert len(fam) == 4 and fam.is_t_intersecting((1, 1))
+    _, report, _ = run_json(capsys, "search", "-n", "3", "-s", "3", "-t", "1,0,0")
+    assert report["rule"] == "orbit"
 
 
 def test_verify_empty_family(capsys, tmp_path):

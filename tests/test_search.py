@@ -16,10 +16,16 @@ from isecode import (
     max_family,
     product_allocation,
 )
-from isecode.search import _color_order, _greedy_clique, _orbit_masks
+from isecode.search import _color_order, _greedy_clique, _orbit_masks, _orbits, _shift_tables
 from isecode.words import SpaceParams, decode_matrix
 
-from conftest import brute_max_intersecting, satisfies
+from conftest import (
+    brute_intersecting,
+    brute_max_intersecting,
+    brute_shift,
+    random_intersecting_family,
+    satisfies,
+)
 
 
 def test_graph_vertex_counts():
@@ -149,6 +155,7 @@ def test_search_phases_are_consecutive():
     assert all(x >= 0 for x in seconds)
     assert sum(seconds) <= result.elapsed
     assert stats.incumbent <= result.max_size == 81
+    assert stats.rule == "orbit"
     assert hash(stats) == hash(dataclasses.replace(stats))
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats.greedy = 0.0
@@ -208,7 +215,8 @@ def test_orbit_masks_are_symmetry_orbits(n, s, t):
     verts = np.asarray(graph.vertices)
     digits = decode_matrix(graph.params, verts)
     adj = _adjacency_matrix(graph)
-    masks, orbit = _orbit_masks(graph)
+    orbit = _orbits(graph)
+    masks = _orbit_masks(orbit)
     # the masks partition the vertex slots, and orbit[v] names v's mask
     assert sum(mask.bit_count() for mask in masks) == m
     union = 0
@@ -283,13 +291,18 @@ def test_color_order_is_ascending_first_fit(n, s, t):
 
 @pytest.mark.parametrize(
     "n, s, t, size, nodes",
-    [(8, 2, (2, 0), 93, 1476), (7, 3, (3, 0, 0), 99, 3716), (8, 2, (1, 2), 44, 180935)],
+    [
+        (8, 2, (2, 0), 93, 10),
+        (7, 3, (3, 0, 0), 99, 3716),
+        (8, 2, (1, 2), 44, 44),
+        (8, 2, (1, 1), 64, 27333),
+        (9, 2, (2, 1), 93, 2612),
+    ],
 )
 def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
-    # without root orbit pruning the first takes 10,903 nodes (~5 s) and the
-    # second is not proved within 20 s; the third is proved within the time
-    # bound only since each node colors one class at a time (~4x faster per
-    # node than trying every open class for each vertex)
+    # the s = 2 rows run the shift rule: under the root orbit rule they took
+    # 1,476 and 180,935 nodes, and the last two were not proved within 60 s;
+    # without root orbit pruning the s = 3 row is not proved within 20 s
     start = time.monotonic()
     result = max_family(n, s, t)
     assert time.monotonic() - start < 15
@@ -374,3 +387,98 @@ def test_greedy_clique_matches_rescoring_on_random_graphs():
                 adj[v] |= 1 << u
         for cand in [(1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]:
             assert _greedy_clique(adj, cand, None) == (_rescoring_greedy(cand, adj), False)
+
+
+def _binary_demands(n_max):
+    for n in range(1, n_max + 1):
+        for t1 in range(n + 1):
+            for t2 in range(n + 1 - t1):
+                yield n, (t1, t2)
+
+
+def test_shifts_keep_size_and_demand():
+    rng = random.Random(2)
+    moved = 0
+    for n, t in _binary_demands(6):
+        params = SpaceParams(2, n)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for symbol in (1, 2):
+            family = random_intersecting_family(params, t, rng)
+            for i, j in rng.sample(pairs, min(4, len(pairs))):
+                image = brute_shift(family, i, j, symbol)
+                assert len(image) == len(family), (n, t, i, j)
+                assert brute_intersecting(image, t), (n, t, i, j)
+                moved += image != family
+                family = image
+    assert moved > 100
+
+
+def _is_left_shifted(family, symbol):
+    pairs = itertools.combinations(range(1, family.params.n + 1), 2)
+    return all(brute_shift(family, i, j, symbol) == family for i, j in pairs)
+
+
+def test_binary_witnesses_are_left_shifted():
+    # the shift rule searches the sets of the symbol with the larger demand
+    instances = list(_binary_demands(6)) + [(7, (1, 1)), (8, (2, 2)), (8, (1, 2)), (9, (3, 3))]
+    for n, t in instances:
+        result = max_family(n, 2, t)
+        assert result.complete and result.stats.rule == "shift"
+        assert len(result.witness) == result.max_size
+        assert brute_intersecting(result.witness, t), (n, t)
+        assert _is_left_shifted(result.witness, 1 if t[0] >= t[1] else 2), (n, t)
+    # the check can fail: symbol 1 at position 2 with symbol 2 at position 1 moves
+    assert not _is_left_shifted(Family.from_words(SpaceParams(2, 3), [(2, 1, 1)]), 1)
+
+
+def _below(small, large):
+    """The shift order by its sorted-elements form: equal sizes, each element at most its partner."""
+    return len(small) == len(large) and all(a <= b for a, b in zip(sorted(small), sorted(large)))
+
+
+@pytest.mark.parametrize("n, t", [(6, (1, 1)), (7, (2, 1)), (6, (2, 0)), (7, (3, 2)), (5, (0, 0))])
+def test_shift_tables_match_the_shift_order(n, t):
+    graph = build_compat_graph(n, 2, t)
+    m = graph.vertex_count
+    cand, down, up = _shift_tables(graph, None)
+    digits = decode_matrix(graph.params, np.asarray(graph.vertices)).tolist()
+    sets = [{p for p in range(1, n + 1) if word[p - 1] == 1} for word in digits]
+    adj = _adjacency_matrix(graph)
+    kept = 0
+    for v in range(m):
+        lower = [u for u in range(m) if _below(sets[u], sets[v])]
+        upper = [u for u in range(m) if u != v and _below(sets[v], sets[u])]
+        assert down[v] << v == sum(1 << u for u in lower)
+        assert up[v] == sum(1 << u for u in upper)
+        # each vertex's two rows hold at most m bits, as its adjacency row does
+        assert down[v].bit_length() + up[v].bit_length() <= m
+        clique = all(adj[a, b] for a in lower for b in lower if a != b)
+        assert bool(cand >> v & 1) == clique
+        kept += clique
+    assert 0 < kept <= m and (kept < m or t == (0, 0))
+
+
+def test_shift_tables_check_deadline_between_chunks(monkeypatch):
+    import isecode.search as search_mod
+
+    graph = build_compat_graph(6, 2, (1, 1))
+    whole = _shift_tables(graph, None)
+    monkeypatch.setattr(search_mod, "_ROW_CHUNK_BYTES", 1)  # one row per chunk
+    clock = itertools.count(1)
+    monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    # the clock reads 1 and 2 before the first two chunks and 3 before the third
+    assert _shift_tables(graph, 2.5) is None
+    assert next(clock) == 4
+    # a full pass reads it before each chunk of the down-sets and of the up-sets
+    clock = itertools.count(1)
+    assert _shift_tables(graph, float("inf")) == whole
+    assert next(clock) == 2 * graph.vertex_count + 1
+
+
+def test_rule_follows_the_alphabet():
+    assert max_family(5, 2, (0, 0)).stats.rule == "shift"
+    assert max_family(5, 2, (2, 1)).stats.rule == "shift"
+    assert max_family(4, 3, (1, 0, 0)).stats.rule == "orbit"
+    expired = max_family(6, 2, (1, 1), timeout_ms=0)
+    assert expired.stats.rule == "shift" and not expired.complete and expired.nodes == 0
+    assert _is_left_shifted(expired.witness, 1)  # the greedy's first pick, shifted

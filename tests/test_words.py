@@ -9,6 +9,7 @@ from isecode import ParameterError, SpaceParams, decode, encode
 from isecode.words import (
     agreement_rows,
     check_symbol_set,
+    clear_diagonal,
     decode_matrix,
     encode_matrix,
     int_rows,
@@ -289,3 +290,9 @@ def test_pack_rows_layout():
             back = unpack_ints(ints, m)
             assert back.dtype == bool and back.shape == (k, m)
             assert np.array_equal(back, bits), (m, k)
+    # a chunk of rows lo, lo + 1, ... of a square matrix loses its diagonal bits
+    for m, lo, k in ((70, 0, 3), (70, 62, 5), (130, 64, 66), (9, 4, 5)):
+        rows = pack_rows(np.ones((k, m), dtype=bool))
+        clear_diagonal(rows, lo)
+        assert int_rows(rows) == [(1 << m) - 1 - (1 << (lo + i)) for i in range(k)]
+        assert np.array_equal(unpack_ints(int_rows(rows), m), ~np.eye(m, dtype=bool)[lo : lo + k])
