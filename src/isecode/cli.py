@@ -28,12 +28,7 @@ from .measures import (
     product_allocation,
     window_product_bound,
 )
-from .correlation import (
-    DEFAULT_TRIAL_DENSITIES,
-    exhaustive_correlation,
-    random_correlation_trials,
-    trial_pair,
-)
+from .correlation import exhaustive_correlation, random_correlation_trials, trial_pair
 from .search import DEFAULT_TIMEOUT_MS, max_family
 from .words import SpaceParams
 
@@ -43,10 +38,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise ParameterError(f"expected a comma list of integers, got {text!r}") from exc
-
-
-def _parse_rationals(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(tok) for tok in text.split(",") if tok.strip() != "")
 
 
 def _scalar(value, fmt: str):
@@ -120,34 +111,44 @@ def _output(path):
 # -- bound --------------------------------------------------------------------
 
 
-def _bound_report(n: int, s: int, t) -> tuple[dict, dict]:
-    """The power-bound and product-bound entries of a report; each says whether it applies."""
-    try:
-        power = {"applicable": True, "count": power_bound(n, s, t)}
-    except ParameterError as exc:
-        power = {"applicable": False, "reason": str(exc)}
-    try:
-        bound = window_product_bound(n, s, t)
-        product = {
-            "applicable": True,
-            "count": bound.count,
-            "density": bound.density,
-            "windows": list(bound.windows),
-        }
-    except CapacityError as exc:
-        product = {"applicable": False, "reason": str(exc), "deficit": exc.deficit}
-    except ParameterError as exc:
-        product = {"applicable": False, "reason": str(exc)}
-    return power, product
+# The entries of a bounds report, in order: the two bounds of the paper, then A, the
+# count of the best product of window measures whose windows fit together into n.
+_BOUNDS = {
+    "power_bound": power_bound,
+    "product_bound": window_product_bound,
+    "product_allocation": product_allocation,
+}
+
+
+def _bound_report(n: int, s: int, t) -> dict[str, dict]:
+    """One entry per name of _BOUNDS; each says whether it applies."""
+    report: dict[str, dict] = {}
+    for name, compute in _BOUNDS.items():
+        try:
+            value = compute(n, s, t)
+        except CapacityError as exc:
+            report[name] = {"applicable": False, "reason": str(exc), "deficit": exc.deficit}
+        except ParameterError as exc:
+            report[name] = {"applicable": False, "reason": str(exc)}
+        else:
+            if compute is power_bound:
+                report[name] = {"applicable": True, "count": value}
+            else:
+                report[name] = {
+                    "applicable": True,
+                    "count": value.count,
+                    "density": value.density,
+                    "windows": list(value.windows),
+                }
+    return report
 
 
 def cmd_bound(args) -> int:
     t = _parse_ints(args.t)
     report: dict = {"command": "bound", "n": args.n, "s": args.s, "t": list(t)}
-    power, product = _bound_report(args.n, args.s, t)
-    report["power_bound"], report["product_bound"] = power, product
+    report.update(_bound_report(args.n, args.s, t))
     _emit_report(report, args.format, sys.stdout)
-    if not (power["applicable"] or product["applicable"]):
+    if not (report["power_bound"]["applicable"] or report["product_bound"]["applicable"]):
         print("refusal: neither bound applies to these parameters", file=sys.stderr)
         return 2
     return 0
@@ -275,7 +276,7 @@ def cmd_verify(args) -> int:
         t = _parse_ints(args.t)
         report["t"] = list(t)
         report["intersecting"] = family.is_t_intersecting(t)
-        report["power_bound"], report["product_bound"] = _bound_report(params.n, params.s, t)
+        report.update(_bound_report(params.n, params.s, t))
         for entry in (report["power_bound"], report["product_bound"]):
             if entry["applicable"]:
                 entry["size_within"] = len(family) <= entry["count"]
@@ -287,7 +288,7 @@ def cmd_verify(args) -> int:
 
 
 # The CorrelationCheck attributes that make one trial row, in column order.
-_TRIAL_FIELDS = ("seed", "trial_density", "size_a", "size_b", "common", "lhs", "rhs", "slack")
+_TRIAL_FIELDS = ("seed", "size_a", "size_b", "common", "lhs", "rhs", "slack")
 
 # The random-mode options of correlate, by argparse dest: flag, type, default, meaning.
 # They parse as None, so --exhaustive can refuse any that is given.
@@ -295,7 +296,6 @@ _RANDOM_OPTIONS = {
     "n": ("-n", int, 2, "word length"),
     "trials": ("--trials", int, 200, "number of trials"),
     "seed": ("--seed", int, 0, "seed of the first trial"),
-    "rho": ("--rho", str, ",".join(map(format_rational, DEFAULT_TRIAL_DENSITIES)), "densities"),
 }
 
 
@@ -316,13 +316,7 @@ def cmd_correlate(args) -> int:
                 setattr(args, dest, default)
         mode, n = "random", args.n
         checks = random_correlation_trials(
-            args.s,
-            args.n,
-            pins_a,
-            pins_b,
-            args.trials,
-            seed_base=args.seed,
-            densities=_parse_rationals(args.rho),
+            args.s, args.n, pins_a, pins_b, args.trials, seed_base=args.seed
         )
     rows = [{name: getattr(c, name) for name in _TRIAL_FIELDS} for c in checks]
     report = {
@@ -333,6 +327,7 @@ def cmd_correlate(args) -> int:
         "pins_a": sorted(set(pins_a)),
         "pins_b": sorted(set(pins_b)),
         "checks": len(checks),
+        "informative": sum(1 for c in checks if c.slack > 0),
         "min_slack": min((c.slack for c in checks), default=0),
         "violations": sum(1 for c in checks if not c.holds),
     }
@@ -343,7 +338,7 @@ def cmd_correlate(args) -> int:
         replay = []
         params = SpaceParams(args.s, n)
         for c in failing:
-            pair = trial_pair(params, pins_a, pins_b, c.trial_density, c.seed)
+            pair = trial_pair(params, pins_a, pins_b, c.seed)
             for fam, side in zip(pair, "ab"):
                 path = f"violation_seed{c.seed}_{side}.fam"
                 save_family(fam, path)
@@ -374,7 +369,9 @@ def cmd_table(args) -> int:
         t_max = args.t_max if args.t_max is not None else args.n_max
         for n in range(1, args.n_max + 1):
             for t in _demand_sweep(args.s, n, t_max):
-                power, product = _bound_report(n, args.s, t)
+                power, product, allocation = _bound_report(n, args.s, t).values()
+                if not allocation["applicable"]:
+                    raise ParameterError(allocation["reason"])
                 row: dict = {
                     "n": n,
                     "s": args.s,
@@ -382,7 +379,7 @@ def cmd_table(args) -> int:
                     "power_bound": power.get("count", ""),
                     "product_count": product.get("count", ""),
                     "product_density": product.get("density", ""),
-                    "allocated_count": product_allocation(n, args.s, t).count,
+                    "allocated_count": allocation["count"],
                 }
                 if args.what == "oracle":
                     result = max_family(n, args.s, t, timeout_ms=args.timeout_ms)

@@ -10,16 +10,11 @@ verifies the structural slice facts the induction on n relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .families import Family
-from .measures import as_rational
 from .words import ParameterError, SpaceParams, Word, check_symbol_set
-
-DEFAULT_TRIAL_DENSITIES = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
 
 
 class CompletenessError(ParameterError):
@@ -45,7 +40,6 @@ class CorrelationCheck:
     size_b: int
     common: int
     seed: int | None = None
-    trial_density: Fraction | None = None
 
     @property
     def lhs(self) -> int:
@@ -72,80 +66,66 @@ def _check_pins(params: SpaceParams, pins_a, pins_b) -> tuple[frozenset[int], fr
     return a, b
 
 
-def _require_complete(fam_a: Family, fam_b: Family, a: frozenset[int], b: frozenset[int]) -> None:
-    """Raise CompletenessError for the first incomplete input; a and b are validated pin sets."""
-    s = fam_a.params.s
+def _verified_pair(
+    fam_a: Family, fam_b: Family, pins_a, pins_b, *, min_n: int = 1
+) -> tuple[SpaceParams, frozenset[int], frozenset[int]]:
+    """The shared space and validated pin sets of a pair, after verifying completeness.
+
+    Refuses, in this order: different spaces, word length below min_n, bad
+    pin sets, then the first incomplete family (CompletenessError).
+    """
+    if fam_a.params != fam_b.params:
+        raise ParameterError("families live in different word spaces")
+    params = fam_a.params
+    if params.n < min_n:
+        raise ParameterError(f"slice facts need word length n >= {min_n}")
+    a, b = _check_pins(params, pins_a, pins_b)
     for label, fam, pins in (("A", fam_a, a), ("B", fam_b, b)):
-        witness = fam._violation([c for c in range(s) if c + 1 not in pins])
+        witness = fam._violation([c for c in range(params.s) if c + 1 not in pins])
         if witness is not None:
             raise CompletenessError(label, witness)
+    return params, a, b
 
 
 def check_correlation(fam_a: Family, fam_b: Family, pins_a, pins_b) -> CorrelationCheck:
     """Exact correlation check; completeness of both inputs is verified, not assumed."""
-    if fam_a.params != fam_b.params:
-        raise ParameterError("families live in different word spaces")
-    params = fam_a.params
-    a, b = _check_pins(params, pins_a, pins_b)
-    _require_complete(fam_a, fam_b, a, b)
+    params, a, b = _verified_pair(fam_a, fam_b, pins_a, pins_b)
     common = int(np.count_nonzero(fam_a.array & fam_b.array))
     return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), common)
 
 
-def random_complete_family(params: SpaceParams, pins, density, seed: int) -> Family:
-    """Seeded Bernoulli sample over all word indices, then closure.
+def random_complete_family(params: SpaceParams, pins, seed: int) -> Family:
+    """Seeded pinned closure of k random words, k uniform in 1..n.
 
-    Word index i is kept when the i-th of s**n uniform draws from
-    [0, denominator) of numpy's default generator, seeded with |seed|, falls
-    below the numerator, so the sample is exactly Bernoulli(density).  The
-    same seed always produces the same family; the output is pinned-complete
-    by construction.  Denominators above 2**63 are refused.
+    numpy's default generator, seeded with |seed|, draws k and then k word
+    indices (repeats allowed) in one call.  The same seed always produces the
+    same family; the output is pinned-complete by construction.
     """
-    syms = check_symbol_set(params, pins, nonempty=True)
-    rho = as_rational(density)
-    if not 0 <= rho <= 1:
-        raise ParameterError(f"density must lie in [0, 1], got {rho}")
-    num, den = rho.numerator, rho.denominator
-    if den > 1 << 63:
-        raise ParameterError(f"density denominator {den} exceeds 2**63")
-    sample = np.random.default_rng(abs(seed)).integers(den, size=params.size) < num
-    return Family.from_array(params, sample).pinned_closure(syms)
+    rng = np.random.default_rng(abs(seed))
+    k = rng.integers(1, params.n + 1)
+    return Family.from_indices(params, rng.integers(params.size, size=k)).pinned_closure(pins)
 
 
-def trial_pair(params: SpaceParams, pins_a, pins_b, density, seed: int) -> tuple[Family, Family]:
+def trial_pair(params: SpaceParams, pins_a, pins_b, seed: int) -> tuple[Family, Family]:
     """The campaign's pair for one trial seed: F from sub-seed 2*seed, G from 2*seed + 1."""
     return (
-        random_complete_family(params, pins_a, density, 2 * seed),
-        random_complete_family(params, pins_b, density, 2 * seed + 1),
+        random_complete_family(params, pins_a, 2 * seed),
+        random_complete_family(params, pins_b, 2 * seed + 1),
     )
 
 
 def random_correlation_trials(
-    s: int,
-    n: int,
-    pins_a,
-    pins_b,
-    trials: int,
-    *,
-    seed_base: int = 0,
-    densities: Sequence[Fraction] = DEFAULT_TRIAL_DENSITIES,
+    s: int, n: int, pins_a, pins_b, trials: int, *, seed_base: int = 0
 ) -> list[CorrelationCheck]:
-    """Seeded campaign: trial k uses seed_base + k, sampling F and G by
-    `trial_pair` at a density cycling through `densities`."""
+    """Seeded campaign: trial k checks the `trial_pair` of seed seed_base + k."""
     params = SpaceParams(s, n)
     a, b = _check_pins(params, pins_a, pins_b)
     if trials < 0:
         raise ParameterError("trial count must be non-negative")
-    if not densities:
-        raise ParameterError("trial densities must be nonempty")
-    checks = []
-    for k in range(trials):
-        seed = seed_base + k
-        rho = as_rational(densities[k % len(densities)])
-        fam_a, fam_b = trial_pair(params, a, b, rho, seed)
-        check = check_correlation(fam_a, fam_b, a, b)
-        checks.append(replace(check, seed=seed, trial_density=rho))
-    return checks
+    return [
+        replace(check_correlation(*trial_pair(params, a, b, seed), a, b), seed=seed)
+        for seed in range(seed_base, seed_base + trials)
+    ]
 
 
 def exhaustive_correlation(s: int, pins_a, pins_b) -> list[CorrelationCheck]:
@@ -187,13 +167,7 @@ def slice_structure_report(
     fam_a: Family, fam_b: Family, pins_a, pins_b
 ) -> SliceReport:
     """Check the slice facts on actual data; needs n >= 2 and verified completeness."""
-    if fam_a.params != fam_b.params:
-        raise ParameterError("families live in different word spaces")
-    params = fam_a.params
-    if params.n < 2:
-        raise ParameterError("slice facts need word length n >= 2")
-    a, b = _check_pins(params, pins_a, pins_b)
-    _require_complete(fam_a, fam_b, a, b)
+    params, a, b = _verified_pair(fam_a, fam_b, pins_a, pins_b, min_n=2)
     # the last position is the most significant digit: slice i is row i of the (s, -1)
     # view; counting row by row beats count_nonzero(axis=1), which is not a byte count
     sizes_a, sizes_b = (

@@ -111,17 +111,28 @@ def test_criterion_3_correlation_inequality():
                 checked += 1
                 min_slack = check.slack if min_slack is None else min(min_slack, check.slack)
     patterns = {2: [({1}, {2})], 3: [({1}, {2}), ({1}, {2, 3})]}
+    random_checks = informative = 0
     for s in (2, 3):
         for n in (2, 3, 4):
             for pins_a, pins_b in patterns[s]:
                 for check in random_correlation_trials(s, n, pins_a, pins_b, 1000):
                     assert check.holds, (s, n, pins_a, pins_b, check.seed)
                     checked += 1
+                    random_checks += 1
+                    informative += check.slack > 0
                     min_slack = min(min_slack, check.slack)
+    # a check with slack 0 (for example two full families) says little; 3,232 of the
+    # 9,000 random checks (35.9%) have positive slack
+    assert informative >= 0.25 * random_checks, (informative, random_checks)
+    # the bench's campaign cell: 312 of 400 trials have positive slack
+    campaign = random_correlation_trials(3, 7, {1}, {2, 3}, 400)
+    assert all(c.holds for c in campaign)
+    assert sum(c.slack > 0 for c in campaign) >= 200
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"correlation campaign took {elapsed:.1f}s"
     print(f"\n[criterion 3] PASS: {checked} checks, zero violations, "
-          f"minimum observed slack {min_slack} ({elapsed:.1f}s)")
+          f"minimum observed slack {min_slack}, {informative} of {random_checks} random checks "
+          f"informative ({elapsed:.1f}s)")
 
 
 def test_criterion_4_window_boundary_consistency():
@@ -196,7 +207,7 @@ def _bridge_corpus():
             params = SpaceParams(s, n)
             for sym in range(1, s + 1):
                 for seed in range(10):
-                    fam = random_complete_family(params, {sym}, Fraction(1, 8), seed)
+                    fam = random_complete_family(params, {sym}, seed)
                     yield fam, sym
             for t in range(1, n + 1):
                 for r in range((n - t) // 2 + 1):

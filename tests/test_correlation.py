@@ -1,5 +1,4 @@
-from fractions import Fraction
-
+import numpy as np
 import pytest
 
 from isecode import (
@@ -14,7 +13,7 @@ from isecode import (
     slice_structure_report,
 )
 
-from conftest import brute_is_complete, brute_pinned_violation
+from conftest import brute_closure, brute_is_complete, brute_pinned_violation
 
 
 def _count(sweeps, fam):
@@ -82,11 +81,41 @@ def test_exhaustive_filter_matches_definition():
 
 def test_random_complete_family_contract():
     p = SpaceParams(3, 3)
-    fam = random_complete_family(p, {1}, Fraction(1, 8), 123)
-    assert fam == random_complete_family(p, {1}, Fraction(1, 8), 123)
+    fam = random_complete_family(p, {1}, 123)
+    assert fam == random_complete_family(p, {1}, 123)
     assert fam.is_pinned_complete({1})
-    assert len(random_complete_family(p, {1}, Fraction(0), 5)) == 0
-    assert random_complete_family(p, {1}, Fraction(1), 5) == Family.full(p)
+    # the closure of at least one word: never empty, and here not the whole space
+    assert 0 < len(fam) < p.size
+    with pytest.raises(ParameterError):
+        random_complete_family(p, {1, 2, 3}, 123)
+
+
+@pytest.mark.parametrize(
+    "s,n,pins",
+    [
+        (2, 1, {1}),
+        (2, 4, {2}),
+        (2, 5, {1}),
+        (3, 3, {1}),
+        (3, 4, {2, 3}),
+        (3, 5, {1}),
+        (3, 5, {1, 3}),
+        (4, 3, {2}),
+        (4, 4, {1, 2}),
+        (4, 5, {1, 3, 4}),
+    ],
+)
+def test_random_complete_family_is_the_closure_of_its_draws(s, n, pins):
+    # the documented draws, closed by the brute-force oracle
+    params = SpaceParams(s, n)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        k = rng.integers(1, n + 1)
+        draws = Family.from_indices(params, rng.integers(params.size, size=k))
+        fam = random_complete_family(params, pins, seed)
+        assert fam == brute_closure(draws, pins), seed
+        assert fam == random_complete_family(params, pins, seed)
+        assert fam == random_complete_family(params, pins, -seed)
 
 
 def test_random_trials_deterministic_and_clean():
@@ -112,8 +141,8 @@ def test_slice_report_on_single_word_closure():
 
 def test_check_then_slice_report_sweeps_each_family_once(sweeps):
     p = SpaceParams(3, 5)
-    fam_a = random_complete_family(p, {1}, Fraction(1, 8), 4)
-    fam_b = random_complete_family(p, {2, 3}, Fraction(1, 8), 5)
+    fam_a = random_complete_family(p, {1}, 4)
+    fam_b = random_complete_family(p, {2, 3}, 5)
     assert sweeps == []
     check = check_correlation(fam_a, fam_b, {1}, {2, 3})
     report = slice_structure_report(fam_a, fam_b, {1}, {2, 3})
@@ -148,46 +177,39 @@ def test_slice_report_needs_length_two():
     full = Family.full(p)
     with pytest.raises(ParameterError):
         slice_structure_report(full, full, {1}, {2})
+    # the length refusal comes before the completeness sweep
+    incomplete = Family.from_words(p, [(2,)])
+    with pytest.raises(ParameterError, match="need word length n >= 2") as err:
+        slice_structure_report(incomplete, full, {1}, {2})
+    assert not isinstance(err.value, CompletenessError)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_slice_report_campaign(n):
     # 100 seeds per length; zero violations expected
     p = SpaceParams(3, n)
-    densities = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
     for seed in range(100):
-        rho = densities[seed % 3]
-        fam_a = random_complete_family(p, {1}, rho, 2 * seed)
-        fam_b = random_complete_family(p, {2}, rho, 2 * seed + 1)
+        fam_a = random_complete_family(p, {1}, 2 * seed)
+        fam_b = random_complete_family(p, {2}, 2 * seed + 1)
         report = slice_structure_report(fam_a, fam_b, {1}, {2})
         assert report.ok, report.violations
 
 
 def test_random_complete_family_golden_bits():
-    # the seeded draw order (ascending word index) is pinned, so replay files reproduce
+    # the seeded draws (k, then k word indices) are pinned, so replay files reproduce
     params = SpaceParams(3, 4)
-    assert random_complete_family(params, {1}, Fraction(1, 4), seed=5).bits == (1 << 81) - 1
-    fam = random_complete_family(params, {1, 2}, Fraction(1, 8), seed=5)
-    assert fam.bits == 0x10098E07E3F1F843FE3F
+    assert random_complete_family(params, {1}, seed=5).bits == 0x70381C0E070381C0E07
+    assert random_complete_family(params, {1, 2}, seed=5).bits == 0x38000007000000E02
 
 
 def test_random_complete_family_negative_seed():
     # a negative seed draws as its absolute value, as random.Random seeds do
     params = SpaceParams(3, 3)
     for seed in (1, 5, 12):
-        assert random_complete_family(params, {1}, Fraction(1, 8), -seed) == random_complete_family(
-            params, {1}, Fraction(1, 8), seed
+        assert random_complete_family(params, {1}, -seed) == random_complete_family(
+            params, {1}, seed
         )
     checks = random_correlation_trials(3, 3, {1}, {2, 3}, 6, seed_base=-3)
     assert [c.seed for c in checks] == list(range(-3, 3))
     assert all(c.holds for c in checks)
 
-
-def test_random_complete_family_denominator_limit():
-    params = SpaceParams(2, 3)
-    assert len(random_complete_family(params, {1}, Fraction(1, 1 << 63), 0)) == 0
-    assert len(random_complete_family(params, {1}, 1 - Fraction(1, 1 << 63), 0)) == 8
-    with pytest.raises(ParameterError):
-        random_complete_family(params, {1}, Fraction(1, (1 << 63) + 1), 0)
-    with pytest.raises(ParameterError):
-        random_complete_family(params, {1}, Fraction(1, 1 << 64), 0)
