@@ -111,17 +111,25 @@ def lift_family(subsets: SetFamily, symbol: int, s: int) -> Family:
     Requires an upward-closed subset family; the lift is then pinned-complete
     for {symbol} and projects back onto the input exactly.
     """
-    n = subsets.n
-    params = SpaceParams(s, n)
+    params = SpaceParams(s, subsets.n)
     if not 1 <= symbol <= s:
         raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
     if not subsets.is_upward_closed():
         raise ParameterError("lift needs an upward-closed subset family")
+    return _lift(subsets, symbol, params)
+
+
+def _lift(subsets: SetFamily, symbol: int, params: SpaceParams) -> Family:
+    """Words whose set of symbol positions belongs to the given family, unchecked.
+
+    The family need not be upward closed; each member S brings the
+    (s - 1)**(n - |S|) words whose symbol positions are exactly S.
+    """
     # Expand each position axis from two states (absent, present) to s symbols.
-    states = [int(c == symbol - 1) for c in range(s)]
+    states = [int(c == symbol - 1) for c in range(params.s)]
     out = subsets.array
-    for j in range(n):
-        out = out.reshape(-1, 2, s**j).take(states, axis=1)
+    for j in range(params.n):
+        out = out.reshape(-1, 2, params.s**j).take(states, axis=1)
     return Family.from_array(params, out.reshape(-1))
 
 

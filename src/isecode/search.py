@@ -42,6 +42,22 @@ the shifted cliques are not invariant under permutations of the positions,
 so the image of a shifted clique need not be searched.  It does not apply at
 s >= 3 with two nonzero demands, where swapping two symbols between two
 positions can lose an agreement that nothing makes up for.
+
+At s >= 3 with one nonzero demand t (on symbol 1 after the relabelling) the
+quotient rule runs the shift rule on the s = 2 graph (n, 2, (t, 0)) of the
+1-sets, weighted.  Two words agree in symbol 1 exactly on the intersection
+of their 1-sets, so a family meets the demand exactly when its set of
+1-sets is t-intersecting, and the largest family with a given set of 1-sets
+takes each 1-set's whole fibre, the (s - 1)**(n - |S|) words whose 1-set is
+S.  (So a maximal family is complete for the demanded symbol.)  The maximum
+family is therefore a maximum-weight clique of the 1-set graph, weight
+(s - 1)**(n - |S|), lifted to the union of its fibres.  Shifts keep |S| and
+so the weight, and the search is the shift rule's with the clique counted
+in weight.  The slots run by descending |S| (ascending weight), then
+ascending index, so the last vertex of a color class is its heaviest and
+the class bounds by that weight.  (The reverse order, heaviest first, took
+4 to 900 times the nodes on the instances tried.)  At s = 2 every weight is
+1 and this is the shift rule itself.
 """
 
 from __future__ import annotations
@@ -54,7 +70,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .families import Family
+from .constructions import _lift
+from .families import Family, SetFamily
 from .words import (
     ParameterError,
     SpaceParams,
@@ -78,7 +95,7 @@ _ROW_CHUNK_BYTES = 1 << 20  # bound on the bytes of one block of unpacked adjace
 class CompatGraph:
     params: SpaceParams
     demand: tuple[int, ...]
-    vertices: tuple[int, ...]  # word indices, ascending
+    vertices: tuple[int, ...]  # word index of each slot; ascending from build_compat_graph
     adjacency: tuple[int, ...]  # row bitsets over vertex slots, no self bit
 
     @property
@@ -94,14 +111,17 @@ def _iter_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
-    params = SpaceParams(s, n)
-    t = check_demand(s, demand)
+def _vertices(params: SpaceParams, t: tuple[int, ...]) -> np.ndarray:
+    """The indices, ascending, of the words whose own symbol counts meet the demand."""
     keep = np.ones(params.size, dtype=bool)
     for sym, need in enumerate(t, start=1):
         if need:
-            keep &= symbol_count(params, range(1, n + 1), sym) >= need
-    verts = np.flatnonzero(keep)
+            keep &= symbol_count(params, range(1, params.n + 1), sym) >= need
+    return np.flatnonzero(keep)
+
+
+def _graph(params: SpaceParams, t: tuple[int, ...], verts: np.ndarray) -> CompatGraph:
+    """The compatibility graph whose slot i is the word verts[i]."""
     m = int(verts.shape[0])
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
@@ -109,7 +129,28 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     for lo, block in agreement_rows(decode_matrix(params, verts), t):
         clear_diagonal(block, lo)
         rows.extend(int_rows(block))
-    return CompatGraph(params, t, tuple(int(v) for v in verts), tuple(rows))
+    return CompatGraph(params, t, tuple(verts.tolist()), tuple(rows))
+
+
+def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
+    params = SpaceParams(s, n)
+    t = check_demand(s, demand)
+    return _graph(params, t, _vertices(params, t))
+
+
+def _quotient_graph(n: int, s: int, t: tuple[int, int]) -> tuple[CompatGraph, list[int]]:
+    """The s = 2 graph (n, 2, t) of the 1-sets, and each slot's weight for an alphabet of s.
+
+    A vertex is a 1-set S as the s = 2 word with symbol 1 on S; its weight
+    (s - 1)**(n - |S|) counts the words over {1..s} whose 1-set is S.  The
+    slots run by ascending weight (descending |S|), then ascending index, so
+    at s = 2, where every weight is 1, the graph is build_compat_graph's.
+    """
+    params = SpaceParams(2, n)
+    verts = _vertices(params, t)
+    weight = (s - 1) ** np.bitwise_count(verts).astype(np.int64)  # a 1 bit is a 2-position
+    slots = np.argsort(weight, kind="stable")
+    return _graph(params, t, verts[slots]), weight[slots].tolist()
 
 
 def _orbits(graph: CompatGraph) -> list[int]:
@@ -142,8 +183,10 @@ def _shift_tables(
 
     Vertex v stands for its 1-set S.  T <= S exactly when T comes from S by
     moves of one element to the free position just left of it, and each
-    such move raises the word index (a 2-position moves right), so the
-    down-set of slot v lies at slots >= v and its up-set at slots <= v.
+    such move keeps |S| and raises the word index (a 2-position moves
+    right).  Among the words of one size the slots ascend by index (at
+    s = 2 all of them do), so the down-set of slot v lies at slots >= v and
+    its up-set at slots <= v.
     Returns the bitset of the vertices whose down-set is a clique, down[v],
     the down-set shifted right by v (bit 0 is v), and up[v], the up-set less
     v.  A vertex's two rows hold at most m bits, as many as its adjacency
@@ -176,7 +219,8 @@ def _shift_tables(
     # a move takes symbol 1 (digit 0) from position p + 2 to p + 1: the index grows by 2**p
     digit = verts[:, None] >> np.arange(n) & 1
     src, p = np.nonzero((digit[:, :-1] == 1) & (digit[:, 1:] == 0))  # src ascends
-    moves = np.searchsorted(verts, verts[src] + (1 << p)).tolist()
+    rank = np.argsort(verts)  # the slots by ascending index
+    moves = rank[np.searchsorted(verts, verts[src] + (1 << p), sorter=rank)].tolist()
     start = np.searchsorted(src, np.arange(m + 1)).tolist()  # v's moves: moves[start[v]:start[v + 1]]
     chunk = max(1, 8 * _ROW_CHUNK_BYTES // max(m, 1))
     down, up = [0] * m, [0] * m
@@ -227,13 +271,14 @@ class SearchStats:
     """What one max_family call spent and found beside its answer.
 
     The seconds of each phase, the greedy incumbent's size and the rule that
-    restricted the branching: "shift" at s = 2, "orbit" otherwise.  build
-    includes the argument checks; orbits is the time of the orbit masks, or
-    under the shift rule of the shift tables; when the greedy runs out of
-    time, or the shift tables did, there is no branching and branch is
-    near 0.  The four phases are consecutive, so
-    they sum to at most the call's elapsed time, which also covers decoding
-    the witness.
+    restricted the branching: "shift" at s = 2, "quotient" at s >= 3 with
+    one nonzero demand, "orbit" otherwise.  build includes the argument
+    checks; orbits is the time of the orbit masks, or under the shift and
+    quotient rules of the shift tables; when the greedy runs out of time, or
+    the shift tables did, there is no branching and branch is near 0.  Under
+    the quotient rule the incumbent is the greedy clique's weight, the size
+    of its lift.  The four phases are consecutive, so they sum to at most
+    the call's elapsed time, which also covers building the witness.
     """
 
     build: float
@@ -246,6 +291,16 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The answer of one max_family call.
+
+    max_size is the size of the witness, the largest family found; it is the
+    maximum when complete is True.  nodes counts the branch-and-bound nodes
+    expanded and orbits the vertex orbits of the searched graph's root
+    symmetry group.  Under the quotient rule both refer to the 1-set graph:
+    its orbits are the 1-set sizes t..n, and max_size is the weight of the
+    best 1-set clique, the size of its lift.
+    """
+
     params: SpaceParams
     demand: tuple[int, ...]
     max_size: int
@@ -253,41 +308,50 @@ class SearchResult:
     nodes: int
     elapsed: float
     complete: bool
-    orbits: int  # vertex orbits of the root symmetry group
+    orbits: int
     stats: SearchStats
 
     def density(self) -> Fraction:
         return Fraction(self.max_size, self.params.size)
 
 
-def _color_order(cand: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list[int]]:
-    """Greedy coloring of cand; the vertices of colors >= kmin, by ascending color,
-    ascending within a color, and their colors.
+def _color_order(
+    cand: int, adj: Sequence[int], weight: Sequence[int], kmin: int
+) -> tuple[list[int], list[int]]:
+    """Greedy coloring of cand; the vertices of classes with bound >= kmin, by ascending
+    class, ascending within a class, and their classes' bounds.
 
     Classes are built one at a time (BBMC): class k takes the lowest vertex
     left in q, the uncolored vertices not adjacent to the class so far, until
     q is empty.  By induction on ascending index these are exactly the
     classes of first-fit coloring in ascending vertex order, at O(1) bitset
-    operations per vertex whatever the number of classes.  Classes below
-    kmin are colored but not returned (the MCQ rule of Tomita & Seki): their
-    color bound cannot beat the incumbent, so they are never branched on.
+    operations per vertex whatever the number of classes.  The bound of
+    class k is the sum of the weights of the last vertices of classes 1..k:
+    weights never fall along the slots, so a class's last vertex is its
+    heaviest, and a clique in classes 1..k, one vertex at most in each,
+    weighs at most that.  With unit weights the bound of class k is k, its
+    color.  Classes below kmin are colored but not returned (the MCQ rule of
+    Tomita & Seki): their bound cannot beat the incumbent, so they are never
+    branched on.
     """
     order: list[int] = []
     bounds: list[int] = []
     rest = cand
-    color = 0
+    bound = 0
     while rest:
-        color += 1
         q = rest
-        keep = color >= kmin
+        first = len(order)
         while q:
             low = q & -q
             v = low.bit_length() - 1
             q ^= low | (q & adj[v])
             rest ^= low
-            if keep:
-                order.append(v)
-                bounds.append(color)
+            order.append(v)
+        bound += weight[v]
+        if bound >= kmin:
+            bounds += [bound] * (len(order) - first)
+        else:
+            del order[first:]
     return order, bounds
 
 
@@ -345,6 +409,7 @@ def _greedy_clique(
 
 def _branch(
     adj: Sequence[int],
+    weight: Sequence[int],
     floor: int,
     deadline: float | None,
     cand: int,
@@ -352,7 +417,7 @@ def _branch(
     up: Sequence[int],
     root_up: Sequence[int] | None = None,
 ) -> tuple[int, int, bool]:
-    """Depth-first branch-and-bound for a clique in cand larger than floor, the incumbent's size.
+    """Depth-first branch-and-bound for a clique in cand heavier than floor, the incumbent's weight.
 
     Each stack frame holds the color-ordered vertices still to branch on, their
     color bounds and the remaining candidate set.  Branching on v adds
@@ -361,11 +426,12 @@ def _branch(
     of what was added.  After v's branch the frame drops v and up[v] from
     its candidates, and the root drops v and root_up[v] (default up[v]).  A
     vertex already dropped is skipped and is not a node.  The clique is the
-    stack of added sets and its size.  The orbit rule adds {v}
-    (down[v] = 1) and drops nothing more below the root (up[v] = 0).
-    Returns the best clique found as a bitset (0 if none beat floor), the
-    number of nodes expanded and whether the search finished before the
-    deadline.
+    stack of added sets and their weights; a down-set's vertices share v's
+    weight, since shifts keep the size of a 1-set, so an added set weighs its
+    popcount times weight[v].  The orbit rule adds {v} (down[v] = 1) and drops
+    nothing more below the root (up[v] = 0).  Returns the best clique found
+    as a bitset (0 if none beat floor), the number of nodes expanded and
+    whether the search finished before the deadline.
 
     Under the shift rule every u <= v outside the clique is candidate.  The
     clique is down-closed and a candidate v is adjacent to all of it, so by
@@ -374,9 +440,9 @@ def _branch(
     dropped from the candidates took v with its up-set.
     """
     root_up = up if root_up is None else root_up
-    order, bounds = _color_order(cand, adj, floor + 1)
+    order, bounds = _color_order(cand, adj, weight, floor + 1)
     stack = [[order, bounds, cand]]
-    added: list[int] = []  # added[i] opened frame i + 1
+    added: list[tuple[int, int]] = []  # (set, weight); added[i] opened frame i + 1
     size = found = 0
     nodes = 1
     while stack:
@@ -386,7 +452,7 @@ def _branch(
         if not order or size + bounds[-1] <= floor:
             stack.pop()
             if added:
-                size -= added.pop().bit_count()
+                size -= added.pop()[1]
             continue
         v = order.pop()
         bounds.pop()
@@ -395,6 +461,7 @@ def _branch(
             continue
         frame[2] = cand & ~(bit | (up if len(stack) > 1 else root_up)[v])
         new = down[v] << v & cand  # the down-set less the clique
+        gain = new.bit_count() * weight[v]
         nxt = cand & adj[v]
         if new != bit:
             for u in _iter_bits(new ^ bit):
@@ -403,15 +470,15 @@ def _branch(
             nodes += 1
             if deadline is not None and time.monotonic() > deadline:
                 return found, nodes, False
-            added.append(new)
-            size += new.bit_count()
+            added.append((new, gain))
+            size += gain
             # the new frame opens with the clique as it is now; its first vertex is
             # candidate, so a clique above floor grows on to a leaf and is recorded there
-            order, bounds = _color_order(nxt, adj, floor - size + 1)
+            order, bounds = _color_order(nxt, adj, weight, floor - size + 1)
             stack.append([order, bounds, nxt])
-        elif size + new.bit_count() > floor:
-            floor, found = size + new.bit_count(), new
-            for part in added:
+        elif size + gain > floor:
+            floor, found = size + gain, new
+            for part, _ in added:
                 found |= part
     return found, nodes, True
 
@@ -426,48 +493,63 @@ def max_family(
     lower bound only.  The search runs on the symbols relabelled so that the
     demand is non-increasing (a stable sort, so such a demand keeps its
     labels), which makes it independent of how the caller labels the
-    symbols; the witness is mapped back to the caller's labels.  At s = 2
-    the branching visits left-shifted cliques only (the shift rule, see the
-    module docstring), elsewhere it prunes root orbits.
+    symbols; the witness is mapped back to the caller's labels.  The rule
+    follows from (s, demand), see the module docstring: at s = 2 the
+    branching visits left-shifted cliques only (the shift rule); at s >= 3
+    with one nonzero demand it visits left-shifted cliques of the weighted
+    1-set graph and lifts the best to a union of fibres (the quotient rule);
+    elsewhere it prunes root orbits (the orbit rule).
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
     params = SpaceParams(s, n)  # a bad space is refused before the demand is read
     t = check_demand(s, demand)
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
-    graph = build_compat_graph(n, s, [t[c] for c in order])
+    searched = tuple(t[c] for c in order)
+    if s == 2 or (searched[0] and not any(searched[1:])):
+        rule = "shift" if s == 2 else "quotient"
+        graph, weight = _quotient_graph(n, s, searched[:2])
+    else:
+        rule = "orbit"
+        graph = build_compat_graph(n, s, searched)
+        weight = [1] * graph.vertex_count
     marks = [start, time.monotonic()]
     m = graph.vertex_count
     every = (1 << m) - 1
     orbit = _orbits(graph)
-    if s == 2:
-        rule, tables = "shift", _shift_tables(graph, deadline)
-    else:
+    if rule == "orbit":
         masks = _orbit_masks(orbit)
-        rule, tables = "orbit", (every, [1] * m, [0] * m, [masks[k] for k in orbit])
+        tables = (every, [1] * m, [0] * m, [masks[k] for k in orbit])
+    else:
+        tables = _shift_tables(graph, deadline)
     marks.append(time.monotonic())
     adj = graph.adjacency
     best, expired = _greedy_clique(adj, every, deadline)
     marks.append(time.monotonic())
-    incumbent = len(best)
+    incumbent = sum(weight[v] for v in best)
     found = nodes = 0
     complete = False
     if tables is not None and not expired:
-        found, nodes, complete = _branch(adj, incumbent, deadline, *tables)
+        found, nodes, complete = _branch(adj, weight, incumbent, deadline, *tables)
         if found:
             best = list(_iter_bits(found))
     marks.append(time.monotonic())
     stats = SearchStats(*(b - a for a, b in zip(marks, marks[1:])), incumbent, rule)
     chosen = [graph.vertices[v] for v in best]
-    if rule == "shift" and not found:
-        chosen = _left_shift(chosen, n)  # the greedy clique, made left-shifted like the branch's
-    digits = decode_matrix(params, np.array(chosen, dtype=np.int64))
-    caller = np.array(order, dtype=np.uint8) + 1  # the caller's symbol of each searched digit
-    witness = Family.from_indices(params, encode_matrix(params, caller[digits - 1]))
+    if rule == "orbit":
+        digits = decode_matrix(params, np.array(chosen, dtype=np.int64))
+        caller = np.array(order, dtype=np.uint8) + 1  # the caller's symbol of each searched digit
+        witness = Family.from_indices(params, encode_matrix(params, caller[digits - 1]))
+    else:
+        if not found:
+            chosen = _left_shift(chosen, n)  # the greedy clique, made left-shifted like the branch's
+        full = (1 << n) - 1  # a 1-set's subset mask is the complement of its s = 2 word index
+        sets = SetFamily.from_indices(n, [full ^ x for x in chosen])
+        witness = _lift(sets, order[0] + 1, params)  # the fibres, in the caller's labels
     return SearchResult(
         params,
         t,
-        len(best),
+        sum(weight[v] for v in best),
         witness,
         nodes,
         time.monotonic() - start,

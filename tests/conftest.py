@@ -205,14 +205,20 @@ def brute_shift(family: Family, i: int, j: int, symbol: int = 1) -> Family:
     return Family.from_words(params, out)
 
 
-def random_intersecting_family(params: SpaceParams, demand, rng: random.Random) -> Family:
-    """About half of a maximal demand-intersecting family, grown from the words in random order."""
+def maximal_intersecting_words(params: SpaceParams, demand, rng: random.Random) -> list[Word]:
+    """The members of a maximal demand-intersecting family, grown from the words in random order."""
     words = all_words(params)
     rng.shuffle(words)
     chosen: list[Word] = []
     for w in words:
         if all(satisfies(params, w, y, demand) for y in chosen + [w]):
             chosen.append(w)
+    return chosen
+
+
+def random_intersecting_family(params: SpaceParams, demand, rng: random.Random) -> Family:
+    """About half of a maximal demand-intersecting family, grown from the words in random order."""
+    chosen = maximal_intersecting_words(params, demand, rng)
     return Family.from_words(params, [w for w in chosen if rng.random() < 0.5])
 
 

@@ -235,6 +235,8 @@ def test_search_json_contract(capsys, tmp_path):
     fam = load_family(witness)
     assert len(fam) == 4 and fam.is_t_intersecting((1, 1))
     _, report, _ = run_json(capsys, "search", "-n", "3", "-s", "3", "-t", "1,0,0")
+    assert report["rule"] == "quotient"  # s >= 3, one nonzero demand
+    _, report, _ = run_json(capsys, "search", "-n", "3", "-s", "3", "-t", "1,1,0")
     assert report["rule"] == "orbit"
 
 

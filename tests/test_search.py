@@ -16,13 +16,23 @@ from isecode import (
     max_family,
     product_allocation,
 )
-from isecode.search import _color_order, _greedy_clique, _orbit_masks, _orbits, _shift_tables
+from isecode.search import (
+    _color_order,
+    _greedy_clique,
+    _iter_bits,
+    _orbit_masks,
+    _orbits,
+    _quotient_graph,
+    _shift_tables,
+)
 from isecode.words import SpaceParams, decode_matrix
 
 from conftest import (
     brute_intersecting,
+    brute_is_complete,
     brute_max_intersecting,
     brute_shift,
+    maximal_intersecting_words,
     random_intersecting_family,
     satisfies,
 )
@@ -99,13 +109,13 @@ def _slow_graph_build(monkeypatch, seconds):
     """Make every graph build inside max_family take `seconds` longer."""
     import isecode.search as search_mod
 
-    build = search_mod.build_compat_graph
+    build = search_mod._graph  # every rule's graph is built here
 
     def slow_build(*args):
         time.sleep(seconds)
         return build(*args)
 
-    monkeypatch.setattr(search_mod, "build_compat_graph", slow_build)
+    monkeypatch.setattr(search_mod, "_graph", slow_build)
 
 
 def test_timeout_covers_greedy_phase(monkeypatch):
@@ -259,11 +269,18 @@ def _first_fit(cand, adj):
                     break
             else:
                 classes.append(1 << v)
+    return [[v for v in range(cls.bit_length()) if cls >> v & 1] for cls in classes]
+
+
+def _bounded(classes, weight):
+    """The classes' vertices in order, and each class's bound: the sum of the
+    largest weights of it and the classes before it, with unit weights its color."""
     order, bounds = [], []
-    for color, cls in enumerate(classes, start=1):
-        members = [v for v in range(cls.bit_length()) if cls >> v & 1]
+    bound = 0
+    for members in classes:
+        bound += max(weight[v] for v in members)
         order += members
-        bounds += [color] * len(members)
+        bounds += [bound] * len(members)
     return order, bounds
 
 
@@ -278,31 +295,41 @@ def test_color_order_is_ascending_first_fit(n, s, t):
     cands += [rng.getrandbits(m) for _ in range(10)]
     cands += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
     cands += [adj[v] for v in rng.sample(range(m), 10)]
+    unit = [1] * m
+    # weights that never fall along the slots, as the quotient rule's do
+    rising = sorted(rng.choice((1, 2, 4, 8)) for _ in range(m))
     for cand in cands:
-        order, bounds = _first_fit(cand, adj)
-        assert _color_order(cand, adj, 1) == (order, bounds)
-        top = bounds[-1] if bounds else 0
-        for kmin in (2, 3, top, top + 1):
-            # classes below kmin are colored (they shape the later classes) but not returned
-            kept = [(v, c) for v, c in zip(order, bounds) if c >= kmin]
-            assert _color_order(cand, adj, kmin) == ([v for v, _ in kept], [c for _, c in kept])
-    assert _color_order(cands[0], adj, 1)[1][-1] > 1  # the whole graph needs several classes
+        classes = _first_fit(cand, adj)
+        for weight in (unit, rising):
+            order, bounds = _bounded(classes, weight)
+            assert _color_order(cand, adj, weight, 1) == (order, bounds)
+            top = bounds[-1] if bounds else 0
+            for kmin in (2, 3, top, top + 1):
+                # classes below kmin are colored (they shape the later classes) but not returned
+                kept = [(v, c) for v, c in zip(order, bounds) if c >= kmin]
+                expected = ([v for v, _ in kept], [c for _, c in kept])
+                assert _color_order(cand, adj, weight, kmin) == expected
+    assert _color_order(cands[0], adj, unit, 1)[1][-1] > 1  # the whole graph needs several classes
 
 
 @pytest.mark.parametrize(
     "n, s, t, size, nodes",
     [
         (8, 2, (2, 0), 93, 10),
-        (7, 3, (3, 0, 0), 99, 3716),
+        (7, 3, (3, 0, 0), 99, 26),
         (8, 2, (1, 2), 44, 44),
         (8, 2, (1, 1), 64, 27333),
         (9, 2, (2, 1), 93, 2612),
+        (7, 3, (2, 0, 0), 243, 87),
+        (8, 4, (2, 0, 0, 0), 4096, 177),
     ],
 )
 def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
     # the s = 2 rows run the shift rule: under the root orbit rule they took
     # 1,476 and 180,935 nodes, and the last two were not proved within 60 s;
-    # without root orbit pruning the s = 3 row is not proved within 20 s
+    # the s >= 3 rows run the quotient rule: on the full graph under the root
+    # orbit rule (7,3,(3,0,0)) took 3,716 nodes and (7,3,(2,0,0)) was not
+    # proved within 60 s
     start = time.monotonic()
     result = max_family(n, s, t)
     assert time.monotonic() - start < 15
@@ -322,6 +349,7 @@ def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
         (8, 2, (0, 1), (1, 0), (2, 1)),
         (5, 3, (0, 0, 1), (1, 0, 0), (3, 1, 2)),
         (5, 3, (0, 1, 2), (2, 1, 0), (3, 2, 1)),
+        (6, 4, (0, 0, 2, 0), (2, 0, 0, 0), (3, 1, 2, 4)),
     ],
 )
 def test_max_family_does_not_depend_on_symbol_labels(n, s, t, partner, to_caller):
@@ -458,6 +486,27 @@ def test_shift_tables_match_the_shift_order(n, t):
     assert 0 < kept <= m and (kept < m or t == (0, 0))
 
 
+@pytest.mark.parametrize("n, s, t", [(6, 3, (2, 0)), (7, 4, (3, 0)), (5, 3, (0, 0))])
+def test_shift_tables_follow_the_quotient_slots(n, s, t):
+    # the quotient's slots run by size, not by index: its tables are the
+    # index-ordered graph's, slot for slot
+    binary, (quotient, _) = build_compat_graph(n, 2, t), _quotient_graph(n, s, t)
+    assert sorted(quotient.vertices) == list(binary.vertices) != list(quotient.vertices)
+    slot = {word: v for v, word in enumerate(binary.vertices)}
+    to_binary = [slot[word] for word in quotient.vertices]  # per quotient slot
+
+    def image(bits, shift=0):
+        return sum(1 << to_binary[u] for u in _iter_bits(bits << shift))
+
+    cand, down, up = _shift_tables(quotient, None)
+    ref_cand, ref_down, ref_up = _shift_tables(binary, None)
+    assert image(cand) == ref_cand
+    for v, w in enumerate(to_binary):
+        assert image(down[v], v) == ref_down[w] << w
+        assert image(up[v]) == ref_up[w]
+        assert image(quotient.adjacency[v]) == binary.adjacency[w]
+
+
 def test_shift_tables_check_deadline_between_chunks(monkeypatch):
     import isecode.search as search_mod
 
@@ -478,7 +527,79 @@ def test_shift_tables_check_deadline_between_chunks(monkeypatch):
 def test_rule_follows_the_alphabet():
     assert max_family(5, 2, (0, 0)).stats.rule == "shift"
     assert max_family(5, 2, (2, 1)).stats.rule == "shift"
-    assert max_family(4, 3, (1, 0, 0)).stats.rule == "orbit"
+    assert max_family(4, 3, (1, 0, 0)).stats.rule == "quotient"
+    assert max_family(4, 3, (0, 0, 1)).stats.rule == "quotient"
+    assert max_family(4, 3, (1, 1, 0)).stats.rule == "orbit"
+    assert max_family(4, 3, (0, 0, 0)).stats.rule == "orbit"
     expired = max_family(6, 2, (1, 1), timeout_ms=0)
     assert expired.stats.rule == "shift" and not expired.complete and expired.nodes == 0
     assert _is_left_shifted(expired.witness, 1)  # the greedy's first pick, shifted
+    expired = max_family(7, 3, (0, 2, 0), timeout_ms=0)
+    assert expired.stats.rule == "quotient" and not expired.complete and expired.nodes == 0
+    # the greedy's first pick is the 1-set of all positions: its fibre is one word
+    assert len(expired.witness) == expired.max_size == expired.stats.incumbent == 1
+    assert expired.witness.is_t_intersecting((0, 2, 0))
+
+
+def _demands_with_a_zero(n, s):
+    for t in itertools.product(range(n + 1), repeat=s):
+        if sum(t) <= n and 0 in t:
+            yield t
+
+
+def test_maximal_families_are_complete_for_the_demanded_symbols():
+    # the lemma under the quotient rule: adding a word that keeps every
+    # demanded-symbol position of a member keeps the demand, so a maximal
+    # family holds it
+    rng = random.Random(4)
+    checked = 0
+    for s, n in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (4, 4)):
+        params = SpaceParams(s, n)
+        demands = list(_demands_with_a_zero(n, s))
+        for t in rng.sample(demands, min(len(demands), 12)):
+            family = Family.from_words(params, maximal_intersecting_words(params, t, rng))
+            demanded = {sym for sym in range(1, s + 1) if t[sym - 1]}
+            assert brute_is_complete(family, demanded), (s, n, t)
+            checked += len(demanded) > 0 and len(family) < params.size
+    assert checked > 40
+
+
+def _one_sets(family, symbol):
+    """The s = 2 family of the `symbol`-sets of a family's members."""
+    n = family.params.n
+    words = {tuple(1 if x == symbol else 2 for x in word) for word in family.members()}
+    return Family.from_words(SpaceParams(2, n), sorted(words))
+
+
+@pytest.mark.parametrize("s, n_max", [(3, 5), (4, 4), (5, 3)])
+def test_quotient_witnesses_are_lifted_shifted_families(s, n_max):
+    for n in range(1, n_max + 1):
+        for t, symbol in itertools.product(range(1, n + 1), range(1, s + 1)):
+            demand = tuple(t if c == symbol else 0 for c in range(1, s + 1))
+            result = max_family(n, s, demand)
+            witness = result.witness
+            assert result.complete and result.stats.rule == "quotient"
+            assert result.max_size == len(witness) == product_allocation(n, s, demand).count
+            assert result.stats.incumbent <= result.max_size
+            assert result.orbits == n - t + 1  # the 1-set sizes t..n
+            assert witness.is_t_intersecting(demand), (n, s, demand)
+            assert witness.is_pinned_complete({symbol}), (n, s, demand)
+            sets = _one_sets(witness, symbol)
+            # a union of whole fibres: each 1-set S brings (s - 1)**(n - |S|) words
+            sizes = [word.count(1) for word in sets.members()]
+            assert sum((s - 1) ** (n - k) for k in sizes) == len(witness)
+            assert _is_left_shifted(sets, 1), (n, s, demand)
+            if n <= 2:  # at most 16 vertices
+                assert result.max_size == brute_max_intersecting(n, s, demand)
+
+
+def test_quotient_graph_slots_rise_in_weight():
+    graph, weight = _quotient_graph(6, 3, (2, 0))
+    sizes = [6 - v.bit_count() for v in graph.vertices]  # |S|: digit 0 marks symbol 1
+    assert weight == [2 ** (6 - k) for k in sizes]
+    assert weight == sorted(weight)
+    slots = list(zip(weight, graph.vertices))
+    assert slots == sorted(slots)  # then ascending index
+    assert graph.vertex_count == 57  # the 1-sets of at least two positions
+    binary = build_compat_graph(6, 2, (2, 1))
+    assert _quotient_graph(6, 2, (2, 1)) == (binary, [1] * binary.vertex_count)
