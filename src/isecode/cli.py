@@ -236,6 +236,7 @@ def cmd_search(args) -> int:
         "t": list(t),
         "max": result.max_size,
         "witness_file": args.output or None,
+        "vertices": result.stats.vertices,
         "nodes": result.nodes,
         "orbits": result.orbits,
         "rule": result.stats.rule,

@@ -116,20 +116,24 @@ def lift_family(subsets: SetFamily, symbol: int, s: int) -> Family:
         raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
     if not subsets.is_upward_closed():
         raise ParameterError("lift needs an upward-closed subset family")
-    return _lift(subsets, symbol, params)
+    # a subset's index has bit j set when position j + 1 is in it: pattern digit 1 is present
+    return _lift(subsets.array, [int(c == symbol - 1) for c in range(s)], params)
 
 
-def _lift(subsets: SetFamily, symbol: int, params: SpaceParams) -> Family:
-    """Words whose set of symbol positions belongs to the given family, unchecked.
+def _lift(member: np.ndarray, states: Sequence[int], params: SpaceParams) -> Family:
+    """Words whose pattern is a member, unchecked.
 
-    The family need not be upward closed; each member S brings the
-    (s - 1)**(n - |S|) words whose symbol positions are exactly S.
+    A word's pattern replaces each symbol c + 1 by the pattern digit
+    states[c]; states maps the alphabet onto the digits 0..q - 1, and member
+    is a bool array over the q**n patterns in the index order of `words`.
+    Each member pattern brings every word that maps to it, so a family of
+    subsets (q = 2, digit 1 for the symbol) lifts to the words whose symbol
+    positions it holds, each subset S with its (s - 1)**(n - |S|) words.
     """
-    # Expand each position axis from two states (absent, present) to s symbols.
-    states = [int(c == symbol - 1) for c in range(params.s)]
-    out = subsets.array
-    for j in range(params.n):
-        out = out.reshape(-1, 2, params.s**j).take(states, axis=1)
+    q = max(states) + 1
+    out = member
+    for j in range(params.n):  # expand position j + 1 from q pattern digits to s symbols
+        out = out.reshape(-1, q, params.s**j).take(states, axis=1)
     return Family.from_array(params, out.reshape(-1))
 
 

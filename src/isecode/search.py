@@ -4,65 +4,82 @@ Vertices of the compatibility graph are the words whose own symbol histogram
 dominates the demand (the pair condition quantifies over self pairs too);
 edges join pairs meeting the demand.  Maximum cliques are maximum families.
 
+max_family searches a weighted quotient of this graph, the pattern graph.
+Let A be the k symbols of nonzero demand (the first k after the relabelling
+to a non-increasing demand).  A word's pattern keeps its A-symbols and
+writes the star * for every other symbol.  Two words agree in an A-symbol
+exactly where their patterns do, so a family meets the demand exactly when
+its set of patterns does, and the largest family with a given set of
+patterns takes each pattern's whole fibre, the (s - k)**(number of stars)
+words with that pattern.  (So a maximal family is complete for A.)  The
+maximum family is therefore a maximum-weight clique of the pattern graph
+(n, k + 1, (t_1, ..., t_k, 0)), each pattern weighted by its fibre, lifted
+to the union of its fibres.  When k = s - 1 the star is the one zero-demand
+symbol and every weight is 1, and when k = 0 or k = s there is nothing to
+merge, so with q = k + 1 for 1 <= k < s and q = s otherwise the graph is
+(n, q, (t_1, ..., t_q)); at q = s it is the word graph.  The slots run by
+ascending weight, then ascending index.  (Heaviest first took 2,806 nodes
+instead of 2 at (6,4,(1,1,0,0)) and 476 instead of 2 at (7,3,(2,0,0)).)
+
 The solver is one depth-first bitset branch-and-bound with greedy-coloring
 bounds (after San Segundo et al., BBMC), run on an explicit stack from a
 deterministic greedy incumbent.  Each node colors its candidates one class
-at a time, as BBMC and Tomita & Kameda's MCS do; the classes are those of
-first-fit coloring in ascending vertex order, and classes whose color bound
+at a time, as BBMC and Tomita & Kameda's MCS do, and classes whose bound
 cannot beat the incumbent are colored but not kept (Tomita & Seki's MCQ
-rule).  Coloring and branching follow ascending vertex order, so witnesses
-and node counts are identical from run to run.
+rule).  With unit weights the classes are those of first-fit coloring in
+ascending vertex order and a class bounds by its color.  With weights the
+coloring splits them: a class adds to the bound r, the smallest residual
+weight in it, every member's residual drops by r, and a vertex is colored,
+with the bound so far, once its residual reaches 0, so a vertex may sit in
+several classes.  This is sound because a clique meets each class, an
+independent set, at most once, and each vertex's weight is the sum of the r
+of the classes it sat in; so a clique whose vertices are all colored by the
+j-th class weighs at most the sum of the first j values of r, the bound of
+the last of them.  A class that counts its heaviest vertex instead left
+(7,5,(1,1,0,0,0)) and (8,4,(1,1,0,0)) unproved at 60 s on the pattern
+graph (300,655 and 25,870 nodes), which the word graph proved in seconds.  Coloring and branching
+follow ascending vertex order, so witnesses and node counts are identical
+from run to run.
 
 The graph is invariant under permutations of the positions and under
 permutations of symbols with equal demand, and so is the vertex filter.  The
-root frame uses this by orbital branching (Ostrowski, Linderoth, Rossi &
-Smriglio, 2011): once every clique through v has been searched, v's whole
-orbit leaves the root candidate set R.  Only whole orbits are removed, so R
-stays invariant; a clique C in R through w = g(v) has the image g^-1(C) in R
-through v, of the same size, which was searched when v was.  Deeper frames
-branch on single vertices.
+star is the one symbol of zero demand, so these keep the number of stars and
+the weight.  The root frame uses this by orbital branching (Ostrowski,
+Linderoth, Rossi & Smriglio, 2011): once every clique through v has been
+searched, v's whole orbit leaves the root candidate set R.  Only whole
+orbits are removed, so R stays invariant; a clique C in R through w = g(v)
+has the image g^-1(C) in R through v, of the same weight, which was
+searched when v was.  Deeper frames branch on single vertices.
 
-At s = 2 a shift rule replaces the orbit rule.  A word stands for its 1-set
-S, the positions holding symbol 1.  Frankl's shift S_ij (i < j) moves j to i
-in each member whose image is not a member; it keeps the size and the
-t1-intersection of the 1-sets, and since it acts on the complements as S_ji,
-the t2-intersection of the 2-sets too (Frankl, "The shifting technique in
-extremal set theory", 1987).  Shifting until nothing moves therefore turns a
-maximum family into a left-shifted one: closed downward in the shift order,
-where T <= S when |T| = |S| and every prefix of the positions holds at least
-as many elements of T as of S.  So the search visits left-shifted cliques
-only.  Including v adds its whole down-set, which must still be candidate;
-after v's branch its frame drops v's whole up-set, at every depth, since a
+When q = 2 a shift rule replaces the orbit rule: at s = 2, and at s >= 3
+with one nonzero demand t (the quotient rule), where a pattern is a 1-set
+of weight (s - 1)**(n - |S|).  A vertex stands for its 1-set S, the
+positions holding symbol 1.  Frankl's shift S_ij (i < j) moves j to i in
+each member whose image is not a member; it keeps the size and the
+t1-intersection of the 1-sets, and since it acts on the complements as
+S_ji, the t2-intersection of the 2-sets too (Frankl, "The shifting
+technique in extremal set theory", 1987).  It keeps |S| and so the weight.
+Shifting until nothing moves therefore turns a maximum family into a
+left-shifted one: closed downward in the shift order, where T <= S when
+|T| = |S| and every prefix of the positions holds at least as many
+elements of T as of S.  So the search visits left-shifted cliques only.
+Including v adds its whole down-set, which must still be candidate; after
+v's branch its frame drops v's whole up-set, at every depth, since a
 shifted clique through any of them holds v; and a vertex whose down-set is
-not a clique never enters.  Only the greedy incumbent's size prunes; when
-no shifted clique beats it, the witness is the greedy clique shifted until
-nothing moves, so every s = 2 witness is left-shifted.  The rule does not
-combine with the orbit rule:
-the shifted cliques are not invariant under permutations of the positions,
-so the image of a shifted clique need not be searched.  It does not apply at
-s >= 3 with two nonzero demands, where swapping two symbols between two
-positions can lose an agreement that nothing makes up for.
-
-At s >= 3 with one nonzero demand t (on symbol 1 after the relabelling) the
-quotient rule runs the shift rule on the s = 2 graph (n, 2, (t, 0)) of the
-1-sets, weighted.  Two words agree in symbol 1 exactly on the intersection
-of their 1-sets, so a family meets the demand exactly when its set of
-1-sets is t-intersecting, and the largest family with a given set of 1-sets
-takes each 1-set's whole fibre, the (s - 1)**(n - |S|) words whose 1-set is
-S.  (So a maximal family is complete for the demanded symbol.)  The maximum
-family is therefore a maximum-weight clique of the 1-set graph, weight
-(s - 1)**(n - |S|), lifted to the union of its fibres.  Shifts keep |S| and
-so the weight, and the search is the shift rule's with the clique counted
-in weight.  The slots run by descending |S| (ascending weight), then
-ascending index, so the last vertex of a color class is its heaviest and
-the class bounds by that weight.  (The reverse order, heaviest first, took
-4 to 900 times the nodes on the instances tried.)  At s = 2 every weight is
-1 and this is the shift rule itself.
+not a clique never enters.  Only the greedy incumbent's weight prunes;
+when no shifted clique beats it, the witness is the greedy clique shifted
+until nothing moves, so every q = 2 witness lifts a left-shifted family.
+The rule does not combine with the orbit rule: the shifted cliques are not
+invariant under permutations of the positions, so the image of a shifted
+clique need not be searched.  It does not apply at q >= 3, where swapping
+two symbols between two positions can lose an agreement that nothing makes
+up for.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,7 +88,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constructions import _lift
-from .families import Family, SetFamily
+from .families import Family
 from .words import (
     ParameterError,
     SpaceParams,
@@ -79,7 +96,6 @@ from .words import (
     check_demand,
     clear_diagonal,
     decode_matrix,
-    encode_matrix,
     int_rows,
     pack_rows,
     symbol_count,
@@ -138,19 +154,40 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     return _graph(params, t, _vertices(params, t))
 
 
-def _quotient_graph(n: int, s: int, t: tuple[int, int]) -> tuple[CompatGraph, list[int]]:
-    """The s = 2 graph (n, 2, t) of the 1-sets, and each slot's weight for an alphabet of s.
+def _quotient_graph(
+    n: int, s: int, searched: tuple[int, ...]
+) -> tuple[CompatGraph, list[int]]:
+    """The pattern graph of a non-increasing demand, and each slot's weight for an alphabet of s.
 
-    A vertex is a 1-set S as the s = 2 word with symbol 1 on S; its weight
-    (s - 1)**(n - |S|) counts the words over {1..s} whose 1-set is S.  The
-    slots run by ascending weight (descending |S|), then ascending index, so
-    at s = 2, where every weight is 1, the graph is build_compat_graph's.
+    With k nonzero demands, q = k + 1 when 1 <= k < s and q = s otherwise.
+    The graph is (n, q, searched[:q]): a vertex is a pattern, a word over
+    the k demanded symbols and the star q, which stands for every
+    zero-demand symbol.  Its weight (s - q + 1)**(number of stars) counts
+    the words over {1..s} with that pattern; at q = s every weight is 1 and
+    the graph is build_compat_graph's.  The slots run by ascending weight,
+    then ascending index.
     """
-    params = SpaceParams(2, n)
-    verts = _vertices(params, t)
-    weight = (s - 1) ** np.bitwise_count(verts).astype(np.int64)  # a 1 bit is a 2-position
+    k = sum(map(bool, searched))
+    q = k + 1 if 0 < k < s else s
+    params = SpaceParams(q, n)
+    verts = _vertices(params, searched[:q])
+    stars = symbol_count(params, range(1, n + 1), q)[verts].astype(np.int64)
+    weight = (s - q + 1) ** stars
     slots = np.argsort(weight, kind="stable")
-    return _graph(params, t, verts[slots]), weight[slots].tolist()
+    return _graph(params, searched[:q], verts[slots]), weight[slots].tolist()
+
+
+def _orbit_count(graph: CompatGraph) -> int:
+    """The number of `_orbits` of a graph over two symbols, without per-vertex keys.
+
+    A 1 bit of a vertex's index is a 2-position, so the histogram is
+    (n - c, c) for c the bit count; with equal demands it is sorted.
+    """
+    n = graph.params.n
+    twos = np.bitwise_count(np.asarray(graph.vertices, dtype=np.int64))
+    t1, t2 = graph.demand
+    key = np.minimum(twos, n - twos) if t1 == t2 else twos
+    return int(np.count_nonzero(np.bincount(key, minlength=1)))  # np.unique would import numpy.ma
 
 
 def _orbits(graph: CompatGraph) -> list[int]:
@@ -270,15 +307,16 @@ def _left_shift(words: Sequence[int], n: int) -> list[int]:
 class SearchStats:
     """What one max_family call spent and found beside its answer.
 
-    The seconds of each phase, the greedy incumbent's size and the rule that
-    restricted the branching: "shift" at s = 2, "quotient" at s >= 3 with
-    one nonzero demand, "orbit" otherwise.  build includes the argument
-    checks; orbits is the time of the orbit masks, or under the shift and
-    quotient rules of the shift tables; when the greedy runs out of time, or
-    the shift tables did, there is no branching and branch is near 0.  Under
-    the quotient rule the incumbent is the greedy clique's weight, the size
-    of its lift.  The four phases are consecutive, so they sum to at most
-    the call's elapsed time, which also covers building the witness.
+    The seconds of each phase, the greedy incumbent's weight, the rule that
+    restricted the branching ("shift" at s = 2, "quotient" at s >= 3 with
+    one nonzero demand, "orbit" otherwise) and the vertex count of the
+    searched graph, the pattern graph.  build includes the argument checks;
+    orbits is the time of the orbit masks, or under the shift and quotient
+    rules of the shift tables; when the greedy runs out of time, or the
+    shift tables did, there is no branching and branch is near 0.  The
+    incumbent is the greedy clique's weight, the size of its lift.  The four
+    phases are consecutive, so they sum to at most the call's elapsed time,
+    which also covers building the witness.
     """
 
     build: float
@@ -287,6 +325,7 @@ class SearchStats:
     branch: float
     incumbent: int
     rule: str
+    vertices: int
 
 
 @dataclass(frozen=True)
@@ -295,10 +334,11 @@ class SearchResult:
 
     max_size is the size of the witness, the largest family found; it is the
     maximum when complete is True.  nodes counts the branch-and-bound nodes
-    expanded and orbits the vertex orbits of the searched graph's root
-    symmetry group.  Under the quotient rule both refer to the 1-set graph:
-    its orbits are the 1-set sizes t..n, and max_size is the weight of the
-    best 1-set clique, the size of its lift.
+    expanded and orbits the vertex orbits of the root symmetry group, both
+    on the searched pattern graph (the word graph when every weight is 1).
+    Under the quotient rule its patterns are the 1-sets and its orbits the
+    1-set sizes t..n.  max_size is the weight of the best pattern clique,
+    the size of its lift.
     """
 
     params: SpaceParams
@@ -316,38 +356,80 @@ class SearchResult:
 
 
 def _color_order(
-    cand: int, adj: Sequence[int], weight: Sequence[int], kmin: int
-) -> tuple[list[int], list[int]]:
-    """Greedy coloring of cand; the vertices of classes with bound >= kmin, by ascending
-    class, ascending within a class, and their classes' bounds.
+    cand: int,
+    adj: Sequence[int],
+    weight: Sequence[int],
+    kmin: int,
+    deadline: float | None = None,
+) -> tuple[list[int], list[int]] | None:
+    """Weight-splitting greedy coloring of cand; the vertices of classes with bound >= kmin,
+    by ascending class, ascending within a class, and their classes' bounds.
 
-    Classes are built one at a time (BBMC): class k takes the lowest vertex
+    Classes are built one at a time (BBMC): a class takes the lowest vertex
     left in q, the uncolored vertices not adjacent to the class so far, until
-    q is empty.  By induction on ascending index these are exactly the
-    classes of first-fit coloring in ascending vertex order, at O(1) bitset
-    operations per vertex whatever the number of classes.  The bound of
-    class k is the sum of the weights of the last vertices of classes 1..k:
-    weights never fall along the slots, so a class's last vertex is its
-    heaviest, and a clique in classes 1..k, one vertex at most in each,
-    weighs at most that.  With unit weights the bound of class k is k, its
-    color.  Classes below kmin are colored but not returned (the MCQ rule of
-    Tomita & Seki): their bound cannot beat the incumbent, so they are never
-    branched on.
+    q is empty.  With unit weights every vertex is colored by its class, so
+    by induction on ascending index these are exactly the classes of
+    first-fit coloring in ascending vertex order, at O(1) bitset operations
+    per vertex whatever the number of classes, and the bound of class k is
+    k, its color.  With weights, a class adds to the bound r, the smallest
+    residual weight in it (a vertex's residual starts at its weight); each
+    member's residual drops by r, and a vertex is colored, and enters the
+    order with the bound so far, once its residual reaches 0.  Every class
+    colors at least one vertex.  A clique meets each class at most once, so
+    it weighs at most the sum of the r of the classes up to the one where its
+    last vertex was colored: the bound of that vertex.  Classes below kmin
+    are colored but not returned (the MCQ rule of Tomita & Seki): their
+    bound cannot beat the incumbent, so they are never branched on.  The
+    weights ascend along the slots, so weight[-1] == 1 means unit weights.
+
+    With weights the coloring may make a class per vertex: 2.7 s for the
+    57,002 patterns of (10, 4, (1, 1, 0, 0)), against 0.33 s for their unit
+    coloring (one 2-vCPU shared host).  So the weighted loop checks the
+    deadline before every 256th class and returns None once it has passed.
     """
     order: list[int] = []
     bounds: list[int] = []
     rest = cand
     bound = 0
+    if not rest or weight[-1] == 1:
+        while rest:
+            q = rest
+            first = len(order)
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                q ^= low | (q & adj[v])
+                rest ^= low
+                order.append(v)
+            bound += 1
+            if bound >= kmin:
+                bounds += [bound] * (len(order) - first)
+            else:
+                del order[first:]
+        return order, bounds
+    left: dict[int, int] = {}  # the residuals of the vertices that a class has split
+    classes = 0
     while rest:
+        if classes % 256 == 0 and deadline is not None and time.monotonic() > deadline:
+            return None
+        classes += 1
         q = rest
-        first = len(order)
+        members = []
         while q:
             low = q & -q
             v = low.bit_length() - 1
             q ^= low | (q & adj[v])
-            rest ^= low
-            order.append(v)
-        bound += weight[v]
+            members.append(v)
+        residual = [left.get(v, weight[v]) for v in members]
+        r = min(residual)
+        bound += r
+        first = len(order)
+        for v, w in zip(members, residual):
+            if w == r:
+                rest ^= 1 << v
+                order.append(v)
+            else:
+                left[v] = w - r
         if bound >= kmin:
             bounds += [bound] * (len(order) - first)
         else:
@@ -356,31 +438,41 @@ def _color_order(
 
 
 def _greedy_clique(
-    adj: Sequence[int], cand: int, deadline: float | None
+    adj: Sequence[int], weight: Sequence[int], cand: int, deadline: float | None
 ) -> tuple[list[int], bool]:
     """Deterministic greedy lower bound: one densest-extension pass.
 
-    The pass starts from the highest-degree vertex (lowest index on ties) and
-    repeatedly adds the pool vertex with most pool neighbours.  Degree is
-    constant on symmetry orbits, so the other highest-degree vertices are
-    mostly images of this start and would grow cliques of the same size.
+    A vertex's score is the weight the pool keeps if it is picked: its own
+    weight and its pool neighbours'.  The pass starts from the vertex of
+    highest score over cand (lowest index on ties) and repeatedly adds the
+    pool vertex of highest score.  Degree is constant on symmetry orbits, so
+    the other best starts are mostly images of this one and would grow
+    cliques of the same weight.  With unit weights the score is the pool
+    degree plus 1, so the pick is the densest extension.
 
-    Each vertex's count of pool neighbours is kept in one numpy array
-    (negative off the pool), and the pick is its first argmax: the same
-    vertex, by the same lowest-index tie rule, as recounting the whole pool
-    after every pick.  A step either recounts over the pool, as the first
-    step does over all of cand, or, when more vertices stay than just left,
-    subtracts the adjacency rows of those that left, unpacked at most
-    _ROW_CHUNK_BYTES at a time.  Either way a step costs at most one row
-    operation per departing vertex, so the pass does O(m) row operations in
-    all rather than one per pool vertex and pick.  Subtracting alone was
-    up to 9x slower on sparse graphs, where the first pick drops most of cand.
-    Returns the clique and whether the deadline expired, checked after each
-    pick and each chunk; on expiry, the clique so far, since every prefix of
-    the pass is a clique.
+    The scores are kept in one numpy array (negative off the pool), and the
+    pick is its first argmax: the same vertex, by the same lowest-index tie
+    rule, as recounting the whole pool after every pick.  A step either
+    recounts over the pool, as the first step does over all of cand, or,
+    when more vertices stay than just left, subtracts the adjacency rows of
+    those that left, scaled by their weights and unpacked at most
+    _ROW_CHUNK_BYTES at a time.  The weights ascend along the slots, so each
+    weight's vertices are one range of slots: a recount counts pool
+    neighbours once per weight, and a subtraction sums the rows of each
+    weight apart.  Either way a step costs at most a few row operations per
+    departing vertex, so the pass does O(m) row operations in all rather
+    than one per pool vertex and pick.  Subtracting alone was up to 9x
+    slower on sparse graphs, where the first pick drops most of cand.
+    Scores fit in int32: a pattern graph's weights sum to at most s**n,
+    within the dense cap.  Returns the clique and whether the deadline
+    expired, checked after each pick and each chunk; on expiry, the clique
+    so far, since every prefix of the pass is a clique.
     """
     m = len(adj)
     chunk = max(1, _ROW_CHUNK_BYTES // max(m, 1))
+    cuts = [0, *(np.flatnonzero(np.diff(weight)) + 1).tolist(), m]  # the weights' slot ranges
+    levels = [(weight[lo], (1 << hi) - (1 << lo)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    own = np.asarray(weight, dtype=np.int32)
     score = np.full(m, -1, dtype=np.int32)
     clique: list[int] = []
     pool = gone = cand
@@ -388,15 +480,24 @@ def _greedy_clique(
         if pool.bit_count() <= gone.bit_count():
             score.fill(-1)
             live = np.flatnonzero(unpack_ints([pool], m)[0])
-            score[live] = [(adj[u] & pool).bit_count() for u in live.tolist()]
+            score[live] = own[live]
+            slots = live.tolist()
+            for w, mask in levels:
+                if part := pool & mask:
+                    near = ((adj[u] & part).bit_count() for u in slots)
+                    score[live] += w * np.fromiter(near, np.int32, len(slots))
         else:
             # often two vertices on dense graphs, where unpacking the m-bit pool would dominate
             out = list(_iter_bits(gone))
             for lo in range(0, len(out), chunk):
                 if deadline is not None and time.monotonic() > deadline:
                     return clique, True
-                rows = [adj[r] for r in out[lo : lo + chunk]]
-                score -= unpack_ints(rows, m).sum(axis=0, dtype=np.int32)
+                part = out[lo : lo + chunk]
+                rows = unpack_ints([adj[r] for r in part], m)
+                edges = [bisect_left(part, c) for c in cuts]  # part ascends, and so do the weights
+                for (w, _), a, b in zip(levels, edges, edges[1:]):
+                    if a < b:
+                        score -= w * rows[a:b].sum(axis=0, dtype=np.int32)
             score[out] = -1
         pick = int(score.argmax())
         clique.append(pick)
@@ -440,8 +541,10 @@ def _branch(
     dropped from the candidates took v with its up-set.
     """
     root_up = up if root_up is None else root_up
-    order, bounds = _color_order(cand, adj, weight, floor + 1)
-    stack = [[order, bounds, cand]]
+    colored = _color_order(cand, adj, weight, floor + 1, deadline)
+    if colored is None:
+        return 0, 1, False
+    stack = [[*colored, cand]]
     added: list[tuple[int, int]] = []  # (set, weight); added[i] opened frame i + 1
     size = found = 0
     nodes = 1
@@ -474,8 +577,10 @@ def _branch(
             size += gain
             # the new frame opens with the clique as it is now; its first vertex is
             # candidate, so a clique above floor grows on to a leaf and is recorded there
-            order, bounds = _color_order(nxt, adj, weight, floor - size + 1)
-            stack.append([order, bounds, nxt])
+            colored = _color_order(nxt, adj, weight, floor - size + 1, deadline)
+            if colored is None:
+                return found, nodes, False
+            stack.append([*colored, nxt])
         elif size + gain > floor:
             floor, found = size + gain, new
             for part, _ in added:
@@ -486,45 +591,43 @@ def _branch(
 def max_family(
     n: int, s: int, demand: Sequence[int], *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
 ) -> SearchResult:
-    """Exact maximum demand-intersecting family, as a maximum clique of the compatibility graph.
+    """Exact maximum demand-intersecting family, as a maximum-weight clique of the pattern graph.
 
     The timeout covers the whole call, graph build and orbit masks or shift
     tables included.  On timeout the result carries complete=False and is a
     lower bound only.  The search runs on the symbols relabelled so that the
     demand is non-increasing (a stable sort, so such a demand keeps its
     labels), which makes it independent of how the caller labels the
-    symbols; the witness is mapped back to the caller's labels.  The rule
-    follows from (s, demand), see the module docstring: at s = 2 the
-    branching visits left-shifted cliques only (the shift rule); at s >= 3
-    with one nonzero demand it visits left-shifted cliques of the weighted
-    1-set graph and lifts the best to a union of fibres (the quotient rule);
-    elsewhere it prunes root orbits (the orbit rule).
+    symbols.  The witness is the lift of the best pattern clique, every word
+    whose pattern it holds, in the caller's labels.  The rule follows from
+    (s, demand), see the module docstring: on a pattern graph over two
+    symbols the branching visits left-shifted cliques only ("shift" at
+    s = 2, "quotient" at s >= 3 with one nonzero demand); elsewhere it
+    prunes root orbits ("orbit").  VERTEX_CAP bounds the patterns, not the
+    words.
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
     params = SpaceParams(s, n)  # a bad space is refused before the demand is read
     t = check_demand(s, demand)
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
-    searched = tuple(t[c] for c in order)
-    if s == 2 or (searched[0] and not any(searched[1:])):
-        rule = "shift" if s == 2 else "quotient"
-        graph, weight = _quotient_graph(n, s, searched[:2])
-    else:
-        rule = "orbit"
-        graph = build_compat_graph(n, s, searched)
-        weight = [1] * graph.vertex_count
+    graph, weight = _quotient_graph(n, s, tuple(t[c] for c in order))
+    q = graph.params.s
+    rule = "shift" if s == 2 else "quotient" if q == 2 else "orbit"
     marks = [start, time.monotonic()]
     m = graph.vertex_count
     every = (1 << m) - 1
-    orbit = _orbits(graph)
-    if rule == "orbit":
+    if q == 2:
+        orbits = _orbit_count(graph)
+        tables = _shift_tables(graph, deadline)
+    else:
+        orbit = _orbits(graph)
+        orbits = max(orbit, default=-1) + 1
         masks = _orbit_masks(orbit)
         tables = (every, [1] * m, [0] * m, [masks[k] for k in orbit])
-    else:
-        tables = _shift_tables(graph, deadline)
     marks.append(time.monotonic())
     adj = graph.adjacency
-    best, expired = _greedy_clique(adj, every, deadline)
+    best, expired = _greedy_clique(adj, weight, every, deadline)
     marks.append(time.monotonic())
     incumbent = sum(weight[v] for v in best)
     found = nodes = 0
@@ -534,26 +637,23 @@ def max_family(
         if found:
             best = list(_iter_bits(found))
     marks.append(time.monotonic())
-    stats = SearchStats(*(b - a for a, b in zip(marks, marks[1:])), incumbent, rule)
+    phases = (b - a for a, b in zip(marks, marks[1:]))
+    stats = SearchStats(*phases, incumbent, rule, m)
     chosen = [graph.vertices[v] for v in best]
-    if rule == "orbit":
-        digits = decode_matrix(params, np.array(chosen, dtype=np.int64))
-        caller = np.array(order, dtype=np.uint8) + 1  # the caller's symbol of each searched digit
-        witness = Family.from_indices(params, encode_matrix(params, caller[digits - 1]))
-    else:
-        if not found:
-            chosen = _left_shift(chosen, n)  # the greedy clique, made left-shifted like the branch's
-        full = (1 << n) - 1  # a 1-set's subset mask is the complement of its s = 2 word index
-        sets = SetFamily.from_indices(n, [full ^ x for x in chosen])
-        witness = _lift(sets, order[0] + 1, params)  # the fibres, in the caller's labels
+    if q == 2 and not found:
+        chosen = _left_shift(chosen, n)  # the greedy clique, made left-shifted like the branch's
+    member = np.zeros(graph.params.size, dtype=bool)
+    member[chosen] = True
+    # the pattern digit of each caller digit: its searched digit, the star past the demanded ones
+    states = np.minimum(np.argsort(order), q - 1)
     return SearchResult(
         params,
         t,
         sum(weight[v] for v in best),
-        witness,
+        _lift(member, states.tolist(), params),
         nodes,
         time.monotonic() - start,
         complete,
-        max(orbit, default=-1) + 1,
+        orbits,
         stats,
     )

@@ -186,6 +186,37 @@ def brute_max_intersecting(n: int, s: int, demand) -> int:
     return best
 
 
+def brute_max_clique(n: int, s: int, demand) -> int:
+    """Maximum family size as a maximum clique of the words, by plain branch and bound.
+
+    The vertices are the words that meet the demand with themselves, joined
+    when they meet it with each other (`satisfies`).  The search grows each
+    clique by its candidates in ascending order and prunes only when the
+    clique and all its candidates together cannot beat the best so far, so
+    it uses no coloring, symmetry or pattern structure.
+    """
+    params = SpaceParams(s, n)
+    verts = [w for w in all_words(params) if satisfies(params, w, w, demand)]
+    m = len(verts)
+    nbrs = [
+        {j for j in range(m) if j != i and satisfies(params, verts[i], verts[j], demand)}
+        for i in range(m)
+    ]
+    best = 0
+
+    def grow(size: int, cand: set) -> None:
+        nonlocal best
+        best = max(best, size)
+        for v in sorted(cand):
+            if size + len(cand) <= best:
+                return
+            cand = cand - {v}
+            grow(size + 1, cand & nbrs[v])
+
+    grow(0, set(range(m)))
+    return best
+
+
 def brute_shift(family: Family, i: int, j: int, symbol: int = 1) -> Family:
     """Frankl's shift S_ij (1-based positions i < j) of the `symbol`-sets of an s = 2 family.
 

@@ -235,7 +235,7 @@ _GOLDEN_SEARCH = {
     (6, 3, (1, 1, 0)): (81, 27),
     (8, 2, (3, 1)): (29, 1),
     (6, 2, (1, 1)): (16, 63),
-    (6, 4, (1, 1, 0, 0)): (256, 9),
+    (6, 4, (1, 1, 0, 0)): (256, 2),  # on the 602-pattern graph
 }
 
 

@@ -222,7 +222,8 @@ def test_search_json_contract(capsys, tmp_path):
         capsys, "search", "-n", "4", "-s", "2", "-t", "1,1", "-o", witness
     )
     assert code == 0
-    keys = ("n", "s", "t", "max", "witness_file", "nodes", "orbits", "rule", "ms", "incumbent")
+    keys = ("n", "s", "t", "max", "witness_file", "vertices", "nodes", "orbits", "rule", "ms")
+    keys += ("incumbent",)
     for key in keys:
         assert key in report
     assert set(report["phase_ms"]) == {"build", "orbits", "greedy", "branch"}
@@ -231,13 +232,19 @@ def test_search_json_contract(capsys, tmp_path):
     assert report["max"] == 4
     assert report["orbits"] == 2  # histograms {1, 3} and {2, 2} of the two symbols
     assert report["rule"] == "shift"  # s = 2
+    assert report["vertices"] == 14  # the words with a 1 and a 2
     assert report["witness_file"] == witness
     fam = load_family(witness)
     assert len(fam) == 4 and fam.is_t_intersecting((1, 1))
     _, report, _ = run_json(capsys, "search", "-n", "3", "-s", "3", "-t", "1,0,0")
     assert report["rule"] == "quotient"  # s >= 3, one nonzero demand
+    assert report["vertices"] == 7  # the 1-sets, not the 19 words with a 1
     _, report, _ = run_json(capsys, "search", "-n", "3", "-s", "3", "-t", "1,1,0")
     assert report["rule"] == "orbit"
+    assert report["vertices"] == 12  # the words with a 1 and a 2
+    _, report, _ = run_json(capsys, "search", "-n", "3", "-s", "4", "-t", "0,1,0,1")
+    assert report["rule"] == "orbit"
+    assert (report["max"], report["vertices"]) == (4, 12)  # patterns over {2, 4, *}, not 18 words
 
 
 def test_verify_empty_family(capsys, tmp_path):

@@ -20,6 +20,7 @@ from isecode.search import (
     _color_order,
     _greedy_clique,
     _iter_bits,
+    _orbit_count,
     _orbit_masks,
     _orbits,
     _quotient_graph,
@@ -30,6 +31,7 @@ from isecode.words import SpaceParams, decode_matrix
 from conftest import (
     brute_intersecting,
     brute_is_complete,
+    brute_max_clique,
     brute_max_intersecting,
     brute_shift,
     maximal_intersecting_words,
@@ -134,7 +136,7 @@ def test_greedy_clique_stops_at_expired_deadline():
     adj = build_compat_graph(6, 3, (1, 1, 0)).adjacency
     first = max(range(len(adj)), key=lambda u: (adj[u].bit_count(), -u))
     cand = (1 << len(adj)) - 1
-    assert _greedy_clique(adj, cand, time.monotonic() - 1) == ([first], True)
+    assert _greedy_clique(adj, [1] * len(adj), cand, time.monotonic() - 1) == ([first], True)
 
 
 def test_greedy_clique_checks_deadline_between_row_chunks(monkeypatch):
@@ -149,7 +151,24 @@ def test_greedy_clique_checks_deadline_between_row_chunks(monkeypatch):
     monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
     # the clock reads 1 after the first pick, 2 before the first row chunk and 3 before the second
     cand = (1 << len(adj)) - 1
-    assert _greedy_clique(adj, cand, 2.5) == ([first], True)
+    assert _greedy_clique(adj, [1] * len(adj), cand, 2.5) == ([first], True)
+
+
+def test_weighted_coloring_checks_deadline_every_256_classes(monkeypatch):
+    import isecode.search as search_mod
+
+    # no edges and 300 distinct weights: each class colors one vertex, the lightest left
+    m = 300
+    adj, weight, cand = [0] * m, list(range(1, m + 1)), (1 << m) - 1
+    assert _color_order(cand, adj, weight, 1) == (list(range(m)), weight)
+    clock = itertools.count(1)
+    monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    # the clock reads 1 before the first class and 2 before the 257th
+    assert _color_order(cand, adj, weight, 1, 2.5) == (list(range(m)), weight)
+    clock = itertools.count(1)
+    assert _color_order(cand, adj, weight, 1, 1.5) is None
+    # a coloring past the deadline ends the branching as expired, at the root node
+    assert search_mod._branch(adj, weight, 0, 0.5, cand, [1] * m, [0] * m) == (0, 1, False)
 
 
 def test_elapsed_covers_graph_build(monkeypatch):
@@ -166,6 +185,7 @@ def test_search_phases_are_consecutive():
     assert sum(seconds) <= result.elapsed
     assert stats.incumbent <= result.max_size == 81
     assert stats.rule == "orbit"
+    assert stats.vertices == build_compat_graph(6, 3, (1, 1, 0)).vertex_count  # unit weights
     assert hash(stats) == hash(dataclasses.replace(stats))
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats.greedy = 0.0
@@ -217,7 +237,16 @@ def _adjacency_matrix(graph):
 
 
 @pytest.mark.parametrize(
-    "n, s, t", [(6, 3, (1, 1, 0)), (5, 4, (1, 1, 0, 0)), (6, 2, (1, 1)), (6, 3, (2, 0, 0))]
+    "n, s, t",
+    [
+        (6, 3, (1, 1, 0)),
+        (5, 4, (1, 1, 0, 0)),
+        (6, 2, (1, 1)),
+        (6, 3, (2, 0, 0)),
+        (7, 2, (2, 1)),
+        (6, 2, (2, 0)),
+        (5, 2, (0, 0)),
+    ],
 )
 def test_orbit_masks_are_symmetry_orbits(n, s, t):
     graph = build_compat_graph(n, s, t)
@@ -242,6 +271,8 @@ def test_orbit_masks_are_symmetry_orbits(n, s, t):
     ]
     assert len(set(keys)) == len(masks) == len(set(zip(keys, orbit)))
     assert 1 < len(masks) < m
+    if s == 2:
+        assert _orbit_count(graph) == max(orbit) + 1
     rng = np.random.default_rng(7)
     for _ in range(5):
         # a random position permutation and a random permutation of equal-demand symbols
@@ -272,15 +303,27 @@ def _first_fit(cand, adj):
     return [[v for v in range(cls.bit_length()) if cls >> v & 1] for cls in classes]
 
 
-def _bounded(classes, weight):
-    """The classes' vertices in order, and each class's bound: the sum of the
-    largest weights of it and the classes before it, with unit weights its color."""
-    order, bounds = [], []
-    bound = 0
-    for members in classes:
-        bound += max(weight[v] for v in members)
-        order += members
-        bounds += [bound] * len(members)
+def _split_colors(cand, adj, weight):
+    """Reference weight-splitting coloring: each class takes the uncolored vertices, ascending,
+    that have no neighbour in it, and adds the smallest residual weight r in it to the
+    bound; each member's residual drops by r, and a vertex whose residual reaches 0 is
+    colored with the bound so far.  Returns the colored vertices in order and their bounds."""
+    residual = {v: weight[v] for v in range(cand.bit_length()) if cand >> v & 1}
+    order, bounds, bound = [], [], 0
+    while residual:
+        members, held = [], 0
+        for v in sorted(residual):
+            if not adj[v] & held:
+                members.append(v)
+                held |= 1 << v
+        r = min(residual[v] for v in members)
+        bound += r
+        for v in members:
+            residual[v] -= r
+            if not residual[v]:
+                del residual[v]
+                order.append(v)
+                bounds.append(bound)
     return order, bounds
 
 
@@ -296,12 +339,18 @@ def test_color_order_is_ascending_first_fit(n, s, t):
     cands += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
     cands += [adj[v] for v in rng.sample(range(m), 10)]
     unit = [1] * m
-    # weights that never fall along the slots, as the quotient rule's do
+    # weights that never fall along the slots, as a pattern graph's do
     rising = sorted(rng.choice((1, 2, 4, 8)) for _ in range(m))
+    split = 0
     for cand in cands:
         classes = _first_fit(cand, adj)
-        for weight in (unit, rising):
-            order, bounds = _bounded(classes, weight)
+        # with unit weights the classes are first-fit's and a class's bound is its color
+        colors = [k + 1 for k, c in enumerate(classes) for _ in c]
+        first_fit = [v for c in classes for v in c], colors
+        assert _split_colors(cand, adj, unit) == first_fit
+        reference = _split_colors(cand, adj, rising)
+        split += reference[0] != first_fit[0]
+        for weight, (order, bounds) in ((unit, first_fit), (rising, reference)):
             assert _color_order(cand, adj, weight, 1) == (order, bounds)
             top = bounds[-1] if bounds else 0
             for kmin in (2, 3, top, top + 1):
@@ -310,26 +359,68 @@ def test_color_order_is_ascending_first_fit(n, s, t):
                 expected = ([v for v, _ in kept], [c for _, c in kept])
                 assert _color_order(cand, adj, weight, kmin) == expected
     assert _color_order(cands[0], adj, unit, 1)[1][-1] > 1  # the whole graph needs several classes
+    assert split > 10  # the rising weights do split classes
+
+
+def _max_clique_weight(adj, weight, within):
+    """The largest weight of a clique within the bitset `within`, by enumerating its subsets."""
+    verts = [v for v in range(within.bit_length()) if within >> v & 1]
+    best = 0
+    for size in range(1, len(verts) + 1):
+        for clique in itertools.combinations(verts, size):
+            if all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2)):
+                best = max(best, sum(weight[v] for v in clique))
+    return best
+
+
+def test_split_bounds_cover_every_clique():
+    # brute force on small random graphs: a clique within order[:i + 1] and the
+    # classes below kmin weighs at most bounds[i], and one within those classes
+    # alone weighs less than kmin
+    rng = random.Random(8)
+    checked = 0
+    for trial in range(150):
+        m = rng.randint(4, 12)
+        adj = _random_graph(rng, m, rng.choice((0.3, 0.5, 0.8)))
+        weight = sorted(rng.choice((1, 2, 3, 4, 8, 9)) for _ in range(m))
+        cand = rng.getrandbits(m) | 1
+        top = _color_order(cand, adj, weight, 1)[1][-1]
+        assert top >= _max_clique_weight(adj, weight, cand)
+        for kmin in (1, 2, top // 2, top):
+            order, bounds = _color_order(cand, adj, weight, kmin)
+            pruned = cand & ~sum(1 << v for v in order)
+            assert _max_clique_weight(adj, weight, pruned) < max(kmin, 1)
+            within = pruned
+            for v, bound in zip(order, bounds):
+                within |= 1 << v
+                assert _max_clique_weight(adj, weight, within) <= bound
+                checked += 1
+    assert checked > 1500
 
 
 @pytest.mark.parametrize(
     "n, s, t, size, nodes",
     [
         (8, 2, (2, 0), 93, 10),
-        (7, 3, (3, 0, 0), 99, 26),
+        (7, 3, (3, 0, 0), 99, 2),
         (8, 2, (1, 2), 44, 44),
         (8, 2, (1, 1), 64, 27333),
         (9, 2, (2, 1), 93, 2612),
-        (7, 3, (2, 0, 0), 243, 87),
-        (8, 4, (2, 0, 0, 0), 4096, 177),
+        (7, 3, (2, 0, 0), 243, 2),
+        (8, 4, (2, 0, 0, 0), 4096, 1),
+        (8, 4, (1, 1, 0, 0), 4096, 4),
+        (7, 5, (1, 1, 0, 0, 0), 3125, 2),
+        (8, 4, (2, 2, 0, 0), 256, 5),
     ],
 )
 def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
     # the s = 2 rows run the shift rule: under the root orbit rule they took
     # 1,476 and 180,935 nodes, and the last two were not proved within 60 s;
-    # the s >= 3 rows run the quotient rule: on the full graph under the root
-    # orbit rule (7,3,(3,0,0)) took 3,716 nodes and (7,3,(2,0,0)) was not
-    # proved within 60 s
+    # the s >= 3 single-nonzero rows run the quotient rule: on the full graph
+    # under the root orbit rule (7,3,(3,0,0)) took 3,716 nodes and
+    # (7,3,(2,0,0)) was not proved within 60 s; the last three rows run the
+    # orbit rule on the pattern graph: on the word graph they took 23, 11 and
+    # 13 nodes
     start = time.monotonic()
     result = max_family(n, s, t)
     assert time.monotonic() - start < 15
@@ -369,30 +460,54 @@ def test_max_family_does_not_depend_on_symbol_labels(n, s, t, partner, to_caller
     assert result.witness == Family.from_words(result.params, relabelled.tolist())
 
 
-def _rescoring_greedy(cand, adj):
-    """Reference greedy: after each pick, recount every pool vertex's pool neighbours."""
+def _rescoring_greedy(cand, adj, weight):
+    """Reference greedy: after each pick, recount each pool vertex's weight and its pool
+    neighbours'."""
+    holding = {}  # each weight's vertices as a bitset
+    for v, w in enumerate(weight):
+        holding[w] = holding.get(w, 0) | 1 << v
     clique, pool = [], cand
     while pool:
         live = [u for u in range(pool.bit_length()) if pool >> u & 1]
-        pick = max(live, key=lambda u: ((adj[u] & pool).bit_count(), -u))
+
+        def score(u):
+            near = adj[u] & pool
+            return weight[u] + sum(w * (near & mask).bit_count() for w, mask in holding.items())
+
+        pick = max(live, key=lambda u: (score(u), -u))
         clique.append(pick)
         pool &= adj[pick]
     return clique
 
 
 @pytest.mark.parametrize(
-    "n, s, t", [(6, 4, (1, 1, 0, 0)), (6, 3, (2, 0, 0)), (8, 2, (2, 2)), (10, 2, (1, 0))]
+    "n, s, t",
+    [
+        (6, 4, (1, 1, 0, 0)),
+        (6, 3, (2, 0, 0)),
+        (8, 2, (2, 2)),
+        (10, 2, (1, 0)),
+        (5, 5, (1, 1, 0, 0, 0)),
+    ],
 )
 def test_greedy_clique_matches_rescoring(n, s, t):
-    adj = build_compat_graph(n, s, t).adjacency
-    m = len(adj)
+    # the word graph with unit weights, and the pattern graph with its weights
+    word_graph = build_compat_graph(n, s, t)
+    pattern, weight = _quotient_graph(n, s, t)
+    cases = [(word_graph.adjacency, [1] * word_graph.vertex_count)]
+    if pattern != word_graph:
+        cases.append((pattern.adjacency, weight))
     rng = random.Random(5)
-    cands = [(1 << m) - 1]
-    cands += [rng.getrandbits(m) for _ in range(4)]
-    cands += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(4)]
-    for cand in cands:
-        assert _greedy_clique(adj, cand, None) == (_rescoring_greedy(cand, adj), False)
-    assert len(_greedy_clique(adj, cands[0], None)[0]) > 1
+    for adj, weight in cases:
+        m = len(adj)
+        cands = [(1 << m) - 1]
+        cands += [rng.getrandbits(m) for _ in range(4)]
+        cands += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(4)]
+        for cand in cands:
+            expected = _rescoring_greedy(cand, adj, weight)
+            assert _greedy_clique(adj, weight, cand, None) == (expected, False)
+        assert len(_greedy_clique(adj, weight, cands[0], None)[0]) > 1
+    assert len(cases) == 2 or s == 2
 
 
 def test_max_family_proves_dense_binary_instance():
@@ -404,17 +519,25 @@ def test_max_family_proves_dense_binary_instance():
     assert result.witness.is_t_intersecting((1, 0))
 
 
+def _random_graph(rng, m, p):
+    adj = [0] * m
+    for u, v in itertools.combinations(range(m), 2):
+        if rng.random() < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
 def test_greedy_clique_matches_rescoring_on_random_graphs():
     # unstructured graphs reach the recount branch with pools whose counts differ
     rng = random.Random(3)
     for m, p in [(20, 0.3), (60, 0.6), (150, 0.9), (150, 0.6), (60, 0.9)]:
-        adj = [0] * m
-        for u, v in itertools.combinations(range(m), 2):
-            if rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+        adj = _random_graph(rng, m, p)
+        rising = sorted(rng.choice((1, 2, 4, 8)) for _ in range(m))
         for cand in [(1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]:
-            assert _greedy_clique(adj, cand, None) == (_rescoring_greedy(cand, adj), False)
+            for weight in ([1] * m, [3] * m, rising):
+                expected = _rescoring_greedy(cand, adj, weight)
+                assert _greedy_clique(adj, weight, cand, None) == (expected, False)
 
 
 def _binary_demands(n_max):
@@ -486,11 +609,11 @@ def test_shift_tables_match_the_shift_order(n, t):
     assert 0 < kept <= m and (kept < m or t == (0, 0))
 
 
-@pytest.mark.parametrize("n, s, t", [(6, 3, (2, 0)), (7, 4, (3, 0)), (5, 3, (0, 0))])
+@pytest.mark.parametrize("n, s, t", [(6, 3, (2, 0, 0)), (7, 4, (3, 0, 0, 0)), (5, 3, (1, 0, 0))])
 def test_shift_tables_follow_the_quotient_slots(n, s, t):
     # the quotient's slots run by size, not by index: its tables are the
     # index-ordered graph's, slot for slot
-    binary, (quotient, _) = build_compat_graph(n, 2, t), _quotient_graph(n, s, t)
+    binary, (quotient, _) = build_compat_graph(n, 2, t[:2]), _quotient_graph(n, s, t)
     assert sorted(quotient.vertices) == list(binary.vertices) != list(quotient.vertices)
     slot = {word: v for v, word in enumerate(binary.vertices)}
     to_binary = [slot[word] for word in quotient.vertices]  # per quotient slot
@@ -539,6 +662,15 @@ def test_rule_follows_the_alphabet():
     # the greedy's first pick is the 1-set of all positions: its fibre is one word
     assert len(expired.witness) == expired.max_size == expired.stats.incumbent == 1
     assert expired.witness.is_t_intersecting((0, 2, 0))
+    # two demanded symbols and two stars: the orbit rule on the pattern graph
+    assert max_family(4, 4, (1, 1, 0, 0)).stats.rule == "orbit"
+    expired = max_family(6, 4, (0, 1, 0, 1), timeout_ms=0)
+    assert expired.stats.rule == "orbit" and not expired.complete and expired.nodes == 0
+    assert expired.stats.vertices == 602
+    # the greedy's first pick is one pattern; the witness is every word with that pattern
+    assert len(expired.witness) == expired.max_size == expired.stats.incumbent >= 1
+    assert expired.witness.is_t_intersecting((0, 1, 0, 1))
+    assert expired.witness.is_pinned_complete({2, 4})
 
 
 def _demands_with_a_zero(n, s):
@@ -594,7 +726,7 @@ def test_quotient_witnesses_are_lifted_shifted_families(s, n_max):
 
 
 def test_quotient_graph_slots_rise_in_weight():
-    graph, weight = _quotient_graph(6, 3, (2, 0))
+    graph, weight = _quotient_graph(6, 3, (2, 0, 0))
     sizes = [6 - v.bit_count() for v in graph.vertices]  # |S|: digit 0 marks symbol 1
     assert weight == [2 ** (6 - k) for k in sizes]
     assert weight == sorted(weight)
@@ -603,3 +735,50 @@ def test_quotient_graph_slots_rise_in_weight():
     assert graph.vertex_count == 57  # the 1-sets of at least two positions
     binary = build_compat_graph(6, 2, (2, 1))
     assert _quotient_graph(6, 2, (2, 1)) == (binary, [1] * binary.vertex_count)
+
+
+def test_pattern_graph_weighs_stars():
+    # two demanded symbols and a star for the other two: a pattern with c stars
+    # stands for the 2**c words that write symbol 3 or 4 at each star
+    graph, weight = _quotient_graph(6, 4, (1, 1, 0, 0))
+    assert graph.params == SpaceParams(3, 6) and graph.demand == (1, 1, 0)
+    stars = (decode_matrix(graph.params, np.asarray(graph.vertices)) == 3).sum(axis=1)
+    assert weight == (2**stars).tolist() == sorted(weight)
+    slots = list(zip(weight, graph.vertices))
+    assert slots == sorted(slots)
+    assert graph.vertex_count == 602 < build_compat_graph(6, 4, (1, 1, 0, 0)).vertex_count == 2702
+    # the patterns' words are the word graph's vertices, each counted once
+    assert sum(weight) == 2702
+    assert sorted(graph.vertices) == list(build_compat_graph(6, 3, (1, 1, 0)).vertices)
+    # q = s: one zero demand, none, or all zero; every weight is 1 and the graph is the word graph
+    for n, s, t in ((5, 3, (1, 1, 0)), (4, 3, (1, 1, 1)), (3, 3, (0, 0, 0)), (4, 4, (2, 1, 1, 0))):
+        words = build_compat_graph(n, s, t)
+        assert _quotient_graph(n, s, t) == (words, [1] * words.vertex_count)
+
+
+@pytest.mark.parametrize("s, n_max", [(4, 4), (5, 3)])
+def test_pattern_quotient_matches_the_clique_oracle(s, n_max):
+    # every demand, in every labelling, with a nonzero entry and two or more
+    # zero entries: the rows searched on a pattern graph with a star; the
+    # single-nonzero rows at n = 4 (175 words, a clique of 64) are beyond the
+    # oracle's plain bound, and test_quotient_witnesses_are_lifted_shifted_families
+    # checks them against product_allocation
+    oracle = {}
+    checked = 0
+    for n in range(1, n_max + 1):
+        for t in itertools.product(range(n + 1), repeat=s):
+            k = s - t.count(0)
+            if not 1 <= k <= s - 2 or sum(t) > n or (k == 1 and n == 4):
+                continue
+            result = max_family(n, s, t)
+            # relabelling the symbols maps the word graph onto the sorted demand's
+            key = (n, tuple(sorted(t, reverse=True)))
+            if key not in oracle:
+                oracle[key] = brute_max_clique(n, s, key[1])
+            assert result.complete and result.stats.rule == ("quotient" if k == 1 else "orbit")
+            assert result.max_size == len(result.witness) == oracle[key], (n, s, t)
+            assert brute_intersecting(result.witness, t), (n, s, t)
+            demanded = {c + 1 for c in range(s) if t[c]}
+            assert result.witness.is_pinned_complete(demanded), (n, s, t)
+            checked += k >= 2 and oracle[key] > 1
+    assert checked >= 10  # two or more demanded symbols, and a family larger than one word
