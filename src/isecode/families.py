@@ -14,19 +14,19 @@ little-endian bitset layout.
 
 A closure of at most n members is the union of its members' cylinders (a
 member's pinned digits kept, every free digit allowed), one array assignment
-per member; m <= n such writes touch at most n * s**n cells, the bound of the
-position sweep that closes larger families.
+per member; at most n such writes touch at most n * s**n cells, the bound of
+the position sweep that closes larger families.
 
-The position sweeps of closures and completeness checks split the positions
-at h = n // 2.  The high positions h+1..n have strides of at least s**h and
-run on the array.
-The low positions 1..h, whose strides 1, s, s**2, ... make numpy's inner
-loops tiny, run on the (s**(n-h), s**h) matrix of the array one row block at
-a time: each block of r rows (about _BLOCK_BYTES bytes) is copied as its
-transpose, where position j has stride r * s**(j-1).  Blocks, not one
-whole-array transpose, keep the copy in cache and let a check that fails at
-position 1 stop after the first block.  A family's completeness answer is
-swept once per free-digit set and kept; its array is read-only.
+The position sweeps of closures and completeness checks cut the array into
+blocks of s**m contiguous words, m the most low positions (at most n) whose
+block fits in 2**16 bits, and run positions 1..m on each block as a Python
+int: at each position one shift and one AND per digit move a digit's slice
+onto digit 0, where slices are compared (checks) or ORed (closures).  The
+positions above m have strides of at least s**m and run on the array.  A
+check packs a block only when the blocks before it passed, so a family that
+fails at a low position in its first block stops there.  A family's
+completeness answer is swept once per free-digit set and kept; its array is
+read-only.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .words import (
     decode_matrix,
     encode,
     encode_matrix,
-    int_rows,
     pack_rows,
     parse_word,
     unpack_ints,
@@ -70,7 +69,33 @@ def _pack(member: np.ndarray) -> bytes:
     return np.packbits(member, bitorder="little").tobytes()
 
 
-_BLOCK_BYTES = 1 << 16  # bytes of one transposed row block in the low-position sweep
+_BLOCK_WORDS = 1 << 16  # most words in one int block of the low-position sweep
+_BLOCK_MASKS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _bitset(arr: np.ndarray) -> int:
+    """The bool array as an int bitset, bit x for arr[x].
+
+    This is the `words.pack_rows` / `int_rows` layout; one direct packbits
+    is about 5 us cheaper per 3**6-word block, as much as the sweep of it.
+    """
+    return int.from_bytes(_pack(arr), "little")
+
+
+def _block_masks(s: int, n: int) -> tuple[int, ...]:
+    """masks[j] has bit x set, for x < s**m, when digit j of x (position j + 1) is 0.
+
+    m is the most low positions, at most n, whose s**m words fit one block
+    of _BLOCK_WORDS bits.  Cached per (s, m), so no mask holds more than
+    _BLOCK_WORDS bits, whatever n.
+    """
+    m = 0
+    while m < n and s ** (m + 1) <= _BLOCK_WORDS:
+        m += 1
+    if (s, m) not in _BLOCK_MASKS:
+        x = np.arange(s**m)
+        _BLOCK_MASKS[s, m] = tuple(_bitset(x // s**j % s == 0) for j in range(m))
+    return _BLOCK_MASKS[s, m]
 
 
 def _position_pass(
@@ -90,17 +115,32 @@ def _position_pass(
     return view, reach[:, None, :]
 
 
-def _low_blocks(grid: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, transposed contiguous copy) of each row block of `grid`.
+def _sweep_block(
+    x: int, s: int, masks: tuple[int, ...], free: Sequence[int], close: bool
+) -> int | None:
+    """Positions 1..m of the block int x under rewriting any digit in `free`.
 
-    `grid` is the (s**(n-h), s**h) matrix of a membership array.  A block of
-    r rows is copied as its (s**h, r) transpose, about _BLOCK_BYTES bytes, so
-    the low position j <= h has stride r * s**(j-1) in the copy instead of
-    s**(j-1).
+    At position j + 1, slice c is `x >> c * s**j & masks[j]`: the words whose
+    digit j is c, moved onto digit 0.  With `close`, returns x with the OR of
+    the free slices ORed into every digit at each position in turn.  Without,
+    returns None at the first position where a free slice differs from the
+    first free slice or a pinned slice lacks part of it, and x when none does.
     """
-    step = max(1, _BLOCK_BYTES // grid.shape[1])
-    for lo in range(0, grid.shape[0], step):
-        yield lo, np.ascontiguousarray(grid[lo : lo + step].T)
+    head = free[0]
+    rest = [(c, c in free) for c in range(s) if c != head]
+    for j, low in enumerate(masks):
+        stride = s**j
+        first = (x >> head * stride if head else x) & low  # a shift by 0 still copies x
+        if close:
+            for c in free[1:]:
+                first |= x >> c * stride & low
+            for c in range(s):
+                x |= first << c * stride
+            continue
+        for c, is_free in rest:
+            if (x >> c * stride if c else x) & (low if is_free else first) != first:
+                return None
+    return x
 
 
 def _closure(
@@ -113,9 +153,8 @@ def _closure(
     of those cylinders, one basic-index assignment each into the (s,) * n
     view; these write at most n * s**n cells, the bound of the sweep below.
     Larger families take that sweep: one pass over the positions suffices,
-    because the rewrites at different positions commute.  Positions
-    1..n // 2 run block by block on transposed copies (`_low_blocks`), each
-    written back; the rest run on the array.
+    because the rewrites at different positions commute.  Positions 1..m run
+    on the int blocks of `_sweep_block`, the rest on the array.
     """
     if size <= n:
         out = np.zeros(member.size, dtype=bool)
@@ -128,16 +167,17 @@ def _closure(
                     axes[j] = d
             cube[tuple(axes)] = True
         return out
-    out = member.copy()
-    h = n // 2
-    grid = out.reshape(-1, s**h)
-    for lo, block in _low_blocks(grid):
-        rows = block.shape[1]
-        for j in range(h):
-            view, reach = _position_pass(block, s, rows * s**j, free)
-            view |= reach
-        grid[lo : lo + rows] = block.T
-    for j in range(h, n):
+    masks = _block_masks(s, n)
+    if masks:
+        step = s ** len(masks)
+        blocks = [
+            _sweep_block(_bitset(member[lo : lo + step]), s, masks, free, True)
+            for lo in range(0, member.size, step)
+        ]
+        out = unpack_ints(blocks, step).reshape(-1)
+    else:
+        out = member.copy()
+    for j in range(len(masks), n):
         view, reach = _position_pass(out, s, s**j, free)
         view |= reach
     return out
@@ -146,21 +186,19 @@ def _closure(
 def _is_closed(member: np.ndarray, s: int, n: int, free: Sequence[int]) -> bool:
     """True when no rewrite of a digit in `free` at any position reaches a non-member.
 
-    The low positions 1..h (h = n // 2) are checked block by block on the
-    transposed row blocks of `_low_blocks`, the positions above h, whose
-    strides are at least s**h, on the array itself; the check stops at the
-    first gap it meets.
+    Positions 1..m are checked on int blocks of s**m words (`_sweep_block`),
+    each packed only when the blocks before it passed, so a family that
+    fails in its first block stops there.  The positions above m, whose
+    strides are at least s**m, are checked on the array itself.
     """
-    h = n // 2
-    for _, block in _low_blocks(member.reshape(-1, s**h)):
-        rows = block.shape[1]
-        for j in range(h):
-            view, reach = _position_pass(block, s, rows * s**j, free)
-            if np.count_nonzero(reach > view):  # cheaper than any() on small arrays
-                return False
-    for j in range(h, n):
+    masks = _block_masks(s, n)
+    step = s ** len(masks)
+    for lo in range(0, member.size, step) if masks else ():
+        if _sweep_block(_bitset(member[lo : lo + step]), s, masks, free, False) is None:
+            return False
+    for j in range(len(masks), n):
         view, reach = _position_pass(member, s, s**j, free)
-        if np.count_nonzero(reach > view):
+        if np.count_nonzero(reach > view):  # cheaper than any() on small arrays
             return False
     return True
 
@@ -245,7 +283,7 @@ class _Dense:
     @property
     def bits(self) -> int:
         """Membership as a little-endian int bitset: bit k is index k."""
-        return int_rows(pack_rows(self._member[None]))[0]
+        return _bitset(self._member)
 
     def __len__(self) -> int:
         return self._size

@@ -21,6 +21,8 @@ import isecode.words
 from isecode.words import agreement_rows, decode, pack_rows
 
 from conftest import (
+    array_closure,
+    array_pinned_violation,
     brute_closure,
     brute_intersecting,
     brute_is_complete,
@@ -259,21 +261,21 @@ def test_pinned_violation_witness():
     assert Family.full(p).pinned_violation({1}) is None
 
 
-# Spaces for the sweep kernels: up to n = 8 the low positions 1..n // 2 span
-# several transposed row blocks once the block size is patched small.
+# Spaces for the sweep kernels: up to n = 8 they span several int blocks,
+# with positions above the blocks, once the block size is patched small.
 KERNEL_SPACES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)] + [(4, 4), (5, 3)]
 
 
-def _patch_block_rows(monkeypatch, rows, s, n):
-    """Make each transposed row block of the low positions `rows` rows high."""
-    if rows is not None:
-        monkeypatch.setattr(isecode.families, "_BLOCK_BYTES", rows * s ** (n // 2))
+def _patch_block_digits(monkeypatch, m, s):
+    """Make each int block of the sweeps hold s**m words: positions 1..m in blocks, the rest above."""
+    if m is not None:
+        monkeypatch.setattr(isecode.families, "_BLOCK_WORDS", s**m)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+@pytest.mark.parametrize("m", [None, 1, 2, 3])
 @pytest.mark.parametrize("s,n", KERNEL_SPACES)
-def test_sweep_kernels_match_witness_oracle(monkeypatch, s, n, rows):
-    _patch_block_rows(monkeypatch, rows, s, n)
+def test_sweep_kernels_match_witness_oracle(monkeypatch, s, n, m):
+    _patch_block_digits(monkeypatch, m, s)
     params = SpaceParams(s, n)
     rng = random.Random(100 * s + n)
     for _ in range(4):
@@ -283,7 +285,7 @@ def test_sweep_kernels_match_witness_oracle(monkeypatch, s, n, rows):
         raw = Family.from_words(params, seeds)
         closed = raw.pinned_closure(pins)
         assert closed == brute_closure(raw, pins)
-        # more than n members: the position sweep over the patched row blocks
+        # more than n members: the position sweep over the patched blocks
         many = Family.from_indices(params, rng.sample(range(params.size), n + 1))
         assert many.pinned_closure(pins) == brute_closure(many, pins)
         # dropping one member opens gaps at the positions its neighbours reach it from
@@ -330,6 +332,7 @@ def test_few_member_closures_never_sweep(monkeypatch):
         raise AssertionError("position sweep called")
 
     monkeypatch.setattr(isecode.families, "_position_pass", no_sweep)
+    monkeypatch.setattr(isecode.families, "_sweep_block", no_sweep)
     rng = random.Random(7)
     for s, n in [(2, 6), (3, 4), (4, 3), (5, 2)]:
         params = SpaceParams(s, n)
@@ -344,8 +347,8 @@ def test_few_member_closures_never_sweep(monkeypatch):
 
 
 def test_first_gap_position_wins_over_block_order(monkeypatch):
-    # s = 2, n = 4: the low positions 1-2 run on one-row blocks of 4 indices
-    monkeypatch.setattr(isecode.families, "_BLOCK_BYTES", 4)
+    # s = 2, n = 4: positions 1-2 run on int blocks of 4 indices, 3-4 above them
+    monkeypatch.setattr(isecode.families, "_BLOCK_WORDS", 4)
     p = SpaceParams(2, 4)
     cases = [
         # block 0 gaps only at position 2, block 1 at position 1: position 1 wins
@@ -359,10 +362,10 @@ def test_first_gap_position_wins_over_block_order(monkeypatch):
         assert fam.pinned_violation({1}) == witness == brute_pinned_violation(fam, {1})
 
 
-@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("m", [None, 1, 2])
 @pytest.mark.parametrize("n", range(1, 9))
-def test_set_family_sweeps_match_brute_force(monkeypatch, n, rows):
-    _patch_block_rows(monkeypatch, rows, 2, n)
+def test_set_family_sweeps_match_brute_force(monkeypatch, n, m):
+    _patch_block_digits(monkeypatch, m, 2)
     rng = random.Random(n)
     for _ in range(6):
         fam = SetFamily.from_indices(n, rng.sample(range(1 << n), rng.randint(0, min(4, 1 << n))))
@@ -370,6 +373,59 @@ def test_set_family_sweeps_match_brute_force(monkeypatch, n, rows):
         assert fam.up_closure() == up
         assert fam.is_upward_closed() is (fam == up)
         assert up.is_upward_closed()
+
+
+# Real block sizes: (2, 17) is two int blocks of 2**16 words and one position
+# above them, (3, 11) three blocks of 3**10, (4, 9) four blocks of 4**8.
+MULTI_BLOCK_SPACES = [(2, 17, 16), (3, 11, 10), (4, 9, 8)]
+
+
+@pytest.mark.parametrize("s,n,m", MULTI_BLOCK_SPACES)
+def test_sweeps_at_multi_block_sizes_match_array_oracle(s, n, m):
+    assert len(isecode.families._block_masks(s, n)) == m
+    params = SpaceParams(s, n)
+    last = params.size - s**m  # first index of the last block
+    rng = random.Random(s * n)
+    for pins in ({1}, {s}, set(range(2, s + 1))):
+        free = [sym for sym in range(1, s + 1) if sym not in pins]
+        # more than n members, one of them in the last block: the block sweep
+        seeds = rng.sample(range(params.size), n) + [rng.randrange(last, params.size)]
+        raw = Family.from_indices(params, seeds)
+        closed = raw.pinned_closure(pins)
+        assert closed == array_closure(raw, pins)
+        # the only gap is a word of the last block, found after every block before it passed
+        for y in rng.sample([y for y in closed.indices() if y >= last], 20):
+            punctured = closed - Family.from_indices(params, [y])
+            witness = array_pinned_violation(punctured, pins)
+            if witness is not None:
+                break
+        assert witness[1] == decode(params, y)
+        gaps = [(punctured, witness)]
+        # the only gap is at the top position, above the blocks
+        low = tuple(rng.choice(sorted(pins)) for _ in range(n - 1))
+        cylinder = Family.from_words(params, [low + (sym,) for sym in range(1, s + 1)])
+        y = low + (rng.choice(sorted(pins)),)
+        punctured = cylinder - Family.from_words(params, [y])
+        witness = (low + (free[0],), y, n)
+        assert array_pinned_violation(punctured, pins) == witness
+        gaps.append((punctured, witness))
+        for fam, witness in gaps:
+            assert fam.pinned_violation(pins) == witness
+            assert not fam.is_pinned_complete(pins)
+            assert fam.pinned_closure(pins) == array_closure(fam, pins)
+        for fam in (raw, closed):
+            want = array_pinned_violation(fam, pins)
+            assert fam.pinned_violation(pins) == want
+            assert fam.is_pinned_complete(pins) is (want is None)
+        assert closed.is_pinned_complete(pins)
+
+
+def test_block_masks_stay_within_one_block():
+    # one mask per position over the whole 3**15-word space would take about 27 MB
+    assert Family.full(SpaceParams(3, 15)).is_pinned_complete({1})
+    tables = isecode.families._BLOCK_MASKS
+    assert len(tables[3, 10]) == 10
+    assert all(mask.bit_length() <= 1 << 16 for masks in tables.values() for mask in masks)
 
 
 def test_completeness_sweep_runs_once_per_pin_set(sweeps):
