@@ -86,16 +86,20 @@ def _block_masks(s: int, n: int) -> tuple[int, ...]:
     """masks[j] has bit x set, for x < s**m, when digit j of x (position j + 1) is 0.
 
     m is the most low positions, at most n, whose s**m words fit one block
-    of _BLOCK_WORDS bits.  Cached per (s, m), so no mask holds more than
-    _BLOCK_WORDS bits, whatever n.
+    of _BLOCK_WORDS bits.  Cached per (s, n), and every n with the same m
+    shares the tuple of (s, m), so no mask holds more than _BLOCK_WORDS
+    bits, whatever n.
     """
-    m = 0
-    while m < n and s ** (m + 1) <= _BLOCK_WORDS:
-        m += 1
-    if (s, m) not in _BLOCK_MASKS:
-        x = np.arange(s**m)
-        _BLOCK_MASKS[s, m] = tuple(_bitset(x // s**j % s == 0) for j in range(m))
-    return _BLOCK_MASKS[s, m]
+    masks = _BLOCK_MASKS.get((s, n))
+    if masks is None:
+        m = 0
+        while m < n and s ** (m + 1) <= _BLOCK_WORDS:
+            m += 1
+        if (s, m) not in _BLOCK_MASKS:  # n = m has the same m
+            x = np.arange(s**m)
+            _BLOCK_MASKS[s, m] = tuple(_bitset(x // s**j % s == 0) for j in range(m))
+        masks = _BLOCK_MASKS[s, n] = _BLOCK_MASKS[s, m]
+    return masks
 
 
 def _position_pass(

@@ -83,9 +83,18 @@ def window_measure(t: int, r: int, p) -> Fraction:
     p = as_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError(f"bias must lie in [0, 1], got {p}")
-    m = t + 2 * r
     a, b = p.numerator, p.denominator
-    return Fraction(sum(comb(m, k) * a**k * (b - a) ** (m - k) for k in range(t + r, m + 1)), b**m)
+    return Fraction(_window_count(t, r, a, b), b ** (t + 2 * r))
+
+
+def _window_count(t: int, r: int, a: int, b: int) -> int:
+    """window_measure(t, r, a/b) times b**(t + 2r), an integer.
+
+    At a/b = 1/s it counts the window's words, of s**(t + 2r), that carry a
+    given symbol at least t + r times.
+    """
+    m = t + 2 * r
+    return sum(comb(m, k) * a**k * (b - a) ** (m - k) for k in range(t + r, m + 1))
 
 
 def max_window_radius(n: int, t: int) -> int:
@@ -194,36 +203,39 @@ def product_allocation(n: int, s: int, demand: Sequence[int]) -> ProductBound:
 
     Maximizes the product over symbols of window_measure(t_i, r_i, 1/s) over
     radii with sum(t_i + 2*r_i) <= n, by a dynamic programme over symbols and
-    used length (O(s * n**2) Fraction operations).  Ties go to the smallest
-    total window length, then to the lexicographically smallest radii.
-    `windows` holds the allocated lengths t_i + 2*r_i, and each selection's
-    radius_cap is the largest radius fitting into n alone, as in
+    used length (O(s * n**2) products of exact integers).  Ties go to the
+    smallest total window length, then to the lexicographically smallest
+    radii.  `windows` holds the allocated lengths t_i + 2*r_i, and each
+    selection's radius_cap is the largest radius fitting into n alone, as in
     best_window_measure.  Valid for every s >= 2 and every demand with
     sum(t) <= n; it equals window_product_bound wherever that applies.
     """
     t = _check_demand_formula(n, s, demand)
     if sum(t) > n:
         raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
-    p = Fraction(1, s)
-    values = [[window_measure(ti, r, p) for r in range(max_window_radius(n, ti) + 1)] for ti in t]
-    # best[used] = (density, radii) of the best prefix whose windows take exactly `used` positions
-    best = {0: (Fraction(1), ())}
-    for ti, row in zip(t, values):
-        nxt: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
-        for used, (density, radii) in best.items():
-            for r, value in enumerate(row):
+    # counts[i][r] of the s**L words of a window of length L = t_i + 2r meet its threshold, so
+    # a prefix whose windows take `used` positions has density (product of counts) / s**used
+    counts = [[_window_count(ti, r, 1, s) for r in range(max_window_radius(n, ti) + 1)] for ti in t]
+    # best[used] = (product of counts, radii) of the best prefix taking exactly `used` positions
+    best = {0: (1, ())}
+    for ti, row in zip(t, counts):
+        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for used, (product, radii) in best.items():
+            for r, count in enumerate(row):
                 end = used + ti + 2 * r
                 if end > n:
                     break
-                cand = (density * value, radii + (r,))
+                cand = (product * count, radii + (r,))
                 old = nxt.get(end)
                 if old is None or cand[0] > old[0] or (cand[0] == old[0] and cand[1] < old[1]):
                     nxt[end] = cand
         best = nxt
-    total = min(best, key=lambda u: (-best[u][0], u))
+    total = min(best, key=lambda u: (-best[u][0] * s ** (n - u), u))  # densities over s**n
     radii = best[total][1]
+    p = Fraction(1, s)
     selections = tuple(
-        WindowSelection(ti, p, r, len(row) - 1, row[r]) for ti, r, row in zip(t, radii, values)
+        WindowSelection(ti, p, r, len(row) - 1, Fraction(row[r], s ** (ti + 2 * r)))
+        for ti, r, row in zip(t, radii, counts)
     )
     return _product(n, s, selections, tuple(ti + 2 * r for ti, r in zip(t, radii)))
 

@@ -187,7 +187,8 @@ def _orbit_count(graph: CompatGraph) -> int:
     twos = np.bitwise_count(np.asarray(graph.vertices, dtype=np.int64))
     t1, t2 = graph.demand
     key = np.minimum(twos, n - twos) if t1 == t2 else twos
-    return int(np.count_nonzero(np.bincount(key, minlength=1)))  # np.unique would import numpy.ma
+    # small int keys, so a bincount counts them without a sort
+    return int(np.count_nonzero(np.bincount(key, minlength=1)))
 
 
 def _orbits(graph: CompatGraph) -> list[int]:
@@ -202,8 +203,13 @@ def _orbits(graph: CompatGraph) -> list[int]:
     syms = range(1, len(t) + 1)  # counts are at most n <= 26 (the dense cap), so uint8
     counts = np.stack([(digits == sym).sum(axis=1, dtype=np.uint8) for sym in syms], axis=1)
     key = np.hstack([np.sort(counts[:, t == value], axis=1) for value in set(graph.demand)])
-    keys: dict[bytes, int] = {}
-    return [keys.setdefault(row, len(keys)) for row in map(bytes, key)]
+    # one void item per row, so a 1-D unique numbers the rows exactly: a mixed-radix int code
+    # could overflow, and only the axis= form of np.unique imports numpy.ma (~5 ms at first use)
+    rows = np.ascontiguousarray(key).view(f"V{len(t)}")[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse].tolist()
 
 
 def _orbit_masks(orbit: Sequence[int]) -> list[int]:

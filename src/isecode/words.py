@@ -20,8 +20,12 @@ at a time.  Per demanded symbol it packs the n position planes (the rows
 carrying the symbol at each position) and runs a saturating "at least k"
 counter of bitset ANDs and ORs over each row's positions, so a chunk costs
 O(n * depth) bitset operations, depth the shorter of the hit and miss
-counts, and every count is exact.  Demand checks on families and the
-search's compatibility graph share it.
+counts, and every count is exact.  A row's answer for a symbol depends only
+on its set of positions carrying the symbol, so when 2**n < m, and rows must
+repeat such sets, the counter runs once per distinct set into a table of at
+most min(m, 2**n) rows of ceil(m / 64) words per demanded symbol, fewer than
+the m rows produced; each chunk gathers its rows from the tables.  Demand
+checks on families and the search's compatibility graph share it.
 
 The "pinned" order on words: x is below y for a set of pinned symbols when
 every coordinate of x carrying a pinned symbol is unchanged in y; coordinates
@@ -193,7 +197,9 @@ def clear_diagonal(packed: np.ndarray, lo: int) -> None:
 def int_rows(packed: np.ndarray) -> list[int]:
     """Each row of a packed bitset matrix (`pack_rows` layout) as an int: bit y is column y."""
     raw, width = packed.tobytes(), packed.shape[1] * packed.itemsize
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+    if not width:
+        return [0] * len(packed)
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def unpack_ints(rows: Sequence[int], m: int) -> np.ndarray:
@@ -235,6 +241,22 @@ def _at_least(planes: np.ndarray, marks: np.ndarray, credit: np.ndarray, depth: 
     return level[-1]
 
 
+def _meeting(planes: np.ndarray, marks: np.ndarray, need: int) -> np.ndarray:
+    """Per row x of marks, the columns set in at least `need` of the planes at x's marks.
+
+    Exact in every column below m; the padding bits above it may be set, so
+    callers AND the result into zero-padded rows.
+    """
+    own = marks.sum(axis=1)
+    misses = int(own.max()) - need + 1  # depth of the miss count
+    if misses <= 0:
+        return np.zeros((marks.shape[0], planes.shape[1]), dtype=np.uint64)
+    if need <= misses:
+        return _at_least(planes, marks, np.zeros_like(own), need)
+    # a row with fewer own marks starts with the misses it cannot afford
+    return ~_at_least(~planes, marks, own.max() - own, misses)
+
+
 def agreement_rows(
     digits: np.ndarray, demand: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -255,29 +277,37 @@ def agreement_rows(
     the columns with at most |M_x| - k.  Either count is an exact
     saturating counter of bitset levels, so a chunk costs
     O(n * min(k, max |M_x| - k + 1)) bitset operations per demanded symbol.
+
+    Row x's answer for symbol l depends on x only through M_x.  When
+    2**n < m, rows must repeat some M_x, so the counters run once per
+    distinct M_x, in chunks of the same plane bound, into a table of at most
+    min(m, 2**n) rows of w words per demanded symbol, fewer than the m rows
+    yielded; each chunk gathers its rows from the tables.  The key of M_x is
+    its bitmask over the positions, an exact int64 since 2**n < m.
     """
-    m = digits.shape[0]
+    m, n = digits.shape
     full = pack_rows(np.ones((1, m), dtype=bool))[0]
     chunk = max(1, _PLANE_BYTES // max(full.nbytes, 1))
-    symbols = []
+    symbols = []  # (marks, need, planes, table, inverse) per demanded symbol
     for sym, need in enumerate(demand, start=1):
         if need:
             marks = digits == sym
-            symbols.append((marks, marks.sum(axis=1), pack_rows(marks.T), need))
+            planes = pack_rows(marks.T)
+            table = inverse = None
+            if 2**n < m:
+                key = marks @ (1 << np.arange(n))
+                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                table = np.empty((len(first), full.shape[0]), dtype=np.uint64)
+                for lo in range(0, len(first), chunk):
+                    table[lo : lo + chunk] = _meeting(planes, marks[first[lo : lo + chunk]], need)
+            symbols.append((marks, need, planes, table, inverse))
     for lo in range(0, m, chunk):
         out = np.tile(full, (min(chunk, m - lo), 1))
-        for marks, counts, planes, need in symbols:
-            part, own = marks[lo : lo + chunk], counts[lo : lo + chunk]
-            misses = int(own.max()) - need + 1  # depth of the miss count
-            if misses <= 0:
-                out[:] = 0
-            elif need <= misses:
-                out &= _at_least(planes, part, np.zeros_like(own), need)
+        for marks, need, planes, table, inverse in symbols:
+            if table is None:
+                out &= _meeting(planes, marks[lo : lo + chunk], need)
             else:
-                # a row with fewer own marks starts with the misses it cannot afford;
-                # the padding bits of out are zero, so the complement needs no mask
-                credit = own.max() - own
-                out &= ~_at_least(~planes, part, credit, misses)
+                out &= table[inverse[lo : lo + chunk]]
         yield lo, out
 
 

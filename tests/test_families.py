@@ -99,6 +99,27 @@ def test_is_t_intersecting_across_chunks(monkeypatch):
         assert brute_intersecting(rest, demand)
 
 
+def test_is_t_intersecting_with_repeated_mark_sets(monkeypatch):
+    # 245 members over n = 7 carry at most 2**7 = 128 distinct 1-sets, so the kernel
+    # counts once per 1-set; the 243 words with 1s at positions 1 and 2 share 32 of them
+    p = SpaceParams(3, 7)
+    demand = (1, 0, 0)
+    base = [w for w in (decode(p, i) for i in range(p.size)) if w[:2] == (1, 1)]
+    # y and z each meet every base word, but their 1-sets {1, 3} and {2, 4} are disjoint
+    y = (1, 2, 1, 3, 2, 3, 2)
+    z = (3, 1, 2, 1, 2, 3, 3)
+    fam = Family.from_words(p, base + [y, z])
+    assert len(fam) == 245
+    assert not brute_intersecting(fam, demand)
+    trimmed = [fam - Family.from_words(p, [drop]) for drop in (y, z)]
+    assert all(brute_intersecting(rest, demand) for rest in trimmed)
+    # packed rows of 245 members are four uint64 words: 1, 3 and 10 rows per plane
+    for plane_bytes in (isecode.words._PLANE_BYTES, 32, 96, 320):
+        monkeypatch.setattr(isecode.words, "_PLANE_BYTES", plane_bytes)
+        assert not fam.is_t_intersecting(demand)
+        assert all(rest.is_t_intersecting(demand) for rest in trimmed)
+
+
 def test_is_t_intersecting_exact_at_the_threshold():
     # at n = 26 the agreement counters must land exactly on need - 1 and need
     p = SpaceParams(2, 26)
@@ -425,6 +446,7 @@ def test_block_masks_stay_within_one_block():
     assert Family.full(SpaceParams(3, 15)).is_pinned_complete({1})
     tables = isecode.families._BLOCK_MASKS
     assert len(tables[3, 10]) == 10
+    assert tables[3, 15] is tables[3, 10]  # every n with the same m shares one tuple
     assert all(mask.bit_length() <= 1 << 16 for masks in tables.values() for mask in masks)
 
 

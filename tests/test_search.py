@@ -263,6 +263,11 @@ def test_orbit_masks_are_symmetry_orbits(n, s, t):
         union |= mask
     assert union == (1 << m) - 1
     assert all(masks[orbit[v]] >> v & 1 for v in range(m))
+    # orbits are numbered by their first vertex: a new number is the count of numbers seen
+    seen = set()
+    for k in orbit:
+        assert k in seen or k == len(seen)
+        seen.add(k)
     # an orbit is one symbol histogram, counts sorted within equal-demand symbols
     groups = [[sym for sym in range(1, s + 1) if t[sym - 1] == value] for value in set(t)]
     keys = [

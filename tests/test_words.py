@@ -249,6 +249,52 @@ def test_agreement_rows_match_brute_force(monkeypatch, s, n, m):
         assert chains == {"hit", "miss"}
 
 
+@pytest.mark.parametrize("s,n,m", [(4, 4, 300), (3, 5, 250), (2, 9, 300)])
+def test_agreement_rows_run_once_per_mark_set(monkeypatch, s, n, m):
+    # rows drawn from 24 words repeat their mark sets; when 2**n < m some mark set must
+    # repeat and the counters run once per distinct one, otherwise once per row
+    params = SpaceParams(s, n)
+    rng = np.random.default_rng(10 * s + n)
+    pool = rng.integers(1, s + 1, size=(24, n))
+    pool[0], pool[1] = 1, 2  # all-1 and all-2 rows: the miss count runs at need n for symbol 1
+    digits = pool[rng.integers(0, len(pool), size=m)].astype(np.uint8)
+    dedup = 2**n < m
+    demands = [(0,) * s]  # all zero: every row full, no counter runs
+    demands += [tuple(k if c == l else 0 for c in range(s)) for l in range(2) for k in (1, 2, n, n + 1)]
+    demands += [(1, 1) + (0,) * (s - 2), (2, 1) + (1,) * (s - 2)]
+    want = brute_agreement(params, [tuple(r) for r in digits.tolist()], demands)
+    rows_seen, chains = [], set()
+    kernel = isecode.words._at_least
+
+    def spy(planes, marks, credit, depth):
+        rows_seen.append(len(marks))
+        chains.add("hit" if depth == need else "miss")
+        return kernel(planes, marks, credit, depth)
+
+    monkeypatch.setattr(isecode.words, "_at_least", spy)
+    default = isecode.words._PLANE_BYTES  # one chunk of these m rows
+    for plane_bytes in (default, 40, 200):
+        monkeypatch.setattr(isecode.words, "_PLANE_BYTES", plane_bytes)
+        for t in demands:
+            rows_seen.clear()
+            need = max(t)
+            bits = _unpacked(list(agreement_rows(digits, t)), m)
+            assert not bits[:, m:].any()
+            assert np.array_equal(bits[:, :m], want[t]), (plane_bytes, t)
+            if need > n:
+                assert not bits.any() and not rows_seen  # the all-empty case runs no counter
+            for sym, k in enumerate(t, start=1):
+                if k and sum(t) == k and plane_bytes == default:
+                    # the counters see each distinct mark set, or each row, once
+                    marks = digits == sym
+                    reach = (marks.sum(axis=1) >= k).any()
+                    distinct = len({r.tobytes() for r in marks}) if dedup else m
+                    assert sum(rows_seen) == (distinct if reach else 0), (t, rows_seen)
+            bound = min(m, 2**n) if dedup else m
+            assert sum(rows_seen) <= bound * sum(map(bool, t)), (plane_bytes, t)
+    assert chains == {"hit", "miss"}
+
+
 def test_agreement_rows_empty_below_own_count(monkeypatch):
     # need 7 of symbol 1 over n = 8: the miss count (depth 8 - 7 + 1 = 2) runs; the rows
     # with 6 and 0 ones have miss thresholds 0 and -6, which a per-row level index would wrap
@@ -281,6 +327,9 @@ def test_pack_rows_layout():
     assert int.from_bytes(rows[0].tobytes(), "little") == (1 << 0) | (1 << 9) | (1 << 64) | (1 << 69)
     assert int.from_bytes(rows[1].tobytes(), "little") == 0
     assert int_rows(rows) == [(1 << 0) | (1 << 9) | (1 << 64) | (1 << 69), 0]
+    # rows of zero width (m = 0) are 0s
+    assert int_rows(np.zeros((0, 0), dtype=np.uint64)) == []
+    assert int_rows(np.zeros((3, 0), dtype=np.uint64)) == [0, 0, 0]
     rng = np.random.default_rng(7)
     for m in (0, 1, 7, 8, 63, 64, 65, 200):
         for k in (0, 1, 5):
