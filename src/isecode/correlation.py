@@ -4,12 +4,16 @@ For disjoint nonempty pinned sets A and B, a family complete for A and one
 complete for B are negatively correlated under the uniform measure:
 |F| * |G| >= s**n * |F & G|.  This module checks the inequality exactly on
 given pairs, on seeded random closures, and exhaustively for n = 1, and
-verifies the structural slice facts the induction on n relies on.
+verifies the structural slice facts the induction on n relies on.  The random
+closures are drawn from the standard-library generator `random.Random`: the
+same seed always gives the same family, though the streams differ from those
+of versions that drew from numpy's generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,23 +91,33 @@ def _verified_pair(
     return params, a, b
 
 
-def check_correlation(fam_a: Family, fam_b: Family, pins_a, pins_b) -> CorrelationCheck:
-    """Exact correlation check; completeness of both inputs is verified, not assumed."""
+def check_correlation(
+    fam_a: Family, fam_b: Family, pins_a, pins_b, *, seed: int | None = None
+) -> CorrelationCheck:
+    """Exact correlation check; completeness of both inputs is verified, not assumed.
+
+    `seed` is only recorded on the result, for checks of a seeded campaign.
+    """
     params, a, b = _verified_pair(fam_a, fam_b, pins_a, pins_b)
     common = int(np.count_nonzero(fam_a.array & fam_b.array))
-    return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), common)
+    return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), common, seed)
 
 
 def random_complete_family(params: SpaceParams, pins, seed: int) -> Family:
     """Seeded pinned closure of k random words, k uniform in 1..n.
 
-    numpy's default generator, seeded with |seed|, draws k and then k word
-    indices (repeats allowed) in one call.  The same seed always produces the
-    same family; the output is pinned-complete by construction.
+    The standard-library generator `random.Random(abs(seed))` draws k and
+    then k word indices (repeats allowed), each as int(random() * N) for
+    N = n and N = s**n, the one draw Python keeps the same across versions.
+    The same seed always gives the same family, pinned-complete by
+    construction; the streams differ from versions that drew from numpy.
     """
-    rng = np.random.default_rng(abs(seed))
-    k = rng.integers(1, params.n + 1)
-    return Family.from_indices(params, rng.integers(params.size, size=k)).pinned_closure(pins)
+    rng = random.Random(abs(seed))
+    n, size = params.n, params.size
+    member = np.zeros(size, dtype=bool)
+    for _ in range(int(rng.random() * n) + 1):
+        member[int(rng.random() * size)] = True  # in range by construction
+    return Family._wrap(params, member).pinned_closure(pins)
 
 
 def trial_pair(params: SpaceParams, pins_a, pins_b, seed: int) -> tuple[Family, Family]:
@@ -123,7 +137,7 @@ def random_correlation_trials(
     if trials < 0:
         raise ParameterError("trial count must be non-negative")
     return [
-        replace(check_correlation(*trial_pair(params, a, b, seed), a, b), seed=seed)
+        check_correlation(*trial_pair(params, a, b, seed), a, b, seed=seed)
         for seed in range(seed_base, seed_base + trials)
     ]
 

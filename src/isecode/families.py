@@ -88,7 +88,8 @@ def _block_masks(s: int, n: int) -> tuple[int, ...]:
     m is the most low positions, at most n, whose s**m words fit one block
     of _BLOCK_WORDS bits.  Cached per (s, n), and every n with the same m
     shares the tuple of (s, m), so no mask holds more than _BLOCK_WORDS
-    bits, whatever n.
+    bits, whatever n.  Mask j is s**j set bits repeated with period
+    s**(j + 1), built by shift-and-OR doubling and cut to s**m bits.
     """
     masks = _BLOCK_MASKS.get((s, n))
     if masks is None:
@@ -96,8 +97,15 @@ def _block_masks(s: int, n: int) -> tuple[int, ...]:
         while m < n and s ** (m + 1) <= _BLOCK_WORDS:
             m += 1
         if (s, m) not in _BLOCK_MASKS:  # n = m has the same m
-            x = np.arange(s**m)
-            _BLOCK_MASKS[s, m] = tuple(_bitset(x // s**j % s == 0) for j in range(m))
+            width = s**m
+            built = []
+            for j in range(m):
+                mask, period = (1 << s**j) - 1, s ** (j + 1)
+                while period < width:
+                    mask |= mask << period
+                    period *= 2
+                built.append(mask & (1 << width) - 1)
+            _BLOCK_MASKS[s, m] = tuple(built)
         masks = _BLOCK_MASKS[s, n] = _BLOCK_MASKS[s, m]
     return masks
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -87,6 +88,7 @@ def window_measure(t: int, r: int, p) -> Fraction:
     return Fraction(_window_count(t, r, a, b), b ** (t + 2 * r))
 
 
+@lru_cache(maxsize=4096)
 def _window_count(t: int, r: int, a: int, b: int) -> int:
     """window_measure(t, r, a/b) times b**(t + 2r), an integer.
 
@@ -130,6 +132,12 @@ def best_window_measure(n: int, t: int, p) -> WindowSelection:
         raise ParameterError(f"bias must lie in (0, 1/2], got {p}")
     if t < 0:
         raise ParameterError("threshold must be non-negative")
+    return _best_window(n, t, p)
+
+
+@lru_cache(maxsize=4096)
+def _best_window(n: int, t: int, p: Fraction) -> WindowSelection:
+    """`best_window_measure` of a validated bias and threshold, cached per (n, t, p)."""
     cap = max_window_radius(n, t)
     if t == 0:
         return WindowSelection(t, p, 0, cap, Fraction(1))

@@ -11,7 +11,9 @@ middle axis, so whole-space work never decodes every index.  `encode` and
 This module also owns the little-endian bitset layout: bit y of a row is
 column y.  `pack_rows` packs bool rows into uint64 words, `int_rows` turns
 packed rows into Python ints and `unpack_ints` turns ints back into bool
-rows; the search's adjacency rows and `Family.bits` use no other route.
+rows; the search's adjacency rows use no other route.  `Family.bits` and
+the int blocks of the closure sweeps keep the same layout but pack a bool
+array directly (`families._bitset`, one little-endian `packbits`).
 `clear_diagonal` drops the self bits from a chunk of a square matrix's rows.
 
 The agreement kernel `agreement_rows` answers the pairwise demand for the

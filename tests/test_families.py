@@ -287,10 +287,20 @@ def test_pinned_violation_witness():
 KERNEL_SPACES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)] + [(4, 4), (5, 3)]
 
 
+def _patch_block_words(monkeypatch, words):
+    """Make the sweeps' int blocks hold at most `words` bits, with a fresh mask cache.
+
+    The masks are cached per (s, n), so a shared cache would hand a patched
+    test the masks of the real block size, and later tests the patched ones.
+    """
+    monkeypatch.setattr(isecode.families, "_BLOCK_WORDS", words)
+    monkeypatch.setattr(isecode.families, "_BLOCK_MASKS", {})
+
+
 def _patch_block_digits(monkeypatch, m, s):
     """Make each int block of the sweeps hold s**m words: positions 1..m in blocks, the rest above."""
     if m is not None:
-        monkeypatch.setattr(isecode.families, "_BLOCK_WORDS", s**m)
+        _patch_block_words(monkeypatch, s**m)
 
 
 @pytest.mark.parametrize("m", [None, 1, 2, 3])
@@ -369,7 +379,7 @@ def test_few_member_closures_never_sweep(monkeypatch):
 
 def test_first_gap_position_wins_over_block_order(monkeypatch):
     # s = 2, n = 4: positions 1-2 run on int blocks of 4 indices, 3-4 above them
-    monkeypatch.setattr(isecode.families, "_BLOCK_WORDS", 4)
+    _patch_block_words(monkeypatch, 4)
     p = SpaceParams(2, 4)
     cases = [
         # block 0 gaps only at position 2, block 1 at position 1: position 1 wins
@@ -448,6 +458,24 @@ def test_block_masks_stay_within_one_block():
     assert len(tables[3, 10]) == 10
     assert tables[3, 15] is tables[3, 10]  # every n with the same m shares one tuple
     assert all(mask.bit_length() <= 1 << 16 for masks in tables.values() for mask in masks)
+
+
+@pytest.mark.parametrize("block_words", [None, 1, 5, 81, 1000])
+def test_block_masks_match_index_arithmetic(monkeypatch, block_words):
+    # mask j has bit x for each x < s**m whose digit j is 0, m the most positions that fit
+    if block_words is not None:
+        _patch_block_words(monkeypatch, block_words)
+    limit = isecode.families._BLOCK_WORDS
+    spaces = [(2, 16), (2, 17), (3, 10), (3, 6), (4, 8), (5, 6), (6, 6), (7, 5), (2, 3), (9, 1)]
+    for s, n in spaces:
+        masks = isecode.families._block_masks(s, n)
+        m = len(masks)
+        assert s**m <= limit and (m == n or s ** (m + 1) > limit), (s, n)
+        x = np.arange(s**m)
+        for j, mask in enumerate(masks):
+            want = np.packbits(x // s**j % s == 0, bitorder="little").tobytes()
+            assert mask == int.from_bytes(want, "little"), (s, n, j)
+        assert isecode.families._block_masks(s, n) is masks
 
 
 def test_completeness_sweep_runs_once_per_pin_set(sweeps):

@@ -99,6 +99,26 @@ def test_best_window_measure_domain():
         best_window_measure(1, 2, Fraction(1, 3))  # n < t
 
 
+def test_cached_window_arithmetic_still_refuses():
+    # selections and window counts are cached after validation: a valid call with
+    # the same (n, t) never lets a float (0.5 == 1/2, with the same hash) or a large p in
+    for p in (Fraction(1, 3), Fraction(1, 2)):
+        best_window_measure(5, 2, p)
+        window_measure(2, 1, p)
+    for p in (0.5, 1 / 3):
+        with pytest.raises(ParameterError, match="not floats"):
+            best_window_measure(5, 2, p)
+        with pytest.raises(ParameterError, match="not floats"):
+            window_measure(2, 1, p)
+    with pytest.raises(ParameterError, match=r"\(0, 1/2\]"):
+        best_window_measure(5, 2, Fraction(2, 3))
+    assert window_measure(2, 1, Fraction(2, 3)) == Fraction(16, 27)
+    for _ in range(2):  # a refusal inside the cached part is not cached
+        with pytest.raises(ParameterError, match="smaller than threshold"):
+            best_window_measure(1, 2, Fraction(1, 3))
+    assert best_window_measure(5, 2, Fraction(1, 2)) == best_window_measure(5, 2, Fraction(1, 2))
+
+
 @pytest.mark.parametrize("t", range(2, 7))
 @pytest.mark.parametrize("r", range(0, 5))
 def test_window_boundary_continuity(t, r):
