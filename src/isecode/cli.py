@@ -291,31 +291,44 @@ def cmd_verify(args) -> int:
 # The CorrelationCheck attributes that make one trial row, in column order.
 _TRIAL_FIELDS = ("seed", "size_a", "size_b", "common", "lhs", "rhs", "slack")
 
-# The random-mode options of correlate, by argparse dest: flag, type, default, meaning.
-# They parse as None, so --exhaustive can refuse any that is given.
+# The random-mode options of correlate, by argparse dest: flag, type, default, help, modes.
 _RANDOM_OPTIONS = {
-    "n": ("-n", int, 2, "word length"),
-    "trials": ("--trials", int, 200, "number of trials"),
-    "seed": ("--seed", int, 0, "seed of the first trial"),
+    "n": ("-n", int, 2, "word length (random mode, default 2)", ("random",)),
+    "trials": ("--trials", int, 200, "number of trials (random mode, default 200)", ("random",)),
+    "seed": ("--seed", int, 0, "seed of the first trial (random mode, default 0)", ("random",)),
 }
+
+
+def _settle_options(args, options: dict, mode: str, context: str) -> None:
+    """Refuse the options given that `mode` does not read, then fill in the defaults.
+
+    `options` maps an argparse dest to (flag, type, default, help, modes),
+    modes being those that read the option.  The options parse as None, so
+    one that is given is told from one left out.  The refusal names the
+    given flags in the order of `options`: "<context> does not use -n, ...".
+    """
+    given = [
+        flag
+        for dest, (flag, *_, modes) in options.items()
+        if mode not in modes and getattr(args, dest) is not None
+    ]
+    if given:
+        raise ParameterError(f"{context} does not use {', '.join(given)}")
+    for dest, (_, _, default, *_) in options.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def cmd_correlate(args) -> int:
     pins_a = _parse_ints(args.pins_a)
     pins_b = _parse_ints(args.pins_b)
+    mode = "exhaustive" if args.exhaustive else "random"
+    _settle_options(args, _RANDOM_OPTIONS, mode, "--exhaustive")
     if args.exhaustive:
-        given = [
-            flag for dest, (flag, *_) in _RANDOM_OPTIONS.items() if getattr(args, dest) is not None
-        ]
-        if given:
-            raise ParameterError(f"--exhaustive does not use {', '.join(given)}")
-        mode, n = "exhaustive", 1
+        n = 1
         checks = exhaustive_correlation(args.s, pins_a, pins_b)
     else:
-        for dest, (_, _, default, _) in _RANDOM_OPTIONS.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-        mode, n = "random", args.n
+        n = args.n
         checks = random_correlation_trials(
             args.s, args.n, pins_a, pins_b, args.trials, seed_base=args.seed
         )
@@ -364,7 +377,23 @@ def _demand_sweep(s: int, n: int, t_max: int):
             yield t
 
 
+# The options of table that only some --what values read, as in _RANDOM_OPTIONS.
+_TABLE_OPTIONS = {
+    "n": ("-n", int, 8, "ground-set size (measures, default 8)", ("measures",)),
+    "n_max": ("--n-max", int, 4, "largest n (bounds and oracle, default 4)", ("bounds", "oracle")),
+    "p": ("-p", str, None, "bias as p/q (measures, default 1/s)", ("measures",)),
+    "timeout_ms": (
+        "--timeout-ms",
+        int,
+        DEFAULT_TIMEOUT_MS,
+        f"search timeout per row (oracle, default {DEFAULT_TIMEOUT_MS})",
+        ("oracle",),
+    ),
+}
+
+
 def cmd_table(args) -> int:
+    _settle_options(args, _TABLE_OPTIONS, args.what, f"--what {args.what}")
     rows: list[dict] = []
     if args.what in ("bounds", "oracle"):
         t_max = args.t_max if args.t_max is not None else args.n_max
@@ -417,6 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on intersection-constrained word families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def options(p, table, *dests):
+        for dest in dests:
+            flag, kind, _, text, _ = table[dest]
+            p.add_argument(flag, dest=dest, type=kind, help=text)
 
     def common(p, *, n=False, s=False, t=None):
         if n:
@@ -471,20 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pins-a", type=str, required=True, help="pinned symbols of side A")
     p.add_argument("--pins-b", type=str, required=True, help="pinned symbols of side B")
     p.add_argument("--exhaustive", action="store_true", help="all complete pairs at n = 1")
-    for dest, (flag, kind, default, meaning) in _RANDOM_OPTIONS.items():
-        text = f"{meaning} (random mode, default {default})"
-        p.add_argument(flag, dest=dest, type=kind, help=text)
+    options(p, _RANDOM_OPTIONS, *_RANDOM_OPTIONS)
     p.add_argument("-o", "--output", type=str)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("table", help="sweep a parameter grid")
     p.add_argument("--what", choices=("bounds", "oracle", "measures"), default="bounds")
     p.add_argument("-s", type=int, default=3)
-    p.add_argument("-n", type=int, default=8, help="ground-set size for measures")
-    p.add_argument("--n-max", type=int, default=4)
+    options(p, _TABLE_OPTIONS, "n", "n_max")
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("-p", type=str, help="bias as p/q (measures)")
-    p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
+    options(p, _TABLE_OPTIONS, "p", "timeout_ms")
     p.add_argument("-o", "--output", type=str)
     p.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     p.set_defaults(func=cmd_table)

@@ -106,13 +106,16 @@ def check_correlation(
 def random_complete_family(params: SpaceParams, pins, seed: int) -> Family:
     """Seeded pinned closure of k random words, k uniform in 1..n.
 
-    The standard-library generator `random.Random(abs(seed))` draws k and
-    then k word indices (repeats allowed), each as int(random() * N) for
-    N = n and N = s**n, the one draw Python keeps the same across versions.
-    The same seed always gives the same family, pinned-complete by
-    construction; the streams differ from versions that drew from numpy.
+    The standard-library generator draws k and then k word indices (repeats
+    allowed), each as int(random() * N) for N = n and N = s**n, the one draw
+    Python keeps the same across versions.  It is `random.Random(seed)` for
+    seed >= 0 and `random.Random(str(seed))` for seed < 0: an int seed
+    draws as its absolute value, so this keeps -seed from repeating seed's
+    stream, and distinct seeds never share one.  The same seed always gives
+    the same family, pinned-complete by construction; the streams differ
+    from versions that drew from numpy.
     """
-    rng = random.Random(abs(seed))
+    rng = random.Random(seed if seed >= 0 else str(seed))
     n, size = params.n, params.size
     member = np.zeros(size, dtype=bool)
     for _ in range(int(rng.random() * n) + 1):

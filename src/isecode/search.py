@@ -136,13 +136,15 @@ def _vertices(params: SpaceParams, t: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _graph(params: SpaceParams, t: tuple[int, ...], verts: np.ndarray) -> CompatGraph:
-    """The compatibility graph whose slot i is the word verts[i]."""
+def _graph(
+    params: SpaceParams, t: tuple[int, ...], verts: np.ndarray, digits: np.ndarray
+) -> CompatGraph:
+    """The compatibility graph whose slot i is the word verts[i], with symbol row digits[i]."""
     m = int(verts.shape[0])
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
     rows: list[int] = []
-    for lo, block in agreement_rows(decode_matrix(params, verts), t):
+    for lo, block in agreement_rows(digits, t):
         clear_diagonal(block, lo)
         rows.extend(int_rows(block))
     return CompatGraph(params, t, tuple(verts.tolist()), tuple(rows))
@@ -151,13 +153,15 @@ def _graph(params: SpaceParams, t: tuple[int, ...], verts: np.ndarray) -> Compat
 def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
     params = SpaceParams(s, n)
     t = check_demand(s, demand)
-    return _graph(params, t, _vertices(params, t))
+    verts = _vertices(params, t)
+    return _graph(params, t, verts, decode_matrix(params, verts))
 
 
 def _quotient_graph(
     n: int, s: int, searched: tuple[int, ...]
-) -> tuple[CompatGraph, list[int]]:
-    """The pattern graph of a non-increasing demand, and each slot's weight for an alphabet of s.
+) -> tuple[CompatGraph, list[int], np.ndarray]:
+    """The pattern graph of a non-increasing demand, each slot's weight for an alphabet of s,
+    and the (m, n) symbol matrix of the slots, decoded once for every later use.
 
     With k nonzero demands, q = k + 1 when 1 <= k < s and q = s otherwise.
     The graph is (n, q, searched[:q]): a vertex is a pattern, a word over
@@ -165,44 +169,31 @@ def _quotient_graph(
     zero-demand symbol.  Its weight (s - q + 1)**(number of stars) counts
     the words over {1..s} with that pattern; at q = s every weight is 1 and
     the graph is build_compat_graph's.  The slots run by ascending weight,
-    then ascending index.
+    then ascending index; row i of the matrix is the symbols of slot i.
     """
     k = sum(map(bool, searched))
     q = k + 1 if 0 < k < s else s
     params = SpaceParams(q, n)
     verts = _vertices(params, searched[:q])
-    stars = symbol_count(params, range(1, n + 1), q)[verts].astype(np.int64)
-    weight = (s - q + 1) ** stars
+    digits = decode_matrix(params, verts)
+    weight = (s - q + 1) ** (digits == q).sum(axis=1)
     slots = np.argsort(weight, kind="stable")
-    return _graph(params, searched[:q], verts[slots]), weight[slots].tolist()
+    digits = digits[slots]
+    return _graph(params, searched[:q], verts[slots], digits), weight[slots].tolist(), digits
 
 
-def _orbit_count(graph: CompatGraph) -> int:
-    """The number of `_orbits` of a graph over two symbols, without per-vertex keys.
-
-    A 1 bit of a vertex's index is a 2-position, so the histogram is
-    (n - c, c) for c the bit count; with equal demands it is sorted.
-    """
-    n = graph.params.n
-    twos = np.bitwise_count(np.asarray(graph.vertices, dtype=np.int64))
-    t1, t2 = graph.demand
-    key = np.minimum(twos, n - twos) if t1 == t2 else twos
-    # small int keys, so a bincount counts them without a sort
-    return int(np.count_nonzero(np.bincount(key, minlength=1)))
-
-
-def _orbits(graph: CompatGraph) -> list[int]:
-    """Each vertex's symmetry orbit number.
+def _orbits(digits: np.ndarray, demand: tuple[int, ...]) -> list[int]:
+    """Each vertex's symmetry orbit number, from the (m, n) symbol matrix of the slots.
 
     A word's orbit is its symbol histogram with the counts sorted within each
     group of symbols sharing a demand value.  Orbits are numbered by their
-    first vertex in ascending slot order.
+    first vertex in ascending slot order.  This one numbering serves every
+    rule: the orbit rule prunes with it, and the others report its count.
     """
-    t = np.asarray(graph.demand)
-    digits = decode_matrix(graph.params, np.asarray(graph.vertices, dtype=np.int64))
+    t = np.asarray(demand)
     syms = range(1, len(t) + 1)  # counts are at most n <= 26 (the dense cap), so uint8
     counts = np.stack([(digits == sym).sum(axis=1, dtype=np.uint8) for sym in syms], axis=1)
-    key = np.hstack([np.sort(counts[:, t == value], axis=1) for value in set(graph.demand)])
+    key = np.hstack([np.sort(counts[:, t == value], axis=1) for value in set(demand)])
     # one void item per row, so a 1-D unique numbers the rows exactly: a mixed-radix int code
     # could overflow, and only the axis= form of np.unique imports numpy.ma (~5 ms at first use)
     rows = np.ascontiguousarray(key).view(f"V{len(t)}")[:, 0]
@@ -220,29 +211,29 @@ def _orbit_masks(orbit: Sequence[int]) -> list[int]:
 
 
 def _shift_tables(
-    graph: CompatGraph, deadline: float | None
+    graph: CompatGraph, digits: np.ndarray, deadline: float | None
 ) -> tuple[int, list[int], list[int]] | None:
     """The s = 2 shift order: the vertices whose down-set is a clique, and the order's tables.
 
-    Vertex v stands for its 1-set S.  T <= S exactly when T comes from S by
-    moves of one element to the free position just left of it, and each
-    such move keeps |S| and raises the word index (a 2-position moves
-    right).  Among the words of one size the slots ascend by index (at
-    s = 2 all of them do), so the down-set of slot v lies at slots >= v and
-    its up-set at slots <= v.
+    digits is the (m, n) symbol matrix of the slots, and vertex v stands
+    for its 1-set S.  T <= S exactly when T comes from S by moves of one
+    element to the free position just left of it, and each such move keeps
+    |S| and raises the word index (a 2-position moves right).  Among the
+    words of one size the slots ascend by index (at s = 2 all of them do),
+    so the down-set of slot v lies at slots >= v and its up-set at slots <= v.
     Returns the bitset of the vertices whose down-set is a clique, down[v],
     the down-set shifted right by v (bit 0 is v), and up[v], the up-set less
     v.  A vertex's two rows hold at most m bits, as many as its adjacency
     row, so the tables never outgrow the adjacency rows: at VERTEX_CAP at
     most 65,536**2 bits, 512 MiB.
 
-    The one-step moves of all vertices are found at once.  A down-set is
-    then v and the down-sets one move below it, built in descending slot
-    order; in ascending order each vertex passes itself and its up-set on to
-    the vertices one move below it.  That is at most n - 1 bitset ORs per
-    vertex for each table.  The deadline is checked before each chunk of
-    vertices whose rows, m bits each, hold at most _ROW_CHUNK_BYTES; on
-    expiry the result is None.
+    The one-step moves of all vertices are found at once in digits, a 2
+    just left of a 1.  A down-set is then v and the down-sets one move below
+    it, built in descending slot order; in ascending order each vertex
+    passes itself and its up-set on to the vertices one move below it.
+    That is at most n - 1 bitset ORs per vertex for each table.  The
+    deadline is checked before each chunk of vertices whose rows, m bits
+    each, hold at most _ROW_CHUNK_BYTES; on expiry the result is None.
 
     A down-set is a clique exactly when v is adjacent to the rest of it.
     Distinct words S and X are joined exactly when |S & X| >= tau, where
@@ -257,11 +248,10 @@ def _shift_tables(
     X = S, U != S since tau <= |S| for a vertex, and v is not adjacent to U.
     """
     verts = np.asarray(graph.vertices, dtype=np.int64)
-    m, n = len(verts), graph.params.n
+    m = len(verts)
     adj = graph.adjacency
-    # a move takes symbol 1 (digit 0) from position p + 2 to p + 1: the index grows by 2**p
-    digit = verts[:, None] >> np.arange(n) & 1
-    src, p = np.nonzero((digit[:, :-1] == 1) & (digit[:, 1:] == 0))  # src ascends
+    # a move takes symbol 1 from position p + 2 to p + 1, which holds a 2: the index grows by 2**p
+    src, p = np.nonzero((digits[:, :-1] == 2) & (digits[:, 1:] == 1))  # src ascends
     rank = np.argsort(verts)  # the slots by ascending index
     moves = rank[np.searchsorted(verts, verts[src] + (1 << p), sorter=rank)].tolist()
     start = np.searchsorted(src, np.arange(m + 1)).tolist()  # v's moves: moves[start[v]:start[v + 1]]
@@ -316,13 +306,14 @@ class SearchStats:
     The seconds of each phase, the greedy incumbent's weight, the rule that
     restricted the branching ("shift" at s = 2, "quotient" at s >= 3 with
     one nonzero demand, "orbit" otherwise) and the vertex count of the
-    searched graph, the pattern graph.  build includes the argument checks;
-    orbits is the time of the orbit masks, or under the shift and quotient
-    rules of the shift tables; when the greedy runs out of time, or the
-    shift tables did, there is no branching and branch is near 0.  The
-    incumbent is the greedy clique's weight, the size of its lift.  The four
-    phases are consecutive, so they sum to at most the call's elapsed time,
-    which also covers building the witness.
+    searched graph, the pattern graph.  build includes the argument checks
+    and the one decode of the patterns' symbols; orbits is the time of the
+    orbit numbering, under every rule, and then of the orbit masks, or under
+    the shift and quotient rules of the shift tables; when the greedy runs
+    out of time, or the shift tables did, there is no branching and branch
+    is near 0.  The incumbent is the greedy clique's weight, the size of its
+    lift.  The four phases are consecutive, so they sum to at most the
+    call's elapsed time, which also covers building the witness.
     """
 
     build: float
@@ -617,18 +608,17 @@ def max_family(
     params = SpaceParams(s, n)  # a bad space is refused before the demand is read
     t = check_demand(s, demand)
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
-    graph, weight = _quotient_graph(n, s, tuple(t[c] for c in order))
+    graph, weight, digits = _quotient_graph(n, s, tuple(t[c] for c in order))
     q = graph.params.s
     rule = "shift" if s == 2 else "quotient" if q == 2 else "orbit"
     marks = [start, time.monotonic()]
     m = graph.vertex_count
     every = (1 << m) - 1
+    orbit = _orbits(digits, graph.demand)
+    orbits = max(orbit, default=-1) + 1
     if q == 2:
-        orbits = _orbit_count(graph)
-        tables = _shift_tables(graph, deadline)
+        tables = _shift_tables(graph, digits, deadline)
     else:
-        orbit = _orbits(graph)
-        orbits = max(orbit, default=-1) + 1
         masks = _orbit_masks(orbit)
         tables = (every, [1] * m, [0] * m, [masks[k] for k in orbit])
     marks.append(time.monotonic())

@@ -403,6 +403,30 @@ def test_table_measures(capsys):
     assert rows[3]["radius"] == "1"
 
 
+@pytest.mark.parametrize(
+    "what,extra,flags",
+    [
+        ("bounds", ("-n", "5"), "-n"),
+        ("bounds", ("-p", "1/2"), "-p"),
+        ("bounds", ("-n", "8", "--timeout-ms", "60000"), "-n, --timeout-ms"),
+        ("oracle", ("-p", "1/2", "-n", "5"), "-n, -p"),
+        ("measures", ("--n-max", "4"), "--n-max"),
+        ("measures", ("--timeout-ms", "100", "--n-max", "2"), "--n-max, --timeout-ms"),
+    ],
+)
+def test_table_refuses_options_its_what_ignores(capsys, what, extra, flags):
+    # passing an option the chosen --what does not read, even at its default value, is refused
+    code, out, err = run_cli(capsys, "table", "--what", what, "-s", "2", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"refusal: --what {what} does not use {flags}\n"
+
+
+def test_table_oracle_reads_its_timeout(capsys):
+    args = ("table", "--what", "oracle", "-s", "2", "--n-max", "1", "--timeout-ms", "5000")
+    code, rows, _ = run_json(capsys, *args)
+    assert code == 0 and all(row["oracle_complete"] for row in rows) and len(rows) == 3
+
+
 def test_table_output_file(capsys, tmp_path):
     out_path = tmp_path / "t.csv"
     code, out, _ = run_cli(

@@ -95,6 +95,13 @@ def test_random_complete_family_contract():
         random_complete_family(p, {1, 2, 3}, 123)
 
 
+def _draws(params, seed):
+    """The documented draws of random.Random(seed): k in 1..n, then k word indices."""
+    rng = random.Random(seed)
+    k = int(rng.random() * params.n) + 1
+    return Family.from_indices(params, [int(rng.random() * params.size) for _ in range(k)])
+
+
 @pytest.mark.parametrize(
     "s,n,pins",
     [
@@ -114,13 +121,13 @@ def test_random_complete_family_is_the_closure_of_its_draws(s, n, pins):
     # the documented draws, closed by the brute-force oracle
     params = SpaceParams(s, n)
     for seed in range(12):
-        rng = random.Random(seed)
-        k = int(rng.random() * n) + 1
-        draws = Family.from_indices(params, [int(rng.random() * params.size) for _ in range(k)])
         fam = random_complete_family(params, pins, seed)
-        assert fam == brute_closure(draws, pins), seed
+        assert fam == brute_closure(_draws(params, seed), pins), seed
         assert fam == random_complete_family(params, pins, seed)
-        assert fam == random_complete_family(params, pins, -seed)
+    # a negative seed draws from the generator seeded by its string
+    for seed in range(1, 13):
+        fam = random_complete_family(params, pins, -seed)
+        assert fam == brute_closure(_draws(params, str(-seed)), pins), -seed
 
 
 def test_random_trials_deterministic_and_clean():
@@ -208,12 +215,12 @@ def test_random_complete_family_golden_bits():
 
 
 def test_random_complete_family_negative_seed():
-    # a negative seed draws as its absolute value, as random.Random seeds do
+    # a negative seed draws from random.Random(str(seed)), not from its absolute value,
+    # so trial seed -1 (sub-seeds -2, -1) repeats no family of trials 0 and 1
     params = SpaceParams(3, 3)
-    for seed in (1, 5, 12):
-        assert random_complete_family(params, {1}, -seed) == random_complete_family(
-            params, {1}, seed
-        )
+    for seed in range(1, 13):
+        fam = random_complete_family(params, {1}, -seed)
+        assert fam == brute_closure(_draws(params, str(-seed)), {1}), -seed
     checks = random_correlation_trials(3, 3, {1}, {2, 3}, 6, seed_base=-3)
     assert [c.seed for c in checks] == list(range(-3, 3))
     assert all(c.holds for c in checks)

@@ -20,7 +20,6 @@ from isecode.search import (
     _color_order,
     _greedy_clique,
     _iter_bits,
-    _orbit_count,
     _orbit_masks,
     _orbits,
     _quotient_graph,
@@ -254,7 +253,7 @@ def test_orbit_masks_are_symmetry_orbits(n, s, t):
     verts = np.asarray(graph.vertices)
     digits = decode_matrix(graph.params, verts)
     adj = _adjacency_matrix(graph)
-    orbit = _orbits(graph)
+    orbit = _orbits(digits, graph.demand)
     masks = _orbit_masks(orbit)
     # the masks partition the vertex slots, and orbit[v] names v's mask
     assert sum(mask.bit_count() for mask in masks) == m
@@ -277,7 +276,10 @@ def test_orbit_masks_are_symmetry_orbits(n, s, t):
     assert len(set(keys)) == len(masks) == len(set(zip(keys, orbit)))
     assert 1 < len(masks) < m
     if s == 2:
-        assert _orbit_count(graph) == max(orbit) + 1
+        # a vertex's histogram is (n - c, c) for c its index's bit count, sorted when t1 = t2
+        twos = [v.bit_count() for v in graph.vertices]
+        keys = [min(c, n - c) for c in twos] if t[0] == t[1] else twos
+        assert len(set(keys)) == max(orbit) + 1
     rng = np.random.default_rng(7)
     for _ in range(5):
         # a random position permutation and a random permutation of equal-demand symbols
@@ -498,7 +500,7 @@ def _rescoring_greedy(cand, adj, weight):
 def test_greedy_clique_matches_rescoring(n, s, t):
     # the word graph with unit weights, and the pattern graph with its weights
     word_graph = build_compat_graph(n, s, t)
-    pattern, weight = _quotient_graph(n, s, t)
+    pattern, weight, _ = _quotient_graph(n, s, t)
     cases = [(word_graph.adjacency, [1] * word_graph.vertex_count)]
     if pattern != word_graph:
         cases.append((pattern.adjacency, weight))
@@ -596,8 +598,9 @@ def _below(small, large):
 def test_shift_tables_match_the_shift_order(n, t):
     graph = build_compat_graph(n, 2, t)
     m = graph.vertex_count
-    cand, down, up = _shift_tables(graph, None)
-    digits = decode_matrix(graph.params, np.asarray(graph.vertices)).tolist()
+    digits = decode_matrix(graph.params, np.asarray(graph.vertices))
+    cand, down, up = _shift_tables(graph, digits, None)
+    digits = digits.tolist()
     sets = [{p for p in range(1, n + 1) if word[p - 1] == 1} for word in digits]
     adj = _adjacency_matrix(graph)
     kept = 0
@@ -618,7 +621,7 @@ def test_shift_tables_match_the_shift_order(n, t):
 def test_shift_tables_follow_the_quotient_slots(n, s, t):
     # the quotient's slots run by size, not by index: its tables are the
     # index-ordered graph's, slot for slot
-    binary, (quotient, _) = build_compat_graph(n, 2, t[:2]), _quotient_graph(n, s, t)
+    binary, (quotient, _, digits) = build_compat_graph(n, 2, t[:2]), _quotient_graph(n, s, t)
     assert sorted(quotient.vertices) == list(binary.vertices) != list(quotient.vertices)
     slot = {word: v for v, word in enumerate(binary.vertices)}
     to_binary = [slot[word] for word in quotient.vertices]  # per quotient slot
@@ -626,8 +629,9 @@ def test_shift_tables_follow_the_quotient_slots(n, s, t):
     def image(bits, shift=0):
         return sum(1 << to_binary[u] for u in _iter_bits(bits << shift))
 
-    cand, down, up = _shift_tables(quotient, None)
-    ref_cand, ref_down, ref_up = _shift_tables(binary, None)
+    cand, down, up = _shift_tables(quotient, digits, None)
+    binary_digits = decode_matrix(binary.params, np.asarray(binary.vertices))
+    ref_cand, ref_down, ref_up = _shift_tables(binary, binary_digits, None)
     assert image(cand) == ref_cand
     for v, w in enumerate(to_binary):
         assert image(down[v], v) == ref_down[w] << w
@@ -639,16 +643,17 @@ def test_shift_tables_check_deadline_between_chunks(monkeypatch):
     import isecode.search as search_mod
 
     graph = build_compat_graph(6, 2, (1, 1))
-    whole = _shift_tables(graph, None)
+    digits = decode_matrix(graph.params, np.asarray(graph.vertices))
+    whole = _shift_tables(graph, digits, None)
     monkeypatch.setattr(search_mod, "_ROW_CHUNK_BYTES", 1)  # one row per chunk
     clock = itertools.count(1)
     monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
     # the clock reads 1 and 2 before the first two chunks and 3 before the third
-    assert _shift_tables(graph, 2.5) is None
+    assert _shift_tables(graph, digits, 2.5) is None
     assert next(clock) == 4
     # a full pass reads it before each chunk of the down-sets and of the up-sets
     clock = itertools.count(1)
-    assert _shift_tables(graph, float("inf")) == whole
+    assert _shift_tables(graph, digits, float("inf")) == whole
     assert next(clock) == 2 * graph.vertex_count + 1
 
 
@@ -731,7 +736,7 @@ def test_quotient_witnesses_are_lifted_shifted_families(s, n_max):
 
 
 def test_quotient_graph_slots_rise_in_weight():
-    graph, weight = _quotient_graph(6, 3, (2, 0, 0))
+    graph, weight, _ = _quotient_graph(6, 3, (2, 0, 0))
     sizes = [6 - v.bit_count() for v in graph.vertices]  # |S|: digit 0 marks symbol 1
     assert weight == [2 ** (6 - k) for k in sizes]
     assert weight == sorted(weight)
@@ -739,13 +744,13 @@ def test_quotient_graph_slots_rise_in_weight():
     assert slots == sorted(slots)  # then ascending index
     assert graph.vertex_count == 57  # the 1-sets of at least two positions
     binary = build_compat_graph(6, 2, (2, 1))
-    assert _quotient_graph(6, 2, (2, 1)) == (binary, [1] * binary.vertex_count)
+    assert _quotient_graph(6, 2, (2, 1))[:2] == (binary, [1] * binary.vertex_count)
 
 
 def test_pattern_graph_weighs_stars():
     # two demanded symbols and a star for the other two: a pattern with c stars
     # stands for the 2**c words that write symbol 3 or 4 at each star
-    graph, weight = _quotient_graph(6, 4, (1, 1, 0, 0))
+    graph, weight, _ = _quotient_graph(6, 4, (1, 1, 0, 0))
     assert graph.params == SpaceParams(3, 6) and graph.demand == (1, 1, 0)
     stars = (decode_matrix(graph.params, np.asarray(graph.vertices)) == 3).sum(axis=1)
     assert weight == (2**stars).tolist() == sorted(weight)
@@ -758,7 +763,34 @@ def test_pattern_graph_weighs_stars():
     # q = s: one zero demand, none, or all zero; every weight is 1 and the graph is the word graph
     for n, s, t in ((5, 3, (1, 1, 0)), (4, 3, (1, 1, 1)), (3, 3, (0, 0, 0)), (4, 4, (2, 1, 1, 0))):
         words = build_compat_graph(n, s, t)
-        assert _quotient_graph(n, s, t) == (words, [1] * words.vertex_count)
+        assert _quotient_graph(n, s, t)[:2] == (words, [1] * words.vertex_count)
+
+
+@pytest.mark.parametrize(
+    "n, s, t",
+    [
+        (6, 4, (1, 1, 0, 0)),  # orbit rule, with stars
+        (6, 3, (2, 0, 0)),  # quotient rule: slots by size, not by index
+        (6, 2, (2, 1)),  # shift rule
+        (4, 3, (1, 1, 1)),  # q = s
+        (3, 3, (0, 0, 0)),
+        (2, 3, (3, 0, 0)),  # no vertices
+    ],
+)
+def test_quotient_graph_matrix_is_its_vertices_decoded(n, s, t):
+    graph, _, digits = _quotient_graph(n, s, t)
+    assert digits.shape == (graph.vertex_count, n)
+    assert (digits == decode_matrix(graph.params, np.asarray(graph.vertices))).all()
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_single_demand_orbits_are_the_one_set_sizes(s):
+    # a pattern is a 1-set S with |S| >= t, and its orbit is |S|: one orbit per size t..n
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            for pos in range(s):
+                demand = tuple(t if sym == pos else 0 for sym in range(s))
+                assert max_family(n, s, demand).orbits == n - t + 1, (n, demand)
 
 
 @pytest.mark.parametrize("s, n_max", [(4, 4), (5, 3)])
