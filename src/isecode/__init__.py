@@ -9,14 +9,12 @@ a brute-force maximum-family search, and negative-correlation checks.
 from .words import DEFAULT_DENSE_CAP, ParameterError, SpaceParams, decode, encode
 from .families import Family, FamilyFormatError, SetFamily, load_family, save_family
 from .measures import (
-    CapacityError,
     ProductBound,
     WindowSelection,
     best_window_measure,
     biased_measure,
     format_rational,
     max_window_radius,
-    min_window_length,
     parse_rational,
     power_bound,
     product_allocation,

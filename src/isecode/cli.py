@@ -19,7 +19,6 @@ from itertools import product as iproduct
 from .constructions import block_product_family, majority_density, majority_family
 from .families import FamilyFormatError, load_family, save_family
 from .measures import (
-    CapacityError,
     ParameterError,
     best_window_measure,
     format_rational,
@@ -111,8 +110,9 @@ def _output(path):
 # -- bound --------------------------------------------------------------------
 
 
-# The entries of a bounds report, in order: the two bounds of the paper, then A, the
-# count of the best product of window measures whose windows fit together into n.
+# The entries of a bounds report, in order: the power bound, U (the product of each
+# symbol's best window measure, a bound for every demand), then A, the count of the
+# best product of window measures whose windows fit together into n.
 _BOUNDS = {
     "power_bound": power_bound,
     "product_bound": window_product_bound,
@@ -126,8 +126,6 @@ def _bound_report(n: int, s: int, t) -> dict[str, dict]:
     for name, compute in _BOUNDS.items():
         try:
             value = compute(n, s, t)
-        except CapacityError as exc:
-            report[name] = {"applicable": False, "reason": str(exc), "deficit": exc.deficit}
         except ParameterError as exc:
             report[name] = {"applicable": False, "reason": str(exc)}
         else:
@@ -148,7 +146,7 @@ def cmd_bound(args) -> int:
     report: dict = {"command": "bound", "n": args.n, "s": args.s, "t": list(t)}
     report.update(_bound_report(args.n, args.s, t))
     _emit_report(report, args.format, sys.stdout)
-    if not (report["power_bound"]["applicable"] or report["product_bound"]["applicable"]):
+    if not report["product_bound"]["applicable"]:
         print("refusal: neither bound applies to these parameters", file=sys.stderr)
         return 2
     return 0

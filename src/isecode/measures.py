@@ -1,13 +1,16 @@
-"""Exact biased measures of subset families, the two maximum-size bounds and the block allocation.
+"""Exact biased measures of subset families, the power and product bounds and the block allocation.
 
 Everything here is exact rational arithmetic (fractions.Fraction); floats are
 rejected on input.  The central object is the window-threshold measure: the
 p-biased weight of the family of subsets meeting a majority threshold inside
 a window of length t + 2r, and the selection rule that picks, for a given p,
 the radius r whose window measure is the maximum p-biased measure of any
-family in which every two subsets share at least t elements.  The block
-allocation is the finite-n form of the product: the best radii whose windows
-fit together into n positions.
+family in which every two subsets share at least t elements.  The product
+bound U multiplies each symbol's best window measure, each window fitting
+into n alone; it bounds every demand.  The block allocation A is the
+finite-n form of the product that a family attains: the best radii whose
+windows fit together into n positions.  A equals U wherever U's windows fit
+together, and is at most U everywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, floor, prod
 from typing import Sequence
 
 import numpy as np
@@ -29,14 +32,6 @@ def _check_demand_formula(n: int, s: int, demand: Sequence[int]) -> tuple[int, .
     # cap that applies to materialized families.
     check_space(s, n)
     return check_demand(s, demand)
-
-
-class CapacityError(ParameterError):
-    """Window lengths do not fit into the word length; carries the deficit."""
-
-    def __init__(self, message: str, deficit: int):
-        super().__init__(message)
-        self.deficit = deficit
 
 
 def as_rational(value) -> Fraction:
@@ -149,15 +144,6 @@ def _best_window(n: int, t: int, p: Fraction) -> WindowSelection:
     return WindowSelection(t, p, cap, cap, window_measure(t, cap, p))
 
 
-def min_window_length(t: int, s: int) -> int:
-    """Smallest window length m so that the radius selected at bias 1/s fits: t + 2r <= m."""
-    if s < 3:
-        raise ParameterError("window-length rule needs alphabet size s >= 3")
-    if t < 0:
-        raise ParameterError("threshold must be non-negative")
-    return t + 2 * max(0, -((s - 1 - t) // (s - 2)))  # r = ceil((t - s + 1) / (s - 2))
-
-
 def power_bound(n: int, s: int, demand: Sequence[int]) -> int:
     """Upper bound s**(n - sum(t)) on the size of a demand-intersecting family.
 
@@ -178,7 +164,10 @@ def power_bound(n: int, s: int, demand: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class ProductBound:
-    """Exact maximum density and count from the product of per-symbol window measures."""
+    """A product of per-symbol window measures at bias 1/s, with its count floor(density * s**n).
+
+    `selections` holds each symbol's window and measure, `windows` their lengths t_i + 2*r_i.
+    """
 
     density: Fraction
     count: int
@@ -187,23 +176,32 @@ class ProductBound:
 
 
 def window_product_bound(n: int, s: int, demand: Sequence[int]) -> ProductBound:
-    """Product over symbols of the best window measures at bias 1/s, with its exact count.
+    """U, the product bound: no family meeting the demand has more than U.count words.
 
-    Requires s >= 3 and the capacity condition: the minimal window lengths of
-    all demand entries must fit into n.
+    Let F meet the demand t and let F_i be its pinned closure for {i}.  F_i
+    contains F, is complete for {i}, and every two of its members still carry
+    symbol i together at t_i or more positions.  A family complete for {i} is
+    complete for every pin set containing i, so F_1 & ... & F_(i-1) is
+    complete for {1, ..., i-1}, and the correlation inequality (Harris-Kleitman;
+    Kleitman, J. Combin. Theory 1, 1966) applies one symbol at a time: the density of
+    F is at most the product of the densities of the F_i.  Projected onto
+    symbol i, F_i is a t_i-intersecting subset family whose 1/s-biased
+    measure is its density, so that density is at most
+    best_window_measure(n, t_i, 1/s): by Katona's theorem (1964) at s = 2 and
+    by Filmus's weighted complete intersection theorem (J. Combin. Theory A
+    151, 2017) at s >= 3.  `density` is the product of these selections.
+    Each window fits into n alone, but together they may not; there the
+    block construction cannot realize the product, and product_allocation
+    may fall below U.  Valid for every s >= 2 and every demand with
+    sum(t) <= n.
     """
     t = _check_demand_formula(n, s, demand)
-    if s < 3:
-        raise ParameterError("product bound needs alphabet size s >= 3")
-    windows = tuple(min_window_length(ti, s) for ti in t)
-    deficit = sum(windows) - n
-    if deficit > 0:
-        raise CapacityError(
-            f"window lengths {windows} need {sum(windows)} positions but n = {n}"
-            f" (deficit {deficit})",
-            deficit,
-        )
-    return _product(n, s, tuple(best_window_measure(n, ti, Fraction(1, s)) for ti in t), windows)
+    if sum(t) > n:
+        raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
+    selections = tuple(best_window_measure(n, ti, Fraction(1, s)) for ti in t)
+    density = prod(sel.value for sel in selections)
+    windows = tuple(sel.t + 2 * sel.radius for sel in selections)
+    return ProductBound(density, floor(density * s**n), selections, windows)
 
 
 def product_allocation(n: int, s: int, demand: Sequence[int]) -> ProductBound:
@@ -216,7 +214,8 @@ def product_allocation(n: int, s: int, demand: Sequence[int]) -> ProductBound:
     radii.  `windows` holds the allocated lengths t_i + 2*r_i, and each
     selection's radius_cap is the largest radius fitting into n alone, as in
     best_window_measure.  Valid for every s >= 2 and every demand with
-    sum(t) <= n; it equals window_product_bound wherever that applies.
+    sum(t) <= n; it equals window_product_bound wherever the windows of that
+    bound fit together into n.
     """
     t = _check_demand_formula(n, s, demand)
     if sum(t) > n:
@@ -251,9 +250,7 @@ def product_allocation(n: int, s: int, demand: Sequence[int]) -> ProductBound:
 def _product(
     n: int, s: int, selections: tuple[WindowSelection, ...], windows: tuple[int, ...]
 ) -> ProductBound:
-    density = Fraction(1)
-    for sel in selections:
-        density *= sel.value
+    density = prod(sel.value for sel in selections)
     count = density * s**n
     if count.denominator != 1:
         raise RuntimeError("product density times s**n must be integral")

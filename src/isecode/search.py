@@ -381,8 +381,8 @@ def _color_order(
 
     With weights the coloring may make a class per vertex: 2.7 s for the
     57,002 patterns of (10, 4, (1, 1, 0, 0)), against 0.33 s for their unit
-    coloring (one 2-vCPU shared host).  So the weighted loop checks the
-    deadline before every 256th class and returns None once it has passed.
+    coloring (one 2-vCPU shared host).  So both loops check the deadline
+    before every 256th class and return None once it has passed.
     """
     order: list[int] = []
     bounds: list[int] = []
@@ -390,6 +390,8 @@ def _color_order(
     bound = 0
     if not rest or weight[-1] == 1:
         while rest:
+            if bound % 256 == 0 and deadline is not None and time.monotonic() > deadline:
+                return None
             q = rest
             first = len(order)
             while q:

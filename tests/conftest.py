@@ -5,7 +5,9 @@ words and pairs) so the bitset implementations, the agreement kernel's
 packed rows among them, are checked against a second route.  The per-word
 definitions of the paper (`meet`, `profile`, `satisfies`, the pinned order
 `leq_pinned` and the text form `format_word`) live here, not in the
-package, which computes the same notions only in vectorised form.  The
+package, which computes the same notions only in vectorised form.  So does
+the paper's capacity condition (`paper_windows_fit`): where it holds, the
+package's allocation is the product of each symbol's own best window.  The
 `sweeps` fixture records the completeness checks a test causes, so tests
 can count them.
 """
@@ -90,6 +92,21 @@ def format_word(params: SpaceParams, word: Sequence[int]) -> str:
     if params.s > 9:
         raise ParameterError("digit-string form needs s <= 9; use the binary family format")
     return "".join(str(sym) for sym in check_word(params, word))
+
+
+def paper_window_length(t: int, s: int) -> int:
+    """The paper's window length for threshold t at bias 1/s, s >= 3.
+
+    It is t + 2r with r = max(0, ceil((t - s + 1) / (s - 2))), the radius the
+    interval rule of best_window_measure selects once the window fits.
+    """
+    assert s >= 3
+    return t + 2 * max(0, -((s - 1 - t) // (s - 2)))
+
+
+def paper_windows_fit(n: int, s: int, demand) -> bool:
+    """The paper's capacity condition: s >= 3 and the windows of all demand entries fit into n."""
+    return s >= 3 and sum(paper_window_length(t, s) for t in demand) <= n
 
 
 def all_words(params: SpaceParams):

@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import product
 
 from isecode import (
-    CapacityError,
     SpaceParams,
     best_window_measure,
     biased_measure,
@@ -29,6 +28,8 @@ from isecode import (
     window_product_bound,
     window_threshold_family,
 )
+
+from conftest import paper_windows_fit
 
 _SOLVED: dict = {}
 
@@ -58,6 +59,7 @@ def test_criterion_1_power_bound_sweep_with_equality():
         assert result.max_size <= bound, (n, s, t)
         assert result.max_size == bound, (n, s, t)
         assert result.max_size == product_allocation(n, s, t).count, (n, s, t)
+        assert result.max_size <= window_product_bound(n, s, t).count, (n, s, t)
         witness = fixed_coordinate_family(n, s, t)
         assert len(witness) == bound
         assert witness.is_t_intersecting(t)
@@ -155,6 +157,7 @@ def test_criterion_5_submultiplicative_densities():
             full = solve(n, s, t)
             assert full.complete
             assert full.max_size == product_allocation(n, s, t).count, (n, t)
+            assert full.max_size <= window_product_bound(n, s, t).count, (n, t)
             whole = Fraction(full.max_size, s**n)
             for r in (1, 2):
                 head = t[:r] + (0,) * (s - r)
@@ -180,6 +183,7 @@ def test_criterion_6_binary_small_slack_range():
                 assert len(result.witness) == result.max_size
                 alloc = product_allocation(n, 2, (t1, t2))
                 assert result.max_size == alloc.count, (n, t1, t2, q)
+                assert result.max_size <= window_product_bound(n, 2, (t1, t2)).count
                 if q in (0, 1):
                     assert result.max_size == 2**q, (n, t1, t2, q)
                 count += 1
@@ -266,9 +270,7 @@ def _capacity_refused_instances():
         for t in product(range(n + 1), repeat=s):
             if sum(t) > n or list(t) != sorted(t, reverse=True):
                 continue
-            try:
-                window_product_bound(n, s, t)
-            except CapacityError:
+            if not paper_windows_fit(n, s, t):
                 yield n, s, t
 
 
@@ -281,6 +283,7 @@ def test_criterion_10_allocation_beyond_capacity():
         result = solve(n, s, t)
         assert result.complete, (n, s, t)
         assert result.max_size == product_allocation(n, s, t).count, (n, s, t)
+        assert result.max_size <= window_product_bound(n, s, t).count, (n, s, t)
         built = block_product_family(n, s, t)
         assert len(built.family) == result.max_size, (n, s, t)
         assert built.family.is_t_intersecting(t), (n, s, t)
@@ -289,3 +292,34 @@ def test_criterion_10_allocation_beyond_capacity():
     assert solve(6, 3, (4, 0, 0)).max_size == 13
     print(f"\n[criterion 10] PASS: {count} demands beyond the capacity condition; "
           f"oracle = allocated count = block-product size each time")
+
+
+def _gap_instances():
+    """Non-increasing demands with two or more nonzero entries where A < U."""
+    for s, n_max in ((2, 10), (3, 9)):
+        for n in range(1, n_max + 1):
+            for t in product(range(n + 1), repeat=s):
+                if sum(t) > n or list(t) != sorted(t, reverse=True) or sum(map(bool, t)) < 2:
+                    continue
+                alloc, bound = product_allocation(n, s, t).count, window_product_bound(n, s, t).count
+                if alloc < bound:
+                    yield n, s, t, alloc, bound
+
+
+def test_criterion_11_product_bound_gap_census():
+    # The product bound U holds for every demand, but the block allocation A
+    # reaches it only where the windows fit together.  On the rows with A < U
+    # the oracle decides between them; a maximum above A would be a
+    # counterexample to the finite-n product formula.
+    start = time.perf_counter()
+    count = 0
+    for n, s, t, alloc, bound in _gap_instances():
+        result = solve(n, s, t)
+        assert result.complete, (n, s, t)
+        assert result.max_size == alloc < bound, (n, s, t, result.max_size, bound)
+        count += 1
+    assert count == 105
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, f"gap census took {elapsed:.1f}s"
+    print(f"\n[criterion 11] PASS: {count} demands with A < U; oracle = A each time "
+          f"({elapsed:.1f}s)")

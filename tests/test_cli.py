@@ -41,8 +41,20 @@ def test_bound_both(capsys):
 def test_bound_refusal(capsys):
     code, report, err = run_json(capsys, "bound", "-n", "2", "-s", "3", "-t", "3,0,0")
     assert code == 2
-    assert report["product_bound"]["deficit"] == 3
+    assert report["product_bound"] == {
+        "applicable": False,
+        "reason": "demand sum 3 exceeds word length 2",
+    }
     assert "refusal" in err
+
+
+def test_bound_beyond_the_paper_windows(capsys):
+    # two windows of all 8 positions: U = floor(93**2 / 256) is a bound, A builds 25 words
+    code, report, _ = run_json(capsys, "bound", "-n", "8", "-s", "2", "-t", "2,2")
+    assert code == 0
+    assert report["power_bound"]["applicable"] is False
+    assert (report["product_bound"]["count"], report["product_bound"]["windows"]) == (33, [8, 8])
+    assert report["product_allocation"]["count"] == 25
 
 
 def test_bound_bad_params_exit_2(capsys):
@@ -108,11 +120,12 @@ def test_construct_product_beyond_capacity(capsys):
     code, out, _ = run_cli(capsys, *argv, "--density-only")
     assert code == 0
     assert out.strip() == "13/729"
-    # the paper's product bound keeps its capacity refusal
+    # the paper's windows need 8 positions, but the product bound takes each window
+    # alone: the one window of 6 positions, so U = A
     code, report, _ = run_json(capsys, "bound", "-n", "6", "-s", "3", "-t", "4,0,0")
-    assert code == 2
-    assert report["product_bound"]["applicable"] is False
-    assert report["product_bound"]["deficit"] == 2
+    assert code == 0
+    assert report["product_bound"]["count"] == report["product_allocation"]["count"] == 13
+    assert report["product_bound"]["windows"] == [6, 0, 0]
 
 
 def test_construct_binary_majority(capsys, tmp_path):

@@ -6,14 +6,12 @@ from math import comb, prod
 import pytest
 
 from isecode import (
-    CapacityError,
     ParameterError,
     SetFamily,
     best_window_measure,
     biased_measure,
     format_rational,
     max_window_radius,
-    min_window_length,
     parse_rational,
     power_bound,
     product_allocation,
@@ -21,6 +19,8 @@ from isecode import (
     window_product_bound,
     window_threshold_family,
 )
+
+from conftest import paper_window_length
 
 
 def test_biased_measure_examples():
@@ -136,21 +136,12 @@ def test_agreement_with_power_form(s, t):
 
 @pytest.mark.parametrize("s,t", [(3, 3), (3, 4), (3, 5), (4, 4), (4, 6), (5, 7)])
 def test_value_stable_above_min_window(s, t):
-    m = min_window_length(t, s)
+    m = paper_window_length(t, s)
     base = best_window_measure(m, t, Fraction(1, s))
     for n in range(m, m + 5):
         sel = best_window_measure(n, t, Fraction(1, s))
         assert sel.value == base.value
         assert t + 2 * sel.radius <= m
-
-
-def test_min_window_length():
-    assert min_window_length(3, 3) == 5
-    assert min_window_length(1, 3) == 1  # raw ceiling is negative, clamped
-    assert min_window_length(2, 3) == 2
-    assert min_window_length(0, 3) == 0
-    with pytest.raises(ParameterError):
-        min_window_length(2, 2)
 
 
 def test_power_bound_examples():
@@ -170,17 +161,37 @@ def test_product_bound_examples():
     assert (b.count, b.density) == (3, Fraction(1, 9))
     assert window_product_bound(5, 3, (3, 0, 0)).count == 11
     assert window_product_bound(5, 3, (1, 1, 1)).count == 9
+    assert window_product_bound(4, 2, (1, 1)).count == 4
     with pytest.raises(ParameterError):
-        window_product_bound(4, 2, (1, 1))
-    with pytest.raises(CapacityError) as err:
-        window_product_bound(2, 3, (3, 0, 0))
-    assert err.value.deficit == 3
+        window_product_bound(2, 3, (3, 0, 0))  # demand sum exceeds n
 
 
 def test_product_bound_count_matches_tail_sum():
     # independent recount of the 11-word value: C(5,4)*2 + C(5,5)
     assert comb(5, 4) * 2 + comb(5, 5) == 11
     assert window_product_bound(5, 3, (3, 0, 0)).density == Fraction(11, 243)
+
+
+def test_product_bound_beyond_the_paper_windows():
+    # (8,2,(2,2)): each symbol's best window is all 8 positions, >= 5 of them carrying
+    # the symbol: 93 of 256 words; the windows overlap, so the count is a floor
+    assert sum(comb(8, k) for k in range(5, 9)) == 93
+    b = window_product_bound(8, 2, (2, 2))
+    assert (b.density, b.windows) == (Fraction(93**2, 256**2), (8, 8))
+    assert b.count == 93**2 // 256 == 33
+    assert product_allocation(8, 2, (2, 2)).count == 25
+    # (7,3,(5,1,0)): >= 6 of the 7 positions carry symbol 1, in 1 + 7*2 = 15 of 3**7 words
+    b = window_product_bound(7, 3, (5, 1, 0))
+    assert b.density == Fraction(15, 3**7) * Fraction(1, 3)
+    assert b.count == 5 and b.windows == (7, 1, 0)
+    assert product_allocation(7, 3, (5, 1, 0)).count == 3
+
+
+def test_product_bound_is_kleitman_at_two_symbols():
+    # (1, 1) at s = 2 asks the 1-sets to intersect and their complements to intersect;
+    # Kleitman's bound for such families is 2**(n - 2)
+    for n in range(2, 13):
+        assert window_product_bound(n, 2, (1, 1)).count == 2 ** (n - 2)
 
 
 def test_product_bound_dominates_power_form():
@@ -207,23 +218,22 @@ def test_bounds_are_pure_formulas_beyond_dense_cap():
 
 
 def test_product_allocation_equals_product_bound():
-    # wherever the paper's capacity condition holds, the exact allocation is
-    # the formula: same density, count, radii and windows
-    applied = 0
+    # the allocation A is at most the product bound U on every demand, and wherever
+    # U's windows fit together into n it is U: same density, count, radii and windows
+    fitting = 0
     for s in (3, 4):
         for n in range(1, 10):
             for t in product(range(n + 1), repeat=s):
                 if sum(t) > n:
                     continue
-                try:
-                    bound = window_product_bound(n, s, t)
-                except CapacityError:
-                    alloc = product_allocation(n, s, t)
-                    assert sum(alloc.windows) <= n
-                    continue
-                assert product_allocation(n, s, t) == bound, (n, s, t)
-                applied += 1
-    assert applied == 1510
+                bound = window_product_bound(n, s, t)
+                alloc = product_allocation(n, s, t)
+                assert alloc.density <= bound.density and alloc.count <= bound.count, (n, s, t)
+                assert sum(alloc.windows) <= n
+                if sum(bound.windows) <= n:
+                    assert alloc == bound, (n, s, t)
+                    fitting += 1
+    assert fitting == 1755
 
 
 def test_product_allocation_beyond_capacity():

@@ -156,18 +156,27 @@ def test_greedy_clique_checks_deadline_between_row_chunks(monkeypatch):
 def test_weighted_coloring_checks_deadline_every_256_classes(monkeypatch):
     import isecode.search as search_mod
 
-    # no edges and 300 distinct weights: each class colors one vertex, the lightest left
+    # each input makes 300 classes of one vertex each: no edges and 300 distinct
+    # weights (each class colors the lightest vertex left), and the complete graph
+    # under unit weights (each class takes the lowest vertex left)
     m = 300
-    adj, weight, cand = [0] * m, list(range(1, m + 1)), (1 << m) - 1
-    assert _color_order(cand, adj, weight, 1) == (list(range(m)), weight)
+    cand = (1 << m) - 1
+    inputs = [
+        ([0] * m, list(range(1, m + 1))),
+        ([cand ^ (1 << v) for v in range(m)], [1] * m),
+    ]
     clock = itertools.count(1)
     monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
-    # the clock reads 1 before the first class and 2 before the 257th
-    assert _color_order(cand, adj, weight, 1, 2.5) == (list(range(m)), weight)
-    clock = itertools.count(1)
-    assert _color_order(cand, adj, weight, 1, 1.5) is None
-    # a coloring past the deadline ends the branching as expired, at the root node
-    assert search_mod._branch(adj, weight, 0, 0.5, cand, [1] * m, [0] * m) == (0, 1, False)
+    for adj, weight in inputs:
+        colored = (list(range(m)), list(range(1, m + 1)))
+        assert _color_order(cand, adj, weight, 1) == colored
+        # the clock reads 1 before the first class and 2 before the 257th
+        clock = itertools.count(1)
+        assert _color_order(cand, adj, weight, 1, 2.5) == colored
+        clock = itertools.count(1)
+        assert _color_order(cand, adj, weight, 1, 1.5) is None
+        # a coloring past the deadline ends the branching as expired, at the root node
+        assert search_mod._branch(adj, weight, 0, 0.5, cand, [1] * m, [0] * m) == (0, 1, False)
 
 
 def test_elapsed_covers_graph_build(monkeypatch):
