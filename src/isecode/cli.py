@@ -107,6 +107,27 @@ def _output(path):
         yield sys.stdout
 
 
+def _settle_options(args, options: dict, mode: str, context: str) -> None:
+    """Refuse the options given that `mode` does not read, then fill in the defaults.
+
+    `options` maps an argparse dest to (flags, type, default, help, modes),
+    flags being the option's spellings and modes those that read it.  The
+    options parse as None, so one that is given is told from one left out.
+    The refusal follows the context with the first spelling of each given
+    option, in the order of `options`.
+    """
+    given = [
+        flags[0]
+        for dest, (flags, *_, modes) in options.items()
+        if mode not in modes and getattr(args, dest) is not None
+    ]
+    if given:
+        raise ParameterError(f"{context} does not use {', '.join(given)}")
+    for dest, (_, _, default, *_) in options.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 # -- bound --------------------------------------------------------------------
 
 
@@ -147,7 +168,7 @@ def cmd_bound(args) -> int:
     report.update(_bound_report(args.n, args.s, t))
     _emit_report(report, args.format, sys.stdout)
     if not report["product_bound"]["applicable"]:
-        print("refusal: neither bound applies to these parameters", file=sys.stderr)
+        print(f"refusal: {report['product_bound']['reason']}", file=sys.stderr)
         return 2
     return 0
 
@@ -155,25 +176,19 @@ def cmd_bound(args) -> int:
 # -- construct ------------------------------------------------------------------
 
 
-# The block flags of construct, by argparse dest, and the one kind that reads each.
-_BLOCK_FLAGS = {
-    "x1": ("--x1", "binary-majority"),
-    "x2": ("--x2", "binary-majority"),
-    "x": ("--x", "symbol-majority"),
-    "radius": ("-r", "window"),
+# The block options of construct, as _settle_options reads them; one kind reads each.
+_BLOCK_OPTIONS = {
+    "x1": (("--x1",), str, "", "first block positions, e.g. 1,2,3", ("binary-majority",)),
+    "x2": (("--x2",), str, "", "second block positions", ("binary-majority",)),
+    "x": (("--x",), str, "", "block positions for symbol-majority", ("symbol-majority",)),
+    "radius": (("-r", "--radius"), int, 0, "window radius (default 0)", ("window",)),
 }
 
 
 def cmd_construct(args) -> int:
     if args.density_only and args.output:
         raise ParameterError("--density-only builds no family to write; drop -o")
-    ignored = [
-        flag
-        for dest, (flag, kind) in _BLOCK_FLAGS.items()
-        if getattr(args, dest) is not None and args.kind != kind
-    ]
-    if ignored:
-        raise ParameterError(f"{args.kind} does not use {', '.join(ignored)}")
+    _settle_options(args, _BLOCK_OPTIONS, args.kind, args.kind)
     t = _parse_ints(args.t) if args.t else ()
     report: dict = {"command": "construct", "kind": args.kind}
     family = None
@@ -188,15 +203,14 @@ def cmd_construct(args) -> int:
     else:
         # Every other kind is a list of majority blocks, block i for symbol i + 1.
         if args.kind == "window":  # at least t + r of the first t + 2r positions carry symbol 1
-            radius = args.radius or 0
-            if len(t) != 1 or radius < 0:
+            if len(t) != 1 or args.radius < 0:
                 raise ParameterError("window takes one threshold and a radius >= 0, e.g. -t 2 -r 1")
-            blocks, extra = (range(1, t[0] + 2 * radius + 1),), {"radius": radius}
-        else:  # the majority kinds: one block per flag of the kind, in _BLOCK_FLAGS order
+            blocks, extra = (range(1, t[0] + 2 * args.radius + 1),), {"radius": args.radius}
+        else:  # the majority kinds: one block per option of the kind, in _BLOCK_OPTIONS order
             extra = {
-                dest: sorted(set(_parse_ints(getattr(args, dest) or "")))
-                for dest, (_, kind) in _BLOCK_FLAGS.items()
-                if kind == args.kind
+                dest: sorted(set(_parse_ints(getattr(args, dest))))
+                for dest, (*_, kinds) in _BLOCK_OPTIONS.items()
+                if args.kind in kinds
             }
             blocks = tuple(extra.values())
         if args.density_only:
@@ -289,32 +303,12 @@ def cmd_verify(args) -> int:
 # The CorrelationCheck attributes that make one trial row, in column order.
 _TRIAL_FIELDS = ("seed", "size_a", "size_b", "common", "lhs", "rhs", "slack")
 
-# The random-mode options of correlate, by argparse dest: flag, type, default, help, modes.
+# The random-mode options of correlate, by argparse dest: flags, type, default, help, modes.
 _RANDOM_OPTIONS = {
-    "n": ("-n", int, 2, "word length (random mode, default 2)", ("random",)),
-    "trials": ("--trials", int, 200, "number of trials (random mode, default 200)", ("random",)),
-    "seed": ("--seed", int, 0, "seed of the first trial (random mode, default 0)", ("random",)),
+    "n": (("-n",), int, 2, "word length (random mode, default 2)", ("random",)),
+    "trials": (("--trials",), int, 200, "number of trials (random mode, default 200)", ("random",)),
+    "seed": (("--seed",), int, 0, "seed of the first trial (random mode, default 0)", ("random",)),
 }
-
-
-def _settle_options(args, options: dict, mode: str, context: str) -> None:
-    """Refuse the options given that `mode` does not read, then fill in the defaults.
-
-    `options` maps an argparse dest to (flag, type, default, help, modes),
-    modes being those that read the option.  The options parse as None, so
-    one that is given is told from one left out.  The refusal names the
-    given flags in the order of `options`: "<context> does not use -n, ...".
-    """
-    given = [
-        flag
-        for dest, (flag, *_, modes) in options.items()
-        if mode not in modes and getattr(args, dest) is not None
-    ]
-    if given:
-        raise ParameterError(f"{context} does not use {', '.join(given)}")
-    for dest, (_, _, default, *_) in options.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
 
 
 def cmd_correlate(args) -> int:
@@ -377,11 +371,13 @@ def _demand_sweep(s: int, n: int, t_max: int):
 
 # The options of table that only some --what values read, as in _RANDOM_OPTIONS.
 _TABLE_OPTIONS = {
-    "n": ("-n", int, 8, "ground-set size (measures, default 8)", ("measures",)),
-    "n_max": ("--n-max", int, 4, "largest n (bounds and oracle, default 4)", ("bounds", "oracle")),
-    "p": ("-p", str, None, "bias as p/q (measures, default 1/s)", ("measures",)),
+    "n": (("-n",), int, 8, "ground-set size (measures, default 8)", ("measures",)),
+    "n_max": (
+        ("--n-max",), int, 4, "largest n (bounds and oracle, default 4)", ("bounds", "oracle")
+    ),
+    "p": (("-p",), str, None, "bias as p/q (measures, default 1/s)", ("measures",)),
     "timeout_ms": (
-        "--timeout-ms",
+        ("--timeout-ms",),
         int,
         DEFAULT_TIMEOUT_MS,
         f"search timeout per row (oracle, default {DEFAULT_TIMEOUT_MS})",
@@ -447,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def options(p, table, *dests):
         for dest in dests:
-            flag, kind, _, text, _ = table[dest]
-            p.add_argument(flag, dest=dest, type=kind, help=text)
+            flags, kind, _, text, _ = table[dest]
+            p.add_argument(*flags, dest=dest, type=kind, help=text)
 
     def common(p, *, n=False, s=False, t=None):
         if n:
@@ -474,10 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, n=True, t=False)
     p.add_argument("-s", type=int, default=2, help="alphabet size (default 2)")
-    p.add_argument("--x1", type=str, help="first block positions, e.g. 1,2,3")
-    p.add_argument("--x2", type=str, help="second block positions")
-    p.add_argument("--x", type=str, help="block positions for symbol-majority")
-    p.add_argument("-r", "--radius", type=int, default=None, help="window radius (default 0)")
+    options(p, _BLOCK_OPTIONS, *_BLOCK_OPTIONS)
     p.add_argument("-o", "--output", type=str, help="family file to write (.famb: binary)")
     p.add_argument(
         "--density-only",

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import Family, SetFamily
-from .measures import _check_demand_formula, product_allocation, window_measure
+from .measures import product_allocation, window_measure
 from .words import ParameterError, SpaceParams, check_demand, symbol_count
 
 # Full pairwise verification of a constructed family is quadratic in its size;
@@ -41,7 +41,7 @@ def _majority_blocks(
     t = tuple(int(x) for x in t)
     if len(t) != len(blocks):
         raise ParameterError(f"{len(blocks)} blocks need {len(blocks)} thresholds, got {len(t)}")
-    demand = _check_demand_formula(n, s, t + (0,) * (s - len(t)))
+    demand = check_demand(s, t + (0,) * (s - len(t)), n)
     used: set[int] = set()
     for block, ti in zip(blocks, t):
         for j in block:
@@ -144,9 +144,7 @@ def fixed_coordinate_family(n: int, s: int, demand: Sequence[int]) -> Family:
     coordinates agree across every pair.
     """
     params = SpaceParams(s, n)
-    t = check_demand(s, demand)
-    if sum(t) > n:
-        raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
+    t = check_demand(s, demand, n)
     keep = np.ones(params.size, dtype=bool)
     cursor = 1
     for sym, ti in enumerate(t, start=1):

@@ -24,14 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import SetFamily
-from .words import ParameterError, check_demand, check_space
-
-
-def _check_demand_formula(n: int, s: int, demand: Sequence[int]) -> tuple[int, ...]:
-    # Bounds are pure formulas: validate shapes only, without the dense-storage
-    # cap that applies to materialized families.
-    check_space(s, n)
-    return check_demand(s, demand)
+from .words import ParameterError, check_demand
 
 
 def as_rational(value) -> Fraction:
@@ -150,16 +143,13 @@ def power_bound(n: int, s: int, demand: Sequence[int]) -> int:
     Asserted only when every demand entry is below s; attained by fixing
     sum(t) coordinates.
     """
-    t = _check_demand_formula(n, s, demand)
+    t = check_demand(s, demand, n)
     for i, ti in enumerate(t):
         if ti >= s:
             raise ParameterError(
                 f"power bound not asserted when a demand entry reaches s (t[{i}] = {ti} >= {s})"
             )
-    total = sum(t)
-    if total > n:
-        raise ParameterError(f"demand sum {total} exceeds word length {n}")
-    return s ** (n - total)
+    return s ** (n - sum(t))
 
 
 @dataclass(frozen=True)
@@ -195,9 +185,7 @@ def window_product_bound(n: int, s: int, demand: Sequence[int]) -> ProductBound:
     may fall below U.  Valid for every s >= 2 and every demand with
     sum(t) <= n.
     """
-    t = _check_demand_formula(n, s, demand)
-    if sum(t) > n:
-        raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
+    t = check_demand(s, demand, n)
     selections = tuple(best_window_measure(n, ti, Fraction(1, s)) for ti in t)
     density = prod(sel.value for sel in selections)
     windows = tuple(sel.t + 2 * sel.radius for sel in selections)
@@ -217,9 +205,7 @@ def product_allocation(n: int, s: int, demand: Sequence[int]) -> ProductBound:
     sum(t) <= n; it equals window_product_bound wherever the windows of that
     bound fit together into n.
     """
-    t = _check_demand_formula(n, s, demand)
-    if sum(t) > n:
-        raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
+    t = check_demand(s, demand, n)
     # counts[i][r] of the s**L words of a window of length L = t_i + 2r meet its threshold, so
     # a prefix whose windows take `used` positions has density (product of counts) / s**used
     counts = [[_window_count(ti, r, 1, s) for r in range(max_window_radius(n, ti) + 1)] for ti in t]

@@ -137,9 +137,17 @@ def _vertices(params: SpaceParams, t: tuple[int, ...]) -> np.ndarray:
 
 
 def _graph(
-    params: SpaceParams, t: tuple[int, ...], verts: np.ndarray, digits: np.ndarray
-) -> CompatGraph:
-    """The compatibility graph whose slot i is the word verts[i], with symbol row digits[i]."""
+    params: SpaceParams,
+    t: tuple[int, ...],
+    verts: np.ndarray,
+    digits: np.ndarray,
+    deadline: float | None = None,
+) -> CompatGraph | None:
+    """The compatibility graph whose slot i is the word verts[i], with symbol row digits[i].
+
+    The deadline is checked before every agreement chunk after the first,
+    so a graph of one chunk is always built; on expiry the result is None.
+    """
     m = int(verts.shape[0])
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
@@ -147,6 +155,8 @@ def _graph(
     for lo, block in agreement_rows(digits, t):
         clear_diagonal(block, lo)
         rows.extend(int_rows(block))
+        if len(rows) < m and deadline is not None and time.monotonic() > deadline:
+            return None
     return CompatGraph(params, t, tuple(verts.tolist()), tuple(rows))
 
 
@@ -158,8 +168,8 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
 
 
 def _quotient_graph(
-    n: int, s: int, searched: tuple[int, ...]
-) -> tuple[CompatGraph, list[int], np.ndarray]:
+    n: int, s: int, searched: tuple[int, ...], deadline: float | None = None
+) -> tuple[CompatGraph | None, list[int], np.ndarray]:
     """The pattern graph of a non-increasing demand, each slot's weight for an alphabet of s,
     and the (m, n) symbol matrix of the slots, decoded once for every later use.
 
@@ -170,6 +180,7 @@ def _quotient_graph(
     the words over {1..s} with that pattern; at q = s every weight is 1 and
     the graph is build_compat_graph's.  The slots run by ascending weight,
     then ascending index; row i of the matrix is the symbols of slot i.
+    The graph is None when the build passes the deadline, as in _graph.
     """
     k = sum(map(bool, searched))
     q = k + 1 if 0 < k < s else s
@@ -179,7 +190,8 @@ def _quotient_graph(
     weight = (s - q + 1) ** (digits == q).sum(axis=1)
     slots = np.argsort(weight, kind="stable")
     digits = digits[slots]
-    return _graph(params, searched[:q], verts[slots], digits), weight[slots].tolist(), digits
+    graph = _graph(params, searched[:q], verts[slots], digits, deadline)
+    return graph, weight[slots].tolist(), digits
 
 
 def _orbits(digits: np.ndarray, demand: tuple[int, ...]) -> list[int]:
@@ -311,9 +323,10 @@ class SearchStats:
     orbit numbering, under every rule, and then of the orbit masks, or under
     the shift and quotient rules of the shift tables; when the greedy runs
     out of time, or the shift tables did, there is no branching and branch
-    is near 0.  The incumbent is the greedy clique's weight, the size of its
-    lift.  The four phases are consecutive, so they sum to at most the
-    call's elapsed time, which also covers building the witness.
+    is near 0; when the build did, build is the time to the stop and the
+    other phases are 0.  The incumbent is the greedy clique's weight, the
+    size of its lift.  The four phases are consecutive, so they sum to at
+    most the call's elapsed time, which also covers building the witness.
     """
 
     build: float
@@ -593,27 +606,33 @@ def max_family(
     """Exact maximum demand-intersecting family, as a maximum-weight clique of the pattern graph.
 
     The timeout covers the whole call, graph build and orbit masks or shift
-    tables included.  On timeout the result carries complete=False and is a
-    lower bound only.  The search runs on the symbols relabelled so that the
-    demand is non-increasing (a stable sort, so such a demand keeps its
-    labels), which makes it independent of how the caller labels the
-    symbols.  The witness is the lift of the best pattern clique, every word
-    whose pattern it holds, in the caller's labels.  The rule follows from
-    (s, demand), see the module docstring: on a pattern graph over two
-    symbols the branching visits left-shifted cliques only ("shift" at
-    s = 2, "quotient" at s >= 3 with one nonzero demand); elsewhere it
-    prunes root orbits ("orbit").  VERTEX_CAP bounds the patterns, not the
-    words.
+    tables included; the build checks it between agreement chunks.  On
+    timeout the result carries complete=False and is a lower bound only; a
+    build that runs out of time leaves no clique, so max_size, nodes and
+    orbits are 0 and the witness is empty.  The search runs on the symbols
+    relabelled so that the demand is non-increasing (a stable sort, so such
+    a demand keeps its labels), which makes it independent of how the
+    caller labels the symbols.  The witness is the lift of the best pattern
+    clique, every word whose pattern it holds, in the caller's labels.  The
+    rule follows from (s, demand), see the module docstring: on a pattern
+    graph over two symbols the branching visits left-shifted cliques only
+    ("shift" at s = 2, "quotient" at s >= 3 with one nonzero demand);
+    elsewhere it prunes root orbits ("orbit").  VERTEX_CAP bounds the
+    patterns, not the words.
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
     params = SpaceParams(s, n)  # a bad space is refused before the demand is read
     t = check_demand(s, demand)
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
-    graph, weight, digits = _quotient_graph(n, s, tuple(t[c] for c in order))
-    q = graph.params.s
-    rule = "shift" if s == 2 else "quotient" if q == 2 else "orbit"
+    rule = "shift" if s == 2 else "quotient" if sum(map(bool, t)) == 1 else "orbit"
+    graph, weight, digits = _quotient_graph(n, s, tuple(t[c] for c in order), deadline)
     marks = [start, time.monotonic()]
+    if graph is None:
+        elapsed = marks[1] - start
+        stats = SearchStats(elapsed, 0.0, 0.0, 0.0, 0, rule, len(weight))
+        return SearchResult(params, t, 0, Family.empty(params), 0, elapsed, False, 0, stats)
+    q = graph.params.s
     m = graph.vertex_count
     every = (1 << m) - 1
     orbit = _orbits(digits, graph.demand)

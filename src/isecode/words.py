@@ -95,14 +95,22 @@ def check_word(params: SpaceParams, word: Sequence[int]) -> Word:
     return w
 
 
-def check_demand(s: int, demand: Sequence[int]) -> tuple[int, ...]:
-    """Validate an intersection demand vector: s non-negative integer entries."""
+def check_demand(s: int, demand: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+    """Validate an intersection demand vector: s non-negative integer entries.
+
+    Given a word length n, the space (s, n) is checked first, without the
+    dense-storage cap, and the demand must fit into n: sum(t) <= n.
+    """
+    if n is not None:
+        check_space(s, n)
     t = tuple(int(x) for x in demand)
     if len(t) != s:
         raise ParameterError(f"demand vector needs {s} entries, got {len(t)}")
     for ti in t:
         if ti < 0:
             raise ParameterError(f"demand entries must be non-negative, got {ti}")
+    if n is not None and sum(t) > n:
+        raise ParameterError(f"demand sum {sum(t)} exceeds word length {n}")
     return t
 
 

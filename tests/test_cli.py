@@ -45,7 +45,9 @@ def test_bound_refusal(capsys):
         "applicable": False,
         "reason": "demand sum 3 exceeds word length 2",
     }
-    assert "refusal" in err
+    # the sum rule now comes before the power bound's own, so every entry gives it
+    assert report["power_bound"]["reason"] == report["product_bound"]["reason"]
+    assert err == "refusal: demand sum 3 exceeds word length 2\n"
 
 
 def test_bound_beyond_the_paper_windows(capsys):
@@ -60,7 +62,7 @@ def test_bound_beyond_the_paper_windows(capsys):
 def test_bound_bad_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "bound", "-n", "3", "-s", "1", "-t", "1")
     assert code == 2
-    assert "refusal" in err
+    assert err == "refusal: alphabet size must be an integer >= 2, got 1\n"
 
 
 def test_construct_verify_round_trip(capsys, tmp_path):
@@ -190,6 +192,15 @@ def test_construct_refuses_flags_its_kind_ignores(capsys, argv, flags):
     assert code == 2
     assert out == ""
     assert f"{argv[0]} does not use {flags}" in err
+
+
+def test_construct_radius_long_spelling(capsys):
+    window = ("construct", "window", "-n", "3", "-t", "1")
+    assert run_json(capsys, *window, "--radius", "1") == run_json(capsys, *window, "-r", "1")
+    code, out, err = run_cli(
+        capsys, "construct", "product", "-n", "3", "-s", "3", "-t", "1,0,0", "--radius", "1"
+    )
+    assert (code, out, err) == (2, "", "refusal: product does not use -r\n")
 
 
 def test_construct_window_radius_defaults_to_zero(capsys):

@@ -156,6 +156,22 @@ def test_power_bound_examples():
         power_bound(3, 3, (1, 1))  # wrong arity
 
 
+def _power_demands(s, n_max):
+    """Every (n, t) with n <= n_max, each t_i < s and sum(t) <= n: where power_bound applies."""
+    return [
+        (n, t) for n in range(1, n_max + 1) for t in product(range(s), repeat=s) if sum(t) <= n
+    ]
+
+
+@pytest.mark.parametrize("s,n_max", [(2, 10), (3, 9), (4, 8), (5, 6)])
+def test_power_bound_is_product_bound_at_radius_zero(s, n_max):
+    # at p = 1/s <= 1/(t_i + 1) the interval rule picks radius 0, so each measure is s**-t_i
+    for n, t in _power_demands(s, n_max):
+        b = window_product_bound(n, s, t)
+        assert power_bound(n, s, t) == b.count
+        assert all(sel.radius == 0 for sel in b.selections)
+
+
 def test_product_bound_examples():
     b = window_product_bound(3, 3, (1, 1, 0))
     assert (b.count, b.density) == (3, Fraction(1, 9))

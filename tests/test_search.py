@@ -666,6 +666,34 @@ def test_shift_tables_check_deadline_between_chunks(monkeypatch):
     assert next(clock) == 2 * graph.vertex_count + 1
 
 
+def test_graph_build_checks_deadline_between_agreement_chunks(monkeypatch):
+    import isecode.search as search_mod
+    import isecode.words as words_mod
+
+    whole = build_compat_graph(6, 2, (1, 1))
+    m = whole.vertex_count
+    verts = np.asarray(whole.vertices)
+    digits = decode_matrix(whole.params, verts)
+    monkeypatch.setattr(words_mod, "_PLANE_BYTES", 1)  # one agreement row per chunk
+    clock = itertools.count(1)
+    monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    # the clock reads 1, 2 and 3 before the second, third and fourth chunks
+    assert search_mod._graph(whole.params, whole.demand, verts, digits, 2.5) is None
+    assert next(clock) == 4
+    # a full build reads it before every chunk after the first
+    clock = itertools.count(1)
+    assert search_mod._graph(whole.params, whole.demand, verts, digits, float("inf")) == whole
+    assert next(clock) == m
+    # max_family starts at 1 with a deadline of 3.5; the build stops at 4 and returns at 5
+    clock = itertools.count(1)
+    expired = max_family(6, 2, (1, 1), timeout_ms=2500)
+    assert not expired.complete
+    assert (expired.max_size, expired.nodes, expired.orbits, len(expired.witness)) == (0, 0, 0, 0)
+    assert expired.elapsed == expired.stats.build == 4
+    assert (expired.stats.orbits, expired.stats.greedy, expired.stats.branch) == (0, 0, 0)
+    assert (expired.stats.incumbent, expired.stats.rule, expired.stats.vertices) == (0, "shift", m)
+
+
 def test_rule_follows_the_alphabet():
     assert max_family(5, 2, (0, 0)).stats.rule == "shift"
     assert max_family(5, 2, (2, 1)).stats.rule == "shift"

@@ -8,6 +8,7 @@ import isecode.words
 from isecode import ParameterError, SpaceParams, decode, encode
 from isecode.words import (
     agreement_rows,
+    check_demand,
     check_symbol_set,
     clear_diagonal,
     decode_matrix,
@@ -38,6 +39,24 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         SpaceParams(3, 17)
     assert SpaceParams(3, 4).size == 81
+
+
+def test_check_demand_with_word_length():
+    assert check_demand(3, [2, 1, 0]) == check_demand(3, (2, 1, 0), 3) == (2, 1, 0)
+    assert check_demand(3, (9, 0, 0)) == (9, 0, 0)  # without n the sum is not read
+    # no dense-storage cap: 3**60 words are never stored
+    assert check_demand(3, (1, 1, 0), 60) == (1, 1, 0)
+    # the space first, then the entries, then the sum
+    with pytest.raises(ParameterError, match="alphabet size"):
+        check_demand(1, (5,), 2)
+    with pytest.raises(ParameterError, match="word length must be"):
+        check_demand(2, (1, 1, 1), 0)
+    with pytest.raises(ParameterError, match="needs 3 entries"):
+        check_demand(3, (5, 0), 2)
+    with pytest.raises(ParameterError, match="non-negative"):
+        check_demand(2, (5, -1), 2)
+    with pytest.raises(ParameterError, match="^demand sum 4 exceeds word length 3$"):
+        check_demand(2, (3, 1), 3)
 
 
 @pytest.mark.parametrize("s,n", [(2, 1), (2, 5), (2, 8), (3, 1), (3, 4), (3, 8)])
