@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import Family, SetFamily
-from .measures import product_allocation, window_measure
-from .words import ParameterError, SpaceParams, check_demand, symbol_count
+from .measures import check_window, product_allocation, window_measure
+from .words import ParameterError, SpaceParams, as_integer, check_demand, check_symbol, symbol_count
 
 # Full pairwise verification of a constructed family is quadratic in its size;
 # above this many members the constructors fall back to structural checks only.
@@ -37,8 +37,8 @@ def _majority_blocks(
     Positions lie in 1..n, the blocks are pairwise disjoint and block i has a
     threshold 1 <= t_i <= |block_i|; the demand pads t with zeros to s entries.
     """
-    blocks = tuple(tuple(sorted({int(j) for j in block})) for block in blocks)
-    t = tuple(int(x) for x in t)
+    blocks = tuple(tuple(sorted(set(map(as_integer, block)))) for block in blocks)
+    t = tuple(map(as_integer, t))
     if len(t) != len(blocks):
         raise ParameterError(f"{len(blocks)} blocks need {len(blocks)} thresholds, got {len(t)}")
     demand = check_demand(s, t + (0,) * (s - len(t)), n)
@@ -95,8 +95,7 @@ def majority_density(
 
 def window_threshold_family(n: int, t: int, r: int) -> SetFamily:
     """Subsets of [n] containing at least t + r of the first t + 2r elements; upward-closed."""
-    if t < 0 or r < 0:
-        raise ParameterError("threshold and radius must be non-negative")
+    check_window(t, r)
     m = t + 2 * r
     if m > n:
         raise ParameterError(f"window length {m} exceeds ground-set size {n}")
@@ -112,8 +111,7 @@ def lift_family(subsets: SetFamily, symbol: int, s: int) -> Family:
     for {symbol} and projects back onto the input exactly.
     """
     params = SpaceParams(s, subsets.n)
-    if not 1 <= symbol <= s:
-        raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
+    symbol = check_symbol(s, symbol)
     if not subsets.is_upward_closed():
         raise ParameterError("lift needs an upward-closed subset family")
     # a subset's index has bit j set when position j + 1 is in it: pattern digit 1 is present

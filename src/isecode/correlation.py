@@ -63,8 +63,8 @@ class CorrelationCheck:
 
 
 def _check_pins(params: SpaceParams, pins_a, pins_b) -> tuple[frozenset[int], frozenset[int]]:
-    a = check_symbol_set(params, pins_a, nonempty=True)
-    b = check_symbol_set(params, pins_b, nonempty=True)
+    a = check_symbol_set(params, pins_a)
+    b = check_symbol_set(params, pins_b)
     if a & b:
         raise ParameterError(f"pinned sets must be disjoint, both contain {sorted(a & b)}")
     return a, b
@@ -78,14 +78,13 @@ def _verified_pair(
     Refuses, in this order: different spaces, word length below min_n, bad
     pin sets, then the first incomplete family (CompletenessError).
     """
-    if fam_a.params != fam_b.params:
-        raise ParameterError("families live in different word spaces")
+    fam_a._require_same(fam_b)
     params = fam_a.params
     if params.n < min_n:
         raise ParameterError(f"slice facts need word length n >= {min_n}")
     a, b = _check_pins(params, pins_a, pins_b)
     for label, fam, pins in (("A", fam_a, a), ("B", fam_b, b)):
-        witness = fam._violation([c for c in range(params.s) if c + 1 not in pins])
+        witness = fam.pinned_violation(pins)
         if witness is not None:
             raise CompletenessError(label, witness)
     return params, a, b

@@ -42,7 +42,9 @@ from .words import (
     SpaceParams,
     Word,
     agreement_rows,
+    as_integer,
     check_demand,
+    check_symbol,
     check_symbol_set,
     decode,
     decode_matrix,
@@ -405,7 +407,7 @@ class Family(_Dense):
     # -- pinned closure ----------------------------------------------------
 
     def _free_digits(self, pinned: Iterable[int]) -> list[int]:
-        syms = check_symbol_set(self.params, pinned, nonempty=True)
+        syms = check_symbol_set(self.params, pinned)
         return [c for c in range(self.params.s) if c + 1 not in syms]
 
     def pinned_closure(self, pinned: Iterable[int]) -> "Family":
@@ -423,16 +425,11 @@ class Family(_Dense):
         """A witness (x in F, y not in F, 1-based position) that x is below y, or None.
 
         The position is the first one whose rewrites reach a non-member, y
-        the lowest such non-member and x a member it is reached from.
+        the lowest such non-member and x a member it is reached from: after a
+        failed completeness check, one plain pass per position over the array
+        names the witness.
         """
-        return self._violation(self._free_digits(pinned))
-
-    def _violation(self, free: Sequence[int]) -> tuple[Word, Word, int] | None:
-        """`pinned_violation` for the free digits of a pinned set already validated.
-
-        After a failed completeness check, one plain pass per position over
-        the array names the witness.
-        """
+        free = self._free_digits(pinned)
         if self._complete(free):
             return None
         s = self.params.s
@@ -462,8 +459,7 @@ class Family(_Dense):
         s, n = self.params.s, self.params.n
         if n < 2:
             raise ParameterError("slicing needs word length n >= 2")
-        if not 1 <= symbol <= s:
-            raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
+        symbol = check_symbol(s, symbol)
         block = s ** (n - 1)
         return Family._wrap(
             SpaceParams(s, n - 1), self._member[(symbol - 1) * block : symbol * block]
@@ -479,8 +475,7 @@ class Family(_Dense):
         symbol" (digit 0) and `symbol` (digit 1).
         """
         s, n = self.params.s, self.params.n
-        if not 1 <= symbol <= s:
-            raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
+        symbol = check_symbol(s, symbol)
         others = [c for c in range(s) if c != symbol - 1]
         out = self._member
         for j in range(n):
@@ -503,20 +498,22 @@ class SetFamily(_Dense):
     def n(self) -> int:
         return self.params.n
 
+    @staticmethod
+    def _index(n: int, elems: Iterable[int]) -> int:
+        """The index of a subset: bit j - 1 for each element j, each an integer in 1..n."""
+        mask = 0
+        for j in map(as_integer, elems):
+            if not 1 <= j <= n:
+                raise ParameterError(f"element {j} outside ground set 1..{n}")
+            mask |= 1 << (j - 1)
+        return mask
+
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        masks = []
-        for elems in sets:
-            mask = 0
-            for j in elems:
-                if not 1 <= j <= n:
-                    raise ParameterError(f"element {j} outside ground set 1..{n}")
-                mask |= 1 << (j - 1)
-            masks.append(mask)
-        return cls.from_indices(n, masks)
+        return cls.from_indices(n, [cls._index(n, elems) for elems in sets])
 
     def __contains__(self, elems: Iterable[int]) -> bool:
-        return self.contains_index(sum(1 << (int(j) - 1) for j in set(elems)))
+        return self.contains_index(self._index(self.n, elems))
 
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n}, size={self._size})"

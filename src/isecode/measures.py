@@ -47,11 +47,23 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def biased_measure(family: SetFamily, p) -> Fraction:
-    """Product measure of a subset family: each element present independently with probability p."""
+def _bias(p) -> Fraction:
+    """The bias rule of the measures: an exact rational in [0, 1]."""
     p = as_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError(f"bias must lie in [0, 1], got {p}")
+    return p
+
+
+def check_window(t: int, r: int) -> None:
+    """The window-argument rule: a threshold t and a radius r, both non-negative."""
+    if t < 0 or r < 0:
+        raise ParameterError("threshold and radius must be non-negative")
+
+
+def biased_measure(family: SetFamily, p) -> Fraction:
+    """Product measure of a subset family: each element present independently with probability p."""
+    p = _bias(p)
     n = family.n
     size_counts = np.bincount(np.bitwise_count(np.flatnonzero(family.array)), minlength=n + 1)
     q = 1 - p
@@ -67,11 +79,8 @@ def window_measure(t: int, r: int, p) -> Fraction:
     Coordinates outside the window are free, so the value does not depend on
     the ambient ground-set size.
     """
-    if t < 0 or r < 0:
-        raise ParameterError("threshold and radius must be non-negative")
-    p = as_rational(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"bias must lie in [0, 1], got {p}")
+    check_window(t, r)
+    p = _bias(p)
     a, b = p.numerator, p.denominator
     return Fraction(_window_count(t, r, a, b), b ** (t + 2 * r))
 

@@ -618,12 +618,15 @@ def max_family(
     graph over two symbols the branching visits left-shifted cliques only
     ("shift" at s = 2, "quotient" at s >= 3 with one nonzero demand);
     elsewhere it prunes root orbits ("orbit").  VERTEX_CAP bounds the
-    patterns, not the words.
+    patterns, not the words.  A timeout of 0 expires at once, None never
+    does, and a negative one is refused.
     """
     start = time.monotonic()
     deadline = start + timeout_ms / 1000.0 if timeout_ms is not None else None
     params = SpaceParams(s, n)  # a bad space is refused before the demand is read
     t = check_demand(s, demand)
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ParameterError(f"timeout must be non-negative, got {timeout_ms} ms")
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
     rule = "shift" if s == 2 else "quotient" if sum(map(bool, t)) == 1 else "orbit"
     graph, weight, digits = _quotient_graph(n, s, tuple(t[c] for c in order), deadline)

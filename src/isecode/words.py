@@ -33,10 +33,21 @@ The "pinned" order on words: x is below y for a set of pinned symbols when
 every coordinate of x carrying a pinned symbol is unchanged in y; coordinates
 carrying non-pinned symbols may be rewritten freely.  A family closed upward
 under this order is called pinned-complete for that symbol set.
+
+The input rules on words, symbols and demands are each stated once, here,
+and every entry point that needs one calls it: `check_space` (s >= 2 and
+n >= 1), `as_integer` (word, demand, pin and position entries are integers;
+a float or a string is refused, never truncated or parsed), `check_symbol`
+(a symbol lies in 1..s), `check_word`, `check_demand` (s non-negative
+entries; given n, a sum of at most n) and `check_symbol_set` (a pin set
+is a nonempty proper subset of the alphabet).  The rules on other objects live beside them:
+`SetFamily._index` (subset elements lie in 1..n), `measures.check_window`
+and the measures' bias rule, and `Family._require_same` (one word space).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -84,15 +95,31 @@ class SpaceParams:
         return self.s**self.n
 
 
+def as_integer(value) -> int:
+    """The integer-entry rule: an int, or an integer type such as a numpy integer.
+
+    Floats, strings and other non-integers are refused, not truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"entries must be integers, got {value!r}") from None
+
+
+def check_symbol(s: int, symbol) -> int:
+    """The alphabet rule: an integer symbol in 1..s."""
+    symbol = as_integer(symbol)
+    if not 1 <= symbol <= s:
+        raise ParameterError(f"symbol {symbol} outside alphabet 1..{s}")
+    return symbol
+
+
 def check_word(params: SpaceParams, word: Sequence[int]) -> Word:
     """Validate length and symbol range; return the word as a tuple."""
-    w = tuple(int(x) for x in word)
+    w = tuple(word)
     if len(w) != params.n:
         raise ParameterError(f"word length {len(w)} does not match n = {params.n}")
-    for sym in w:
-        if not 1 <= sym <= params.s:
-            raise ParameterError(f"symbol {sym} outside alphabet 1..{params.s}")
-    return w
+    return tuple(check_symbol(params.s, sym) for sym in w)
 
 
 def check_demand(s: int, demand: Sequence[int], n: int | None = None) -> tuple[int, ...]:
@@ -103,7 +130,7 @@ def check_demand(s: int, demand: Sequence[int], n: int | None = None) -> tuple[i
     """
     if n is not None:
         check_space(s, n)
-    t = tuple(int(x) for x in demand)
+    t = tuple(map(as_integer, demand))
     if len(t) != s:
         raise ParameterError(f"demand vector needs {s} entries, got {len(t)}")
     for ti in t:
@@ -114,20 +141,14 @@ def check_demand(s: int, demand: Sequence[int], n: int | None = None) -> tuple[i
     return t
 
 
-def check_symbol_set(
-    params: SpaceParams,
-    symbols: Iterable[int],
-    *,
-    nonempty: bool = False,
-) -> frozenset[int]:
-    """Validate a proper subset of the alphabet."""
-    syms = frozenset(int(x) for x in symbols)
+def check_symbol_set(params: SpaceParams, symbols: Iterable[int]) -> frozenset[int]:
+    """Validate a pin set: a nonempty proper subset of the alphabet."""
+    syms = frozenset(map(as_integer, symbols))
     for sym in syms:
-        if not 1 <= sym <= params.s:
-            raise ParameterError(f"symbol {sym} outside alphabet 1..{params.s}")
+        check_symbol(params.s, sym)
     if len(syms) == params.s:
         raise ParameterError("symbol set must be a proper subset of the alphabet")
-    if nonempty and not syms:
+    if not syms:
         raise ParameterError("symbol set must be nonempty")
     return syms
 

@@ -451,6 +451,20 @@ def test_table_oracle_reads_its_timeout(capsys):
     assert code == 0 and all(row["oracle_complete"] for row in rows) and len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "-n", "4", "-s", "2", "-t", "1,1", "--timeout-ms", "-5"),
+        ("table", "--what", "oracle", "-s", "2", "--n-max", "2", "--timeout-ms", "-5"),
+    ],
+)
+def test_negative_timeout_exits_2(capsys, argv):
+    # refused before any output, not a timeout (search, exit 3) or unproved rows (table, exit 0)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "refusal: timeout must be non-negative, got -5 ms\n"
+
+
 def test_table_output_file(capsys, tmp_path):
     out_path = tmp_path / "t.csv"
     code, out, _ = run_cli(

@@ -559,6 +559,21 @@ def test_set_family_upward_closure():
     assert {1, 2} in up and {2} not in up
 
 
+def test_set_family_membership_refuses_elements_outside_the_ground_set():
+    # membership shares from_sets' element rule: {0} is not a bare "negative shift count"
+    # ValueError and {4} over n = 3 is not simply absent; both are refused
+    fam = SetFamily.from_sets(3, [{1, 2}, {3}])
+    for elems in ({0}, {4}, [2, 4], [0, 1]):
+        with pytest.raises(ParameterError) as member_err:
+            elems in fam
+        with pytest.raises(ParameterError) as build_err:
+            SetFamily.from_sets(3, [elems])
+        assert str(member_err.value) == str(build_err.value)
+    assert str(member_err.value) == "element 0 outside ground set 1..3"
+    assert {1, 2} in fam and [2, 1, 2] in fam and {3} in fam
+    assert set() not in fam and {1} not in fam and {1, 2, 3} not in fam
+
+
 def test_membership_arrays_are_read_only_copies():
     p = SpaceParams(2, 2)
     src = np.array([True, False, False, True])

@@ -106,6 +106,20 @@ def test_timeout_gives_lower_bound():
     assert max_family(5, 3, (1, 1, 1), timeout_ms=0).complete is False
 
 
+def test_negative_timeout_refused():
+    # a negative timeout has passed before the build starts, so it can only give a
+    # meaningless lower bound; it is refused instead
+    for timeout_ms in (-5, -1):
+        with pytest.raises(ParameterError) as err:
+            max_family(4, 2, (1, 1), timeout_ms=timeout_ms)
+        assert str(err.value) == f"timeout must be non-negative, got {timeout_ms} ms"
+    # a bad space or demand is still named first
+    with pytest.raises(ParameterError, match="alphabet size"):
+        max_family(4, 1, (1,), timeout_ms=-1)
+    assert max_family(4, 2, (1, 1), timeout_ms=0).complete is False
+    assert max_family(4, 2, (1, 1), timeout_ms=None).complete is True
+
+
 def _slow_graph_build(monkeypatch, seconds):
     """Make every graph build inside max_family take `seconds` longer."""
     import isecode.search as search_mod

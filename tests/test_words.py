@@ -160,7 +160,7 @@ def test_pinned_order_rejects_full_alphabet():
     with pytest.raises(ParameterError):
         check_symbol_set(p, {1, 2})
     with pytest.raises(ParameterError):
-        check_symbol_set(p, set(), nonempty=True)
+        check_symbol_set(p, set())
 
 
 def _proper_subsets(s):
