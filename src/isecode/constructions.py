@@ -95,7 +95,7 @@ def majority_density(
 
 def window_threshold_family(n: int, t: int, r: int) -> SetFamily:
     """Subsets of [n] containing at least t + r of the first t + 2r elements; upward-closed."""
-    check_window(t, r)
+    t, r = check_window(t, r)
     m = t + 2 * r
     if m > n:
         raise ParameterError(f"window length {m} exceeds ground-set size {n}")

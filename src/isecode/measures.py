@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import SetFamily
-from .words import ParameterError, check_demand
+from .words import ParameterError, as_integer, check_demand
 
 
 def as_rational(value) -> Fraction:
@@ -55,10 +55,12 @@ def _bias(p) -> Fraction:
     return p
 
 
-def check_window(t: int, r: int) -> None:
-    """The window-argument rule: a threshold t and a radius r, both non-negative."""
+def check_window(t: int, r: int) -> tuple[int, int]:
+    """The window-argument rule: a threshold t and a radius r, both non-negative integers."""
+    t, r = as_integer(t), as_integer(r)
     if t < 0 or r < 0:
         raise ParameterError("threshold and radius must be non-negative")
+    return t, r
 
 
 def biased_measure(family: SetFamily, p) -> Fraction:
@@ -79,7 +81,7 @@ def window_measure(t: int, r: int, p) -> Fraction:
     Coordinates outside the window are free, so the value does not depend on
     the ambient ground-set size.
     """
-    check_window(t, r)
+    t, r = check_window(t, r)
     p = _bias(p)
     a, b = p.numerator, p.denominator
     return Fraction(_window_count(t, r, a, b), b ** (t + 2 * r))
@@ -98,6 +100,7 @@ def _window_count(t: int, r: int, a: int, b: int) -> int:
 
 def max_window_radius(n: int, t: int) -> int:
     """Largest radius r with a window t + 2r fitting inside n, i.e. floor((n - t) / 2)."""
+    n, t = as_integer(n), as_integer(t)
     if n < t:
         raise ParameterError(f"ground-set size {n} smaller than threshold {t}")
     return (n - t) // 2
@@ -124,6 +127,7 @@ def best_window_measure(n: int, t: int, p) -> WindowSelection:
     Extensions: t = 0 gives 1 and t = 1 gives p (the single-element family).
     Only biases in (0, 1/2] are accepted.
     """
+    n, t = as_integer(n), as_integer(t)
     p = as_rational(p)
     if not 0 < p <= Fraction(1, 2):
         raise ParameterError(f"bias must lie in (0, 1/2], got {p}")

@@ -18,8 +18,14 @@ to the union of its fibres.  When k = s - 1 the star is the one zero-demand
 symbol and every weight is 1, and when k = 0 or k = s there is nothing to
 merge, so with q = k + 1 for 1 <= k < s and q = s otherwise the graph is
 (n, q, (t_1, ..., t_q)); at q = s it is the word graph.  The slots run by
-ascending weight, then ascending index.  (Heaviest first took 2,806 nodes
-instead of 2 at (6,4,(1,1,0,0)) and 476 instead of 2 at (7,3,(2,0,0)).)
+ascending weight.  Within a weight they run by descending degree when
+q >= 3, the initial vertex order of MCQ (Tomita & Seki, 2003) and BBMC,
+then by ascending index; when q = 2 by ascending index alone, which the
+shift rule needs.  (Heaviest first took 2,806 nodes instead of 2 at
+(6,4,(1,1,0,0)) and 476 instead of 2 at (7,3,(2,0,0)).  Ascending index
+within a weight took 27 nodes instead of 4 at (6,3,(1,1,0)) and left
+(7,3,(1,1,1)) and (8,3,(1,1,0)) unproved at 30 s, which the degree order
+proves in 235 and 8 nodes.)
 
 The solver is one depth-first bitset branch-and-bound with greedy-coloring
 bounds (after San Segundo et al., BBMC), run on an explicit stack from a
@@ -27,7 +33,7 @@ deterministic greedy incumbent.  Each node colors its candidates one class
 at a time, as BBMC and Tomita & Kameda's MCS do, and classes whose bound
 cannot beat the incumbent are colored but not kept (Tomita & Seki's MCQ
 rule).  With unit weights the classes are those of first-fit coloring in
-ascending vertex order and a class bounds by its color.  With weights the
+ascending slot order and a class bounds by its color.  With weights the
 coloring splits them: a class adds to the bound r, the smallest residual
 weight in it, every member's residual drops by r, and a vertex is colored,
 with the bound so far, once its residual reaches 0, so a vertex may sit in
@@ -37,9 +43,9 @@ of the classes it sat in; so a clique whose vertices are all colored by the
 j-th class weighs at most the sum of the first j values of r, the bound of
 the last of them.  A class that counts its heaviest vertex instead left
 (7,5,(1,1,0,0,0)) and (8,4,(1,1,0,0)) unproved at 60 s on the pattern
-graph (300,655 and 25,870 nodes), which the word graph proved in seconds.  Coloring and branching
-follow ascending vertex order, so witnesses and node counts are identical
-from run to run.
+graph (300,655 and 25,870 nodes), which the word graph proved in seconds.
+Coloring and branching follow the slot order, which (s, demand) fixes, so
+witnesses and node counts are identical from run to run.
 
 The graph is invariant under permutations of the positions and under
 permutations of symbols with equal demand, and so is the vertex filter.  The
@@ -169,38 +175,65 @@ def build_compat_graph(n: int, s: int, demand: Sequence[int]) -> CompatGraph:
 
 def _quotient_graph(
     n: int, s: int, searched: tuple[int, ...], deadline: float | None = None
-) -> tuple[CompatGraph | None, list[int], np.ndarray]:
+) -> tuple[CompatGraph | None, list[int], np.ndarray, list[int]]:
     """The pattern graph of a non-increasing demand, each slot's weight for an alphabet of s,
-    and the (m, n) symbol matrix of the slots, decoded once for every later use.
+    the (m, n) symbol matrix of the slots, decoded once for every later use, and each slot's
+    orbit number.
 
     With k nonzero demands, q = k + 1 when 1 <= k < s and q = s otherwise.
     The graph is (n, q, searched[:q]): a vertex is a pattern, a word over
     the k demanded symbols and the star q, which stands for every
     zero-demand symbol.  Its weight (s - q + 1)**(number of stars) counts
     the words over {1..s} with that pattern; at q = s every weight is 1 and
-    the graph is build_compat_graph's.  The slots run by ascending weight,
-    then ascending index; row i of the matrix is the symbols of slot i.
-    The graph is None when the build passes the deadline, as in _graph.
+    the graph is build_compat_graph's with its slots permuted.  The slots
+    run by ascending weight, then, at q >= 3 (the orbit rule), by
+    descending degree, the vertex order of MCQ and BBMC, and then by
+    ascending index; at q = 2 the index order within a weight stays, which
+    _shift_tables needs.  A symmetry of the graph takes a vertex to any
+    other of its orbit and keeps degrees, so a vertex's degree is its
+    orbit's, counted before the build from one agreement row per orbit; the
+    graph is then built once, in its slot order.  Row i of the matrix is the
+    symbols of slot i, and the orbits of _orbits are renumbered by their
+    first slot.  The graph is None when the build passes the deadline, as in
+    _graph.
     """
     k = sum(map(bool, searched))
     q = k + 1 if 0 < k < s else s
     params = SpaceParams(q, n)
-    verts = _vertices(params, searched[:q])
+    t = searched[:q]
+    verts = _vertices(params, t)
     digits = decode_matrix(params, verts)
     weight = (s - q + 1) ** (digits == q).sum(axis=1)
-    slots = np.argsort(weight, kind="stable")
+    orbit = _orbits(digits, t)
+    degree = np.zeros_like(orbit)
+    if q >= 3 and len(verts):
+        _, first = np.unique(orbit, return_index=True)
+        blocks = agreement_rows(digits, t, first)
+        meets = np.concatenate([np.bitwise_count(b).sum(axis=1, dtype=np.int64) for _, b in blocks])
+        degree = meets[orbit] - 1  # less the self pair
+    slots = np.lexsort((-degree, weight))
     digits = digits[slots]
-    graph = _graph(params, searched[:q], verts[slots], digits, deadline)
-    return graph, weight[slots].tolist(), digits
+    graph = _graph(params, t, verts[slots], digits, deadline)
+    return graph, weight[slots].tolist(), digits, _first_seen(orbit[slots]).tolist()
 
 
-def _orbits(digits: np.ndarray, demand: tuple[int, ...]) -> list[int]:
-    """Each vertex's symmetry orbit number, from the (m, n) symbol matrix of the slots.
+def _first_seen(labels: np.ndarray) -> np.ndarray:
+    """The labels renumbered 0, 1, ... in the order of their first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse]
+
+
+def _orbits(digits: np.ndarray, demand: tuple[int, ...]) -> np.ndarray:
+    """Each row's symmetry orbit number, from an (m, n) symbol matrix of vertices.
 
     A word's orbit is its symbol histogram with the counts sorted within each
     group of symbols sharing a demand value.  Orbits are numbered by their
-    first vertex in ascending slot order.  This one numbering serves every
-    rule: the orbit rule prunes with it, and the others report its count.
+    first row.  _quotient_graph numbers its vertices once, in index order,
+    orders the slots by the orbits' degrees and renumbers the orbits by
+    first slot; this one numbering serves every rule: the orbit rule prunes
+    with it, and the others report its count.
     """
     t = np.asarray(demand)
     syms = range(1, len(t) + 1)  # counts are at most n <= 26 (the dense cap), so uint8
@@ -208,11 +241,7 @@ def _orbits(digits: np.ndarray, demand: tuple[int, ...]) -> list[int]:
     key = np.hstack([np.sort(counts[:, t == value], axis=1) for value in set(demand)])
     # one void item per row, so a 1-D unique numbers the rows exactly: a mixed-radix int code
     # could overflow, and only the axis= form of np.unique imports numpy.ma (~5 ms at first use)
-    rows = np.ascontiguousarray(key).view(f"V{len(t)}")[:, 0]
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    number = np.empty_like(first)
-    number[np.argsort(first)] = np.arange(len(first))
-    return number[inverse].tolist()
+    return _first_seen(np.ascontiguousarray(key).view(f"V{len(t)}")[:, 0])
 
 
 def _orbit_masks(orbit: Sequence[int]) -> list[int]:
@@ -318,14 +347,14 @@ class SearchStats:
     The seconds of each phase, the greedy incumbent's weight, the rule that
     restricted the branching ("shift" at s = 2, "quotient" at s >= 3 with
     one nonzero demand, "orbit" otherwise) and the vertex count of the
-    searched graph, the pattern graph.  build includes the argument checks
-    and the one decode of the patterns' symbols; orbits is the time of the
-    orbit numbering, under every rule, and then of the orbit masks, or under
-    the shift and quotient rules of the shift tables; when the greedy runs
-    out of time, or the shift tables did, there is no branching and branch
-    is near 0; when the build did, build is the time to the stop and the
-    other phases are 0.  The incumbent is the greedy clique's weight, the
-    size of its lift.  The four phases are consecutive, so they sum to at
+    searched graph, the pattern graph.  build includes the argument checks,
+    the one decode of the patterns' symbols and the orbit numbering, under
+    every rule, with the orbit rule's degree rows; orbits is the time of the
+    orbit masks, or under the shift and quotient rules of the shift tables;
+    when the greedy runs out of time, or the shift tables did, there is no
+    branching and branch is near 0; when the build did, build is the time to
+    the stop and the other phases are 0.  The incumbent is the greedy
+    clique's weight, the size of its lift.  The four phases are consecutive, so they sum to at
     most the call's elapsed time, which also covers building the witness.
     """
 
@@ -375,11 +404,12 @@ def _color_order(
     """Weight-splitting greedy coloring of cand; the vertices of classes with bound >= kmin,
     by ascending class, ascending within a class, and their classes' bounds.
 
-    Classes are built one at a time (BBMC): a class takes the lowest vertex
+    Classes are built one at a time (BBMC): a class takes the lowest slot
     left in q, the uncolored vertices not adjacent to the class so far, until
     q is empty.  With unit weights every vertex is colored by its class, so
-    by induction on ascending index these are exactly the classes of
-    first-fit coloring in ascending vertex order, at O(1) bitset operations
+    by induction on ascending slot these are exactly the classes of
+    first-fit coloring in ascending slot order (by descending degree under
+    the orbit rule, see _quotient_graph), at O(1) bitset operations
     per vertex whatever the number of classes, and the bound of class k is
     k, its color.  With weights, a class adds to the bound r, the smallest
     residual weight in it (a vertex's residual starts at its weight); each
@@ -456,7 +486,7 @@ def _greedy_clique(
 
     A vertex's score is the weight the pool keeps if it is picked: its own
     weight and its pool neighbours'.  The pass starts from the vertex of
-    highest score over cand (lowest index on ties) and repeatedly adds the
+    highest score over cand (lowest slot on ties) and repeatedly adds the
     pool vertex of highest score.  Degree is constant on symmetry orbits, so
     the other best starts are mostly images of this one and would grow
     cliques of the same weight.  With unit weights the score is the pool
@@ -629,7 +659,7 @@ def max_family(
         raise ParameterError(f"timeout must be non-negative, got {timeout_ms} ms")
     order = sorted(range(s), key=lambda c: -t[c])  # searched digit k is caller digit order[k]
     rule = "shift" if s == 2 else "quotient" if sum(map(bool, t)) == 1 else "orbit"
-    graph, weight, digits = _quotient_graph(n, s, tuple(t[c] for c in order), deadline)
+    graph, weight, digits, orbit = _quotient_graph(n, s, tuple(t[c] for c in order), deadline)
     marks = [start, time.monotonic()]
     if graph is None:
         elapsed = marks[1] - start
@@ -638,7 +668,6 @@ def max_family(
     q = graph.params.s
     m = graph.vertex_count
     every = (1 << m) - 1
-    orbit = _orbits(digits, graph.demand)
     orbits = max(orbit, default=-1) + 1
     if q == 2:
         tables = _shift_tables(graph, digits, deadline)

@@ -289,17 +289,19 @@ def _meeting(planes: np.ndarray, marks: np.ndarray, need: int) -> np.ndarray:
 
 
 def agreement_rows(
-    digits: np.ndarray, demand: Sequence[int]
+    digits: np.ndarray, demand: Sequence[int], rows: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Pairwise demand over the rows of an (m, n) symbol matrix, as packed bitset rows.
 
     Yields (lo, rows) for consecutive row chunks: rows is a fresh (r, w)
     uint64 array, w = ceil(m / 64), in the layout of `pack_rows`, whose row i
     has bit y set when rows lo + i and y agree on at least demand[l]
-    coordinates carrying symbol l + 1, for every l.  Self pairs are included,
-    so a row whose own count of some demanded symbol is below its demand is
-    empty.  One counter plane of a chunk, 8 * r * w bytes, stays within
-    _PLANE_BYTES, or holds one row when a row alone is larger.
+    coordinates carrying symbol l + 1, for every l.  Given an index array
+    rows, row i of a chunk answers row rows[lo + i] instead, against every
+    row.  Self pairs are included, so a row whose own count of some demanded
+    symbol is below its demand is empty.  One counter plane of a chunk,
+    8 * r * w bytes, stays within _PLANE_BYTES, or holds one row when a row
+    alone is larger.
 
     For symbol l with need k, let V_j be the bitset of rows carrying l at
     position j and M_x the positions of row x carrying l.  Row x counts, per
@@ -314,26 +316,30 @@ def agreement_rows(
     distinct M_x, in chunks of the same plane bound, into a table of at most
     min(m, 2**n) rows of w words per demanded symbol, fewer than the m rows
     yielded; each chunk gathers its rows from the tables.  The key of M_x is
-    its bitmask over the positions, an exact int64 since 2**n < m.
+    its bitmask over the positions, an exact int64 since 2**n < m.  (With
+    given rows, the tables count when 2**n is below their number.)
     """
     m, n = digits.shape
     full = pack_rows(np.ones((1, m), dtype=bool))[0]
     chunk = max(1, _PLANE_BYTES // max(full.nbytes, 1))
+    count = m if rows is None else len(rows)
     symbols = []  # (marks, need, planes, table, inverse) per demanded symbol
     for sym, need in enumerate(demand, start=1):
         if need:
             marks = digits == sym
             planes = pack_rows(marks.T)
+            if rows is not None:
+                marks = marks[rows]
             table = inverse = None
-            if 2**n < m:
+            if 2**n < count:
                 key = marks @ (1 << np.arange(n))
                 _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
                 table = np.empty((len(first), full.shape[0]), dtype=np.uint64)
                 for lo in range(0, len(first), chunk):
                     table[lo : lo + chunk] = _meeting(planes, marks[first[lo : lo + chunk]], need)
             symbols.append((marks, need, planes, table, inverse))
-    for lo in range(0, m, chunk):
-        out = np.tile(full, (min(chunk, m - lo), 1))
+    for lo in range(0, count, chunk):
+        out = np.tile(full, (min(chunk, count - lo), 1))
         for marks, need, planes, table, inverse in symbols:
             if table is None:
                 out &= _meeting(planes, marks[lo : lo + chunk], need)
@@ -346,6 +352,6 @@ def parse_word(params: SpaceParams, text: str) -> Word:
     """A word from its digit-string text form, e.g. "1231" -> (1, 2, 3, 1); requires s <= 9."""
     if params.s > 9:
         raise ParameterError("digit-string form needs s <= 9; use the binary family format")
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):  # str.isdigit also passes "²" and "٣"
         raise ParameterError(f"word {text!r} is not a digit string")
     return check_word(params, tuple(int(ch) for ch in text))

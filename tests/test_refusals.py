@@ -10,6 +10,7 @@ from isecode import (
     ParameterError,
     SetFamily,
     SpaceParams,
+    best_window_measure,
     biased_measure,
     check_correlation,
     encode,
@@ -17,12 +18,13 @@ from isecode import (
     majority_density,
     majority_family,
     max_family,
+    max_window_radius,
     random_correlation_trials,
     slice_structure_report,
     window_measure,
     window_threshold_family,
 )
-from isecode.words import check_demand, check_symbol, check_symbol_set, check_word
+from isecode.words import check_demand, check_symbol, check_symbol_set, check_word, parse_word
 
 P = SpaceParams(3, 2)
 OTHER = SpaceParams(3, 3)
@@ -129,6 +131,40 @@ CASES = {
     ),
     "SetFamily.__contains__ entry": (lambda: {1.0} in SETS, "entries must be integers, got 1.0"),
     "max_family demand": (lambda: max_family(4, 2, (1.9, 0)), "entries must be integers, got 1.9"),
+    # window arguments: a float threshold or radius is refused, not compared or halved
+    "window_measure threshold entry": (
+        lambda: window_measure(1.5, 0, Fraction(1, 2)),
+        "entries must be integers, got 1.5",
+    ),
+    "window_measure radius entry": (
+        lambda: window_measure(1, 0.5, Fraction(1, 2)),
+        "entries must be integers, got 0.5",
+    ),
+    "best_window_measure threshold entry": (
+        lambda: best_window_measure(5, 2.0, Fraction(1, 3)),
+        "entries must be integers, got 2.0",
+    ),
+    "max_window_radius threshold entry": (
+        lambda: max_window_radius(5, 1.5),
+        "entries must be integers, got 1.5",
+    ),
+    "window_threshold_family threshold entry": (
+        lambda: window_threshold_family(3, 1.5, 0),
+        "entries must be integers, got 1.5",
+    ),
+    "window_threshold_family radius entry": (
+        lambda: window_threshold_family(3, 1, 0.5),
+        "entries must be integers, got 0.5",
+    ),
+    # digit strings are ASCII: str.isdigit also passes superscripts and other scripts' digits
+    "parse_word superscript": (
+        lambda: parse_word(P, "1\u00b2"),
+        "word '1\u00b2' is not a digit string",
+    ),
+    "parse_word Arabic-Indic digit": (
+        lambda: parse_word(P, "1\u0663"),
+        "word '1\u0663' is not a digit string",
+    ),
     # timeout rule
     "max_family timeout": (
         lambda: max_family(4, 2, (1, 1), timeout_ms=-5),

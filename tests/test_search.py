@@ -438,9 +438,9 @@ def test_split_bounds_cover_every_clique():
         (9, 2, (2, 1), 93, 2612),
         (7, 3, (2, 0, 0), 243, 2),
         (8, 4, (2, 0, 0, 0), 4096, 1),
-        (8, 4, (1, 1, 0, 0), 4096, 4),
+        (8, 4, (1, 1, 0, 0), 4096, 3),
         (7, 5, (1, 1, 0, 0, 0), 3125, 2),
-        (8, 4, (2, 2, 0, 0), 256, 5),
+        (8, 4, (2, 2, 0, 0), 256, 4),
     ],
 )
 def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
@@ -449,8 +449,9 @@ def test_orbital_branching_proves_larger_instances(n, s, t, size, nodes):
     # the s >= 3 single-nonzero rows run the quotient rule: on the full graph
     # under the root orbit rule (7,3,(3,0,0)) took 3,716 nodes and
     # (7,3,(2,0,0)) was not proved within 60 s; the last three rows run the
-    # orbit rule on the pattern graph: on the word graph they took 23, 11 and
-    # 13 nodes
+    # orbit rule on the pattern graph, slots by descending degree within a
+    # weight: in ascending index order they took 4, 2 and 5 nodes, and on the
+    # word graph 23, 11 and 13
     start = time.monotonic()
     result = max_family(n, s, t)
     assert time.monotonic() - start < 15
@@ -523,7 +524,7 @@ def _rescoring_greedy(cand, adj, weight):
 def test_greedy_clique_matches_rescoring(n, s, t):
     # the word graph with unit weights, and the pattern graph with its weights
     word_graph = build_compat_graph(n, s, t)
-    pattern, weight, _ = _quotient_graph(n, s, t)
+    pattern, weight, *_ = _quotient_graph(n, s, t)
     cases = [(word_graph.adjacency, [1] * word_graph.vertex_count)]
     if pattern != word_graph:
         cases.append((pattern.adjacency, weight))
@@ -644,7 +645,8 @@ def test_shift_tables_match_the_shift_order(n, t):
 def test_shift_tables_follow_the_quotient_slots(n, s, t):
     # the quotient's slots run by size, not by index: its tables are the
     # index-ordered graph's, slot for slot
-    binary, (quotient, _, digits) = build_compat_graph(n, 2, t[:2]), _quotient_graph(n, s, t)
+    binary = build_compat_graph(n, 2, t[:2])
+    quotient, _, digits, _ = _quotient_graph(n, s, t)
     assert sorted(quotient.vertices) == list(binary.vertices) != list(quotient.vertices)
     slot = {word: v for v, word in enumerate(binary.vertices)}
     to_binary = [slot[word] for word in quotient.vertices]  # per quotient slot
@@ -786,8 +788,25 @@ def test_quotient_witnesses_are_lifted_shifted_families(s, n_max):
                 assert result.max_size == brute_max_intersecting(n, s, demand)
 
 
+def _assert_slot_order(graph, weight):
+    # at q >= 3: ascending weight, then descending degree, then ascending index
+    degree = [row.bit_count() for row in graph.adjacency]
+    keys = [(w, -d, word) for w, d, word in zip(weight, degree, graph.vertices)]
+    assert keys == sorted(keys)
+
+
+def _assert_permuted(graph, words):
+    # the same vertices and edges as the word graph, in another slot order
+    assert (graph.params, graph.demand) == (words.params, words.demand)
+    assert sorted(graph.vertices) == list(words.vertices)
+    slot = {word: v for v, word in enumerate(words.vertices)}
+    to_words = [slot[word] for word in graph.vertices]
+    for v, row in enumerate(graph.adjacency):
+        assert sum(1 << to_words[u] for u in _iter_bits(row)) == words.adjacency[to_words[v]]
+
+
 def test_quotient_graph_slots_rise_in_weight():
-    graph, weight, _ = _quotient_graph(6, 3, (2, 0, 0))
+    graph, weight, *_ = _quotient_graph(6, 3, (2, 0, 0))
     sizes = [6 - v.bit_count() for v in graph.vertices]  # |S|: digit 0 marks symbol 1
     assert weight == [2 ** (6 - k) for k in sizes]
     assert weight == sorted(weight)
@@ -801,20 +820,22 @@ def test_quotient_graph_slots_rise_in_weight():
 def test_pattern_graph_weighs_stars():
     # two demanded symbols and a star for the other two: a pattern with c stars
     # stands for the 2**c words that write symbol 3 or 4 at each star
-    graph, weight, _ = _quotient_graph(6, 4, (1, 1, 0, 0))
+    graph, weight, *_ = _quotient_graph(6, 4, (1, 1, 0, 0))
     assert graph.params == SpaceParams(3, 6) and graph.demand == (1, 1, 0)
     stars = (decode_matrix(graph.params, np.asarray(graph.vertices)) == 3).sum(axis=1)
     assert weight == (2**stars).tolist() == sorted(weight)
-    slots = list(zip(weight, graph.vertices))
-    assert slots == sorted(slots)
+    _assert_slot_order(graph, weight)
     assert graph.vertex_count == 602 < build_compat_graph(6, 4, (1, 1, 0, 0)).vertex_count == 2702
     # the patterns' words are the word graph's vertices, each counted once
     assert sum(weight) == 2702
     assert sorted(graph.vertices) == list(build_compat_graph(6, 3, (1, 1, 0)).vertices)
-    # q = s: one zero demand, none, or all zero; every weight is 1 and the graph is the word graph
+    # q = s: one zero demand, none, or all zero; every weight is 1 and the graph is the word
+    # graph, its slots by descending degree
     for n, s, t in ((5, 3, (1, 1, 0)), (4, 3, (1, 1, 1)), (3, 3, (0, 0, 0)), (4, 4, (2, 1, 1, 0))):
-        words = build_compat_graph(n, s, t)
-        assert _quotient_graph(n, s, t)[:2] == (words, [1] * words.vertex_count)
+        graph, weight, *_ = _quotient_graph(n, s, t)
+        assert weight == [1] * graph.vertex_count
+        _assert_permuted(graph, build_compat_graph(n, s, t))
+        _assert_slot_order(graph, weight)
 
 
 @pytest.mark.parametrize(
@@ -829,9 +850,57 @@ def test_pattern_graph_weighs_stars():
     ],
 )
 def test_quotient_graph_matrix_is_its_vertices_decoded(n, s, t):
-    graph, _, digits = _quotient_graph(n, s, t)
+    graph, _, digits, _ = _quotient_graph(n, s, t)
     assert digits.shape == (graph.vertex_count, n)
     assert (digits == decode_matrix(graph.params, np.asarray(graph.vertices))).all()
+
+
+def _orbit_rule_demands(s, n_max):
+    # every non-increasing demand, as max_family searches them, with two or more nonzero
+    # entries or none: the demands of the orbit rule at s >= 3
+    for n in range(1, n_max + 1):
+        for t in itertools.product(range(n + 1), repeat=s):
+            if sum(t) <= n and list(t) == sorted(t, reverse=True) and s - t.count(0) != 1:
+                yield n, t
+
+
+@pytest.mark.parametrize("s, n_max", [(3, 7), (4, 5), (5, 4)])
+def test_orbit_rule_slots_descend_in_degree(s, n_max):
+    # the degree that orders the slots is counted from one row per orbit before the build,
+    # so it needs every orbit's vertices to share their degree in the built graph
+    checked = 0
+    for n, t in _orbit_rule_demands(s, n_max):
+        graph, weight, digits, orbit = _quotient_graph(n, s, t)
+        assert orbit == _orbits(digits, graph.demand).tolist()  # numbered by first slot
+        degree = {}
+        for k, row in zip(orbit, graph.adjacency):
+            assert degree.setdefault(k, row.bit_count()) == row.bit_count(), (n, t, k)
+        _assert_slot_order(graph, weight)
+        checked += 1
+    assert checked == {3: 66, 4: 28, 5: 15}[s]
+
+
+@pytest.mark.parametrize(
+    "n, s, t", [(5, 3, (1, 1, 1)), (6, 4, (1, 1, 0, 0)), (5, 3, (2, 0, 0)), (5, 2, (1, 1))]
+)
+def test_orbits_are_numbered_once_per_search(monkeypatch, n, s, t):
+    # the orbit numbering that orders the slots is renumbered, not recomputed, for the search
+    import isecode.search as search_mod
+
+    calls = []
+    monkeypatch.setattr(search_mod, "_orbits", lambda *a: calls.append(a) or _orbits(*a))
+    assert max_family(n, s, t).complete
+    assert len(calls) == 1
+
+
+def test_degree_order_proves_open_orbit_rows():
+    # open at 30 s when the orbit rule coloured and branched in ascending index order
+    # (1,369,849 and 58,214 nodes); each equals the block allocation
+    for n, s, t, size in ((7, 3, (1, 1, 1), 81), (8, 3, (1, 1, 0), 729)):
+        result = max_family(n, s, t, timeout_ms=10_000)
+        assert result.complete and result.stats.rule == "orbit", (n, t)
+        assert result.max_size == size == product_allocation(n, s, t).count
+        assert len(result.witness) == size and result.witness.is_t_intersecting(t)
 
 
 @pytest.mark.parametrize("s", [3, 4])
