@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .words import ParameterError, SpaceParams, Word, check_symbol_set
+from .words import ParameterError, SpaceParams, Word, as_integer, check_symbol_set
 
 
 class CompletenessError(ParameterError):
@@ -98,6 +98,7 @@ def check_correlation(
     `seed` is only recorded on the result, for checks of a seeded campaign.
     """
     params, a, b = _verified_pair(fam_a, fam_b, pins_a, pins_b)
+    seed = None if seed is None else as_integer(seed)
     common = int(np.count_nonzero(fam_a.array & fam_b.array))
     return CorrelationCheck(params, a, b, len(fam_a), len(fam_b), common, seed)
 
@@ -114,6 +115,7 @@ def random_complete_family(params: SpaceParams, pins, seed: int) -> Family:
     the same family, pinned-complete by construction; the streams differ
     from versions that drew from numpy.
     """
+    seed = as_integer(seed)
     rng = random.Random(seed if seed >= 0 else str(seed))
     n, size = params.n, params.size
     member = np.zeros(size, dtype=bool)
@@ -136,6 +138,7 @@ def random_correlation_trials(
     """Seeded campaign: trial k checks the `trial_pair` of seed seed_base + k."""
     params = SpaceParams(s, n)
     a, b = _check_pins(params, pins_a, pins_b)
+    trials, seed_base = as_integer(trials), as_integer(seed_base)
     if trials < 0:
         raise ParameterError("trial count must be non-negative")
     return [

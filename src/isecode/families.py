@@ -50,7 +50,6 @@ from .words import (
     decode_matrix,
     encode,
     encode_matrix,
-    pack_rows,
     parse_word,
     unpack_ints,
 )
@@ -234,6 +233,7 @@ class _Dense:
 
     def __init__(self, space, bits: int = 0):
         params = self._space(space)
+        bits = as_integer(bits)
         if bits < 0 or bits >> params.size:
             raise ParameterError(f"membership bits outside the {self._unit} range")
         self._set(params, unpack_ints([bits], params.size)[0])
@@ -274,12 +274,16 @@ class _Dense:
 
     @classmethod
     def from_indices(cls: type[_D], space, indices: Iterable[int]) -> _D:
+        """From the member indices, each an integer; a 1-D integer array is read as it is."""
         params = cls._space(space)
         size, what = params.size, cls._unit
-        try:
-            idx = np.fromiter(indices, dtype=np.int64)
-        except OverflowError as exc:
-            raise ParameterError(f"{what} outside [0, {size})") from exc
+        if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
+            idx = indices
+        else:
+            try:
+                idx = np.fromiter(map(as_integer, indices), dtype=np.int64)
+            except OverflowError as exc:
+                raise ParameterError(f"{what} outside [0, {size})") from exc
         bad = (idx < 0) | (idx >= size)
         if bad.any():
             raise ParameterError(f"{what} {idx[bad][0]} outside [0, {size})")
@@ -303,6 +307,7 @@ class _Dense:
         return self._size
 
     def contains_index(self, index: int) -> bool:
+        index = as_integer(index)
         return 0 <= index < self.params.size and bool(self._member[index])
 
     def indices(self) -> Iterator[int]:
@@ -401,8 +406,8 @@ class Family(_Dense):
         for sym, need in enumerate(t, start=1):
             if need and int((digits == sym).sum(axis=1).min()) < need:
                 return False  # some self pair already fails
-        full = pack_rows(np.ones((1, self._size), dtype=bool))
-        return all((rows == full).all() for _, rows in agreement_rows(digits, t))
+        full = (1 << self._size) - 1
+        return all(row == full for _, rows in agreement_rows(digits, t) for row in rows)
 
     # -- pinned closure ----------------------------------------------------
 

@@ -85,7 +85,6 @@ up for.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,7 +99,6 @@ from .words import (
     SpaceParams,
     agreement_rows,
     check_demand,
-    clear_diagonal,
     decode_matrix,
     int_rows,
     pack_rows,
@@ -110,7 +108,7 @@ from .words import (
 
 VERTEX_CAP = 1 << 16
 DEFAULT_TIMEOUT_MS = 60_000
-_ROW_CHUNK_BYTES = 1 << 20  # bound on the bytes of one block of unpacked adjacency rows
+_ROW_CHUNK_BYTES = 1 << 20  # bound on the bytes of one chunk of m-bit rows between deadline checks
 
 
 @dataclass(frozen=True)
@@ -151,16 +149,17 @@ def _graph(
 ) -> CompatGraph | None:
     """The compatibility graph whose slot i is the word verts[i], with symbol row digits[i].
 
-    The deadline is checked before every agreement chunk after the first,
-    so a graph of one chunk is always built; on expiry the result is None.
+    Every vertex meets its own demand, so its agreement row holds its own
+    bit, which one XOR clears.  The deadline is checked before every
+    agreement chunk after the first, so a graph of one chunk is always
+    built; on expiry the result is None.
     """
     m = int(verts.shape[0])
     if m > VERTEX_CAP:
         raise ParameterError(f"{m} vertices exceed the cap {VERTEX_CAP}")
     rows: list[int] = []
     for lo, block in agreement_rows(digits, t):
-        clear_diagonal(block, lo)
-        rows.extend(int_rows(block))
+        rows += [row ^ 1 << v for v, row in enumerate(block, lo)]
         if len(rows) < m and deadline is not None and time.monotonic() > deadline:
             return None
     return CompatGraph(params, t, tuple(verts.tolist()), tuple(rows))
@@ -209,7 +208,7 @@ def _quotient_graph(
     if q >= 3 and len(verts):
         _, first = np.unique(orbit, return_index=True)
         blocks = agreement_rows(digits, t, first)
-        meets = np.concatenate([np.bitwise_count(b).sum(axis=1, dtype=np.int64) for _, b in blocks])
+        meets = np.array([row.bit_count() for _, b in blocks for row in b], dtype=np.int64)
         degree = meets[orbit] - 1  # less the self pair
     slots = np.lexsort((-degree, weight))
     digits = digits[slots]
@@ -492,56 +491,78 @@ def _greedy_clique(
     cliques of the same weight.  With unit weights the score is the pool
     degree plus 1, so the pick is the densest extension.
 
-    The scores are kept in one numpy array (negative off the pool), and the
-    pick is its first argmax: the same vertex, by the same lowest-index tie
-    rule, as recounting the whole pool after every pick.  A step either
-    recounts over the pool, as the first step does over all of cand, or,
-    when more vertices stay than just left, subtracts the adjacency rows of
-    those that left, scaled by their weights and unpacked at most
-    _ROW_CHUNK_BYTES at a time.  The weights ascend along the slots, so each
-    weight's vertices are one range of slots: a recount counts pool
-    neighbours once per weight, and a subtraction sums the rows of each
-    weight apart.  Either way a step costs at most a few row operations per
-    departing vertex, so the pass does O(m) row operations in all rather
-    than one per pool vertex and pick.  Subtracting alone was up to 9x
-    slower on sparse graphs, where the first pick drops most of cand.
-    Scores fit in int32: a pattern graph's weights sum to at most s**n,
-    within the dense cap.  Returns the clique and whether the deadline
-    expired, checked after each pick and each chunk; on expiry, the clique
-    so far, since every prefix of the pass is a clique.
+    The scores are bit-sliced over the slots, as BBMC keeps its sets:
+    plane b is an int whose bit v is bit b of slot v's score, read on the
+    pool only.  The pick descends the planes from the top, keeping the pool
+    slots that have the bit whenever one does, and takes the lowest slot
+    left: the same vertex, by the same lowest-slot tie rule, as recounting
+    the whole pool after every pick.  A step either recounts over the pool,
+    as the first step does over all of cand, or, when more vertices stay
+    than just left, lowers the scores by the weights of the rows that left.
+    Each departing row, cut to the pool, is added into a bit-sliced count
+    with one ripple-carry add per set bit of its weight, and the count is
+    ripple-borrowed out of the planes.  The pick's row is left out: the new
+    pool is its neighbourhood, so it would lower every pool score alike.
+    The planes then hold each score plus the weight picked since the last
+    recount, which stays within the slot's score at that recount, as does
+    its count; so neither carry nor borrow leaves the planes.  On dense
+    graphs the pick often leaves alone, and such a step touches no row.
+    The weights ascend along the slots, so each weight's vertices are one
+    range of slots and a recount counts pool neighbours once per weight.
+    Either way a step costs a few int operations per departing vertex and
+    per plane, so the pass does O(m) row operations in all rather than one
+    per pool vertex and pick.  Subtracting alone was up to 9x slower on
+    sparse graphs, where the first pick drops most of cand.  Scores fit in
+    int32: a pattern graph's weights sum to at most s**n, within the dense
+    cap.  Returns the clique and whether the deadline expired, checked
+    after each pick and before each chunk of departing rows that holds at
+    most _ROW_CHUNK_BYTES; on expiry, the clique so far, since every prefix
+    of the pass is a clique.
     """
     m = len(adj)
-    chunk = max(1, _ROW_CHUNK_BYTES // max(m, 1))
+    chunk = max(1, 8 * _ROW_CHUNK_BYTES // max(m, 1))
     cuts = [0, *(np.flatnonzero(np.diff(weight)) + 1).tolist(), m]  # the weights' slot ranges
     levels = [(weight[lo], (1 << hi) - (1 << lo)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    ones = {w: list(_iter_bits(w)) for w, _ in levels}  # the set bits of each weight
     own = np.asarray(weight, dtype=np.int32)
-    score = np.full(m, -1, dtype=np.int32)
+    planes: list[int] = []
     clique: list[int] = []
     pool = gone = cand
     while pool:
         if pool.bit_count() <= gone.bit_count():
-            score.fill(-1)
             live = np.flatnonzero(unpack_ints([pool], m)[0])
-            score[live] = own[live]
+            score = own[live]
             slots = live.tolist()
             for w, mask in levels:
                 if part := pool & mask:
                     near = ((adj[u] & part).bit_count() for u in slots)
-                    score[live] += w * np.fromiter(near, np.int32, len(slots))
-        else:
-            # often two vertices on dense graphs, where unpacking the m-bit pool would dominate
-            out = list(_iter_bits(gone))
+                    score += w * np.fromiter(near, np.int32, len(slots))
+            bits = np.zeros((int(score.max()).bit_length(), m), dtype=bool)
+            bits[:, live] = score >> np.arange(len(bits), dtype=np.int32)[:, None] & 1
+            planes = int_rows(pack_rows(bits))
+        elif out := list(_iter_bits(gone ^ 1 << pick)):
+            count = [0] * len(planes)  # plane b: bit b of each pool slot's lost weight
             for lo in range(0, len(out), chunk):
                 if deadline is not None and time.monotonic() > deadline:
                     return clique, True
-                part = out[lo : lo + chunk]
-                rows = unpack_ints([adj[r] for r in part], m)
-                edges = [bisect_left(part, c) for c in cuts]  # part ascends, and so do the weights
-                for (w, _), a, b in zip(levels, edges, edges[1:]):
-                    if a < b:
-                        score -= w * rows[a:b].sum(axis=0, dtype=np.int32)
-            score[out] = -1
-        pick = int(score.argmax())
+                for r in out[lo : lo + chunk]:
+                    row = adj[r] & pool
+                    for b in ones[weight[r]]:
+                        carry = row
+                        while carry:
+                            count[b], carry = count[b] ^ carry, count[b] & carry
+                            b += 1
+            borrow = 0
+            for b, c in enumerate(count):
+                if c | borrow:
+                    p = planes[b]
+                    planes[b] = p ^ c ^ borrow
+                    borrow = (c | borrow) & ~p | c & borrow
+        best = pool
+        for p in reversed(planes):
+            if top := best & p:
+                best = top
+        pick = (best & -best).bit_length() - 1
         clique.append(pick)
         gone = pool & ~adj[pick]
         pool ^= gone

@@ -14,20 +14,21 @@ packed rows into Python ints and `unpack_ints` turns ints back into bool
 rows; the search's adjacency rows use no other route.  `Family.bits` and
 the int blocks of the closure sweeps keep the same layout but pack a bool
 array directly (`families._bitset`, one little-endian `packbits`).
-`clear_diagonal` drops the self bits from a chunk of a square matrix's rows.
 
 The agreement kernel `agreement_rows` answers the pairwise demand for the
-rows of a decoded symbol matrix as packed uint64 bitset rows, one row chunk
-at a time.  Per demanded symbol it packs the n position planes (the rows
+rows of a decoded symbol matrix as int bitset rows, one row chunk at a
+time.  Per demanded symbol it packs the n position planes (the rows
 carrying the symbol at each position) and runs a saturating "at least k"
-counter of bitset ANDs and ORs over each row's positions, so a chunk costs
-O(n * depth) bitset operations, depth the shorter of the hit and miss
-counts, and every count is exact.  A row's answer for a symbol depends only
-on its set of positions carrying the symbol, so when 2**n < m, and rows must
-repeat such sets, the counter runs once per distinct set into a table of at
-most min(m, 2**n) rows of ceil(m / 64) words per demanded symbol, fewer than
-the m rows produced; each chunk gathers its rows from the tables.  Demand
-checks on families and the search's compatibility graph share it.
+counter of packed uint64 ANDs and ORs over each row's positions, so a chunk
+costs O(n * depth) bitset operations, depth the shorter of the hit and miss
+counts, and every count is exact; each chunk's packed rows become ints
+once.  A row's answer for a symbol depends only on its set of positions
+carrying the symbol, so when 2**n < m, and rows must repeat such sets, the
+counter runs once per distinct set into a table of at most min(m, 2**n)
+rows per demanded symbol, fewer than the m rows produced, and each table
+becomes ints once; a row is then the AND of its tables' int rows, gathered
+without numpy.  Demand checks on families and the search's compatibility
+graph share it.
 
 The "pinned" order on words: x is below y for a set of pinned symbols when
 every coordinate of x carrying a pinned symbol is unchanged in y; coordinates
@@ -214,17 +215,6 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def clear_diagonal(packed: np.ndarray, lo: int) -> None:
-    """Clear bit lo + i of row i of a packed bitset chunk (`pack_rows` layout), in place.
-
-    The chunk holds rows lo, lo + 1, ... of a square matrix, so this clears its
-    diagonal.
-    """
-    i = np.arange(packed.shape[0])
-    col = lo + i  # bit col % 8 of the row's byte col // 8
-    packed.view(np.uint8)[i, col >> 3] &= ~(1 << (col & 7)).astype(np.uint8)
-
-
 def int_rows(packed: np.ndarray) -> list[int]:
     """Each row of a packed bitset matrix (`pack_rows` layout) as an int: bit y is column y."""
     raw, width = packed.tobytes(), packed.shape[1] * packed.itemsize
@@ -290,18 +280,18 @@ def _meeting(planes: np.ndarray, marks: np.ndarray, need: int) -> np.ndarray:
 
 def agreement_rows(
     digits: np.ndarray, demand: Sequence[int], rows: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Pairwise demand over the rows of an (m, n) symbol matrix, as packed bitset rows.
+) -> Iterator[tuple[int, list[int]]]:
+    """Pairwise demand over the rows of an (m, n) symbol matrix, as int bitset rows.
 
-    Yields (lo, rows) for consecutive row chunks: rows is a fresh (r, w)
-    uint64 array, w = ceil(m / 64), in the layout of `pack_rows`, whose row i
-    has bit y set when rows lo + i and y agree on at least demand[l]
-    coordinates carrying symbol l + 1, for every l.  Given an index array
-    rows, row i of a chunk answers row rows[lo + i] instead, against every
-    row.  Self pairs are included, so a row whose own count of some demanded
-    symbol is below its demand is empty.  One counter plane of a chunk,
-    8 * r * w bytes, stays within _PLANE_BYTES, or holds one row when a row
-    alone is larger.
+    Yields (lo, rows) for consecutive row chunks: rows is a list of ints
+    below 2**m whose entry i has bit y set when rows lo + i and y agree on
+    at least demand[l] coordinates carrying symbol l + 1, for every l.
+    Given an index array rows, entry i of a chunk answers row rows[lo + i]
+    instead, against every row.  Self pairs are included, so a row whose own
+    count of some demanded symbol is below its demand is 0.  The counters
+    run on packed uint64 planes, w = ceil(m / 64) words a row: one counter
+    plane of a chunk, 8 * r * w bytes for r rows, stays within _PLANE_BYTES,
+    or holds one row when a row alone is larger.
 
     For symbol l with need k, let V_j be the bitset of rows carrying l at
     position j and M_x the positions of row x carrying l.  Row x counts, per
@@ -309,43 +299,52 @@ def agreement_rows(
     k; or, when max |M_x| - k + 1 < k, it counts the misses ~V_j and keeps
     the columns with at most |M_x| - k.  Either count is an exact
     saturating counter of bitset levels, so a chunk costs
-    O(n * min(k, max |M_x| - k + 1)) bitset operations per demanded symbol.
+    O(n * min(k, max |M_x| - k + 1)) bitset operations per demanded symbol,
+    and each chunk's packed rows become ints once.
 
     Row x's answer for symbol l depends on x only through M_x.  When
     2**n < m, rows must repeat some M_x, so the counters run once per
     distinct M_x, in chunks of the same plane bound, into a table of at most
-    min(m, 2**n) rows of w words per demanded symbol, fewer than the m rows
-    yielded; each chunk gathers its rows from the tables.  The key of M_x is
-    its bitmask over the positions, an exact int64 since 2**n < m.  (With
-    given rows, the tables count when 2**n is below their number.)
+    min(m, 2**n) rows per demanded symbol, fewer than the m rows yielded,
+    which becomes ints once; a row is then the AND of its tables' int rows,
+    and nothing per row touches numpy.  The key of M_x is its bitmask over
+    the positions, an exact int64 since 2**n < m.  (With given rows, the
+    tables count when 2**n is below their number.)
     """
     m, n = digits.shape
     full = pack_rows(np.ones((1, m), dtype=bool))[0]
     chunk = max(1, _PLANE_BYTES // max(full.nbytes, 1))
     count = m if rows is None else len(rows)
-    symbols = []  # (marks, need, planes, table, inverse) per demanded symbol
+    gather = 2**n < count
+    symbols = []  # (marks, need, planes) per demanded symbol, or (table, inverse) when gathering
     for sym, need in enumerate(demand, start=1):
         if need:
             marks = digits == sym
             planes = pack_rows(marks.T)
             if rows is not None:
                 marks = marks[rows]
-            table = inverse = None
-            if 2**n < count:
-                key = marks @ (1 << np.arange(n))
-                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-                table = np.empty((len(first), full.shape[0]), dtype=np.uint64)
-                for lo in range(0, len(first), chunk):
-                    table[lo : lo + chunk] = _meeting(planes, marks[first[lo : lo + chunk]], need)
-            symbols.append((marks, need, planes, table, inverse))
+            if not gather:
+                symbols.append((marks, need, planes))
+                continue
+            key = marks @ (1 << np.arange(n))
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            table: list[int] = []
+            for lo in range(0, len(first), chunk):
+                table += int_rows(_meeting(planes, marks[first[lo : lo + chunk]], need) & full)
+            symbols.append((table, inverse.tolist()))
+    if gather:
+        for lo in range(0, count, chunk):
+            out = [(1 << m) - 1] * min(chunk, count - lo)
+            for i, (table, inverse) in enumerate(symbols):
+                got = map(table.__getitem__, inverse[lo : lo + chunk])
+                out = list(map(operator.and_, out, got) if i else got)
+            yield lo, out
+        return
     for lo in range(0, count, chunk):
         out = np.tile(full, (min(chunk, count - lo), 1))
-        for marks, need, planes, table, inverse in symbols:
-            if table is None:
-                out &= _meeting(planes, marks[lo : lo + chunk], need)
-            else:
-                out &= table[inverse[lo : lo + chunk]]
-        yield lo, out
+        for marks, need, planes in symbols:
+            out &= _meeting(planes, marks[lo : lo + chunk], need)
+        yield lo, int_rows(out)
 
 
 def parse_word(params: SpaceParams, text: str) -> Word:

@@ -18,7 +18,7 @@ from isecode import (
 )
 import isecode.families
 import isecode.words
-from isecode.words import agreement_rows, decode, pack_rows
+from isecode.words import agreement_rows, decode
 
 from conftest import (
     array_closure,
@@ -87,10 +87,12 @@ def test_is_t_intersecting_across_chunks(monkeypatch):
     fam = Family.from_words(p, base + [y, z])
     members = list(fam.members())
     assert len(members) == 100 and set(members[-2:]) == {y, z}
-    full = pack_rows(np.ones((1, 100), dtype=bool))
+    full = (1 << 100) - 1
     chunks = list(agreement_rows(np.array(members), demand))
     assert [lo for lo, _ in chunks] == list(range(0, 100, 10))
-    assert [bool((rows == full).all()) for _, rows in chunks] == [True] * 9 + [False]
+    assert [all(row == full for row in rows) for _, rows in chunks] == [True] * 9 + [False]
+    # y and z are the last two rows, and each misses only the other
+    assert chunks[-1][1][-2:] == [full ^ 1 << 99, full ^ 1 << 98]
     assert not fam.is_t_intersecting(demand)
     assert not brute_intersecting(fam, demand)
     for drop in (y, z):
@@ -137,8 +139,8 @@ def test_is_t_intersecting_exact_at_the_threshold():
         assert fam.is_t_intersecting((need, 0)) is ok
         assert brute_intersecting(fam, (need, 0)) is ok
         chunks = list(agreement_rows(np.array(members, dtype=np.uint8), (need, 0)))
-        full = pack_rows(np.ones((1, len(members)), dtype=bool))
-        assert len(chunks) == 1 and bool((chunks[0][1] == full).all()) is ok
+        full = (1 << len(members)) - 1
+        assert len(chunks) == 1 and all(row == full for row in chunks[0][1]) is ok
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -19,6 +19,7 @@ from isecode import (
     majority_family,
     max_family,
     max_window_radius,
+    random_complete_family,
     random_correlation_trials,
     slice_structure_report,
     window_measure,
@@ -197,6 +198,15 @@ def test_integer_entries_refuse_floats_and_strings(entry):
         lambda: majority_density(4, 2, [[1, 2]], [entry]),
         lambda: [entry] in SETS,
         lambda: max_family(4, 2, (entry, 0)),
+        lambda: Family.from_indices(P, [entry]),
+        lambda: SetFamily.from_indices(3, [0, entry]),
+        lambda: Family(P, entry),
+        lambda: SetFamily(2, entry),
+        lambda: FULL.contains_index(entry),
+        lambda: random_correlation_trials(3, 2, {1}, {2}, entry),
+        lambda: random_correlation_trials(3, 2, {1}, {2}, 1, seed_base=entry),
+        lambda: random_complete_family(P, {1}, entry),
+        lambda: check_correlation(FULL, FULL, {1}, {2}, seed=entry),
     ]
     for call in calls:
         with pytest.raises(ParameterError) as err:
@@ -213,3 +223,10 @@ def test_integer_entries_accept_integer_types(one):
     assert majority_density(4, 2, [[one, 2]], [one]) == majority_density(4, 2, [[1, 2]], [1])
     assert [one] not in SETS and [one, 2] in SETS
     assert max_family(4, 2, (one, 0)).max_size == max_family(4, 2, (1, 0)).max_size == 8
+    assert Family.from_indices(P, [one, 3]) == Family(P, 2 * one | 8) == Family(P, 0b1010)
+    assert Family.from_indices(P, np.array([one, 3], dtype=type(one))).bits == 0b1010
+    assert FULL.contains_index(one) and SETS.contains_index(3 * one)
+    assert random_complete_family(P, {1}, one) == random_complete_family(P, {1}, 1)
+    (check,) = random_correlation_trials(3, 2, {1}, {2}, one, seed_base=one)
+    assert check.seed == 1 and type(check.seed) is int
+    assert check_correlation(FULL, FULL, {1}, {2}, seed=one).seed == 1

@@ -156,15 +156,29 @@ def test_greedy_clique_checks_deadline_between_row_chunks(monkeypatch):
     import isecode.search as search_mod
 
     adj = build_compat_graph(6, 3, (1, 1, 0)).adjacency
-    first = max(range(len(adj)), key=lambda u: (adj[u].bit_count(), -u))
+    m = len(adj)
+    first = max(range(m), key=lambda u: (adj[u].bit_count(), -u))
     degree = adj[first].bit_count()
-    assert degree > len(adj) - degree  # the second step subtracts the rows that left
+    assert degree > m - degree  # the second step counts the rows that left, not the pool
+    cand = (1 << m) - 1
+    whole = _greedy_clique(adj, [1] * m, cand, None)
     monkeypatch.setattr(search_mod, "_ROW_CHUNK_BYTES", 1)  # one row per chunk
     clock = itertools.count(1)
     monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
     # the clock reads 1 after the first pick, 2 before the first row chunk and 3 before the second
-    cand = (1 << len(adj)) - 1
-    assert _greedy_clique(adj, [1] * len(adj), cand, 2.5) == ([first], True)
+    assert _greedy_clique(adj, [1] * m, cand, 2.5) == ([first], True)
+    # a whole pass reads it after every pick that leaves a pool, and before every row that
+    # leaves beside the pick in a step that lowers the scores rather than recounting them
+    reads, pool = 0, cand
+    for pick in whole[0]:
+        gone = pool & ~adj[pick]
+        pool ^= gone
+        if pool:
+            reads += 1 + (gone.bit_count() - 1 if pool.bit_count() > gone.bit_count() else 0)
+    assert reads > 2 * len(whole[0])
+    clock = itertools.count(1)
+    assert _greedy_clique(adj, [1] * m, cand, float("inf")) == whole
+    assert next(clock) == reads + 1
 
 
 def test_weighted_coloring_checks_deadline_every_256_classes(monkeypatch):
@@ -560,15 +574,34 @@ def _random_graph(rng, m, p):
 
 
 def test_greedy_clique_matches_rescoring_on_random_graphs():
-    # unstructured graphs reach the recount branch with pools whose counts differ
+    # unstructured graphs reach the recount branch with pools whose counts differ; weights
+    # with several set bits add one departing row into several planes of the lost weight
     rng = random.Random(3)
     for m, p in [(20, 0.3), (60, 0.6), (150, 0.9), (150, 0.6), (60, 0.9)]:
         adj = _random_graph(rng, m, p)
         rising = sorted(rng.choice((1, 2, 4, 8)) for _ in range(m))
-        for cand in [(1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]:
-            for weight in ([1] * m, [3] * m, rising):
+        mixed = sorted(rng.choice((1, 3, 5, 6, 7, 9)) for _ in range(m))
+        wide = sorted(rng.choice((1, 7, 100, 255, 1000)) for _ in range(m))
+        subsets = [rng.getrandbits(m) for _ in range(4)]
+        subsets += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(2)]
+        for cand in [(1 << m) - 1] + subsets:
+            for weight in ([1] * m, [3] * m, rising, mixed, wide):
                 expected = _rescoring_greedy(cand, adj, weight)
                 assert _greedy_clique(adj, weight, cand, None) == (expected, False)
+
+
+def test_greedy_clique_counts_lost_weight_on_the_pool_only():
+    # slots 0-3 hang off the centre 5, the first pick; slot 4 lies outside cand and meets the
+    # centre and the two 5-weights 6 and 7, which leave with it.  Scores are at most 6, three
+    # planes, but slot 4 would lose 2 + 5 + 5 = 12 if the departing rows were not cut to the pool
+    adj = [0] * 8
+    for u, v in [(5, 0), (5, 1), (5, 2), (5, 3), (4, 5), (4, 6), (4, 7)]:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    weight = [1, 1, 1, 1, 1, 2, 5, 5]
+    cand = 0b11101111
+    assert _rescoring_greedy(cand, adj, weight) == [5, 0]
+    assert _greedy_clique(adj, weight, cand, None) == ([5, 0], False)
 
 
 def _binary_demands(n_max):

@@ -10,7 +10,6 @@ from isecode.words import (
     agreement_rows,
     check_demand,
     check_symbol_set,
-    clear_diagonal,
     decode_matrix,
     encode_matrix,
     int_rows,
@@ -226,12 +225,13 @@ def test_product_order_matches_index_order():
 
 
 def _unpacked(chunks, m):
-    """The (m, 64 * words) bits of the kernel's chunks, checked to cover rows 0..m-1 in order."""
+    """The (m, m) bits of the kernel's int rows, checked to cover rows 0..m-1 in order
+    with no bit at or above m."""
     sizes = [len(rows) for _, rows in chunks]
     assert [lo for lo, _ in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
-    rows = np.concatenate([r for _, r in chunks]) if chunks else np.zeros((0, 0), np.uint64)
-    assert rows.dtype == np.uint64 and rows.shape == (m, (m + 63) // 64)
-    return np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    rows = [row for _, chunk in chunks for row in chunk]
+    assert len(rows) == m and all(type(row) is int and 0 <= row < 1 << m for row in rows)
+    return unpack_ints(rows, m)  # checked bit by bit in test_pack_rows_layout
 
 
 @pytest.mark.parametrize("s,n", [(2, 9), (3, 6), (4, 5), (5, 4)])
@@ -262,8 +262,7 @@ def test_agreement_rows_match_brute_force(monkeypatch, s, n, m):
         monkeypatch.setattr(isecode.words, "_PLANE_BYTES", plane_bytes)
         for t in demands:
             bits = _unpacked(list(agreement_rows(digits, t)), m)
-            assert not bits[:, m:].any()  # no padding bit at or above m
-            assert np.array_equal(bits[:, :m], want[t]), (plane_bytes, t)
+            assert np.array_equal(bits, want[t]), (plane_bytes, t)
     if m >= 63:
         assert chains == {"hit", "miss"}
 
@@ -298,8 +297,7 @@ def test_agreement_rows_run_once_per_mark_set(monkeypatch, s, n, m):
             rows_seen.clear()
             need = max(t)
             bits = _unpacked(list(agreement_rows(digits, t)), m)
-            assert not bits[:, m:].any()
-            assert np.array_equal(bits[:, :m], want[t]), (plane_bytes, t)
+            assert np.array_equal(bits, want[t]), (plane_bytes, t)
             if need > n:
                 assert not bits.any() and not rows_seen  # the all-empty case runs no counter
             for sym, k in enumerate(t, start=1):
@@ -324,7 +322,7 @@ def test_agreement_rows_empty_below_own_count(monkeypatch):
         monkeypatch.setattr(isecode.words, "_PLANE_BYTES", plane_bytes)
         chunks = list(agreement_rows(digits, (7, 0)))
         assert len(chunks) == (1 if plane_bytes > 8 else 5)
-        bits = _unpacked(chunks, 5)[:, :5]
+        bits = _unpacked(chunks, 5)
         assert bits.tolist() == [
             [True, True, False, False, True],
             [True, True, False, False, False],
@@ -334,8 +332,7 @@ def test_agreement_rows_empty_below_own_count(monkeypatch):
         ]
     # a demand above n leaves every row empty; an all-zero demand leaves every row full
     assert not _unpacked(list(agreement_rows(digits, (9, 0))), 5).any()
-    full = _unpacked(list(agreement_rows(digits, (0, 0))), 5)
-    assert full[:, :5].all() and not full[:, 5:].any()
+    assert _unpacked(list(agreement_rows(digits, (0, 0))), 5).all()
 
 
 def test_pack_rows_layout():
@@ -358,9 +355,3 @@ def test_pack_rows_layout():
             back = unpack_ints(ints, m)
             assert back.dtype == bool and back.shape == (k, m)
             assert np.array_equal(back, bits), (m, k)
-    # a chunk of rows lo, lo + 1, ... of a square matrix loses its diagonal bits
-    for m, lo, k in ((70, 0, 3), (70, 62, 5), (130, 64, 66), (9, 4, 5)):
-        rows = pack_rows(np.ones((k, m), dtype=bool))
-        clear_diagonal(rows, lo)
-        assert int_rows(rows) == [(1 << m) - 1 - (1 << (lo + i)) for i in range(k)]
-        assert np.array_equal(unpack_ints(int_rows(rows), m), ~np.eye(m, dtype=bool)[lo : lo + k])
