@@ -274,16 +274,13 @@ class _Dense:
 
     @classmethod
     def from_indices(cls: type[_D], space, indices: Iterable[int]) -> _D:
-        """From the member indices, each an integer; a 1-D integer array is read as it is."""
+        """From the member indices, each an integer."""
         params = cls._space(space)
         size, what = params.size, cls._unit
-        if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
-            idx = indices
-        else:
-            try:
-                idx = np.fromiter(map(as_integer, indices), dtype=np.int64)
-            except OverflowError as exc:
-                raise ParameterError(f"{what} outside [0, {size})") from exc
+        try:
+            idx = np.fromiter(map(as_integer, indices), dtype=np.int64)
+        except OverflowError as exc:
+            raise ParameterError(f"{what} outside [0, {size})") from exc
         bad = (idx < 0) | (idx >= size)
         if bad.any():
             raise ParameterError(f"{what} {idx[bad][0]} outside [0, {size})")

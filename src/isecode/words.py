@@ -334,8 +334,8 @@ def agreement_rows(
             symbols.append((table, inverse.tolist()))
     if gather:
         for lo in range(0, count, chunk):
-            out = [(1 << m) - 1] * min(chunk, count - lo)
-            for i, (table, inverse) in enumerate(symbols):
+            out = [(1 << m) - 1] * min(chunk, count - lo)  # the rows when no symbol is demanded
+            for i, (table, inverse) in enumerate(symbols):  # the first symbol's rows start the AND
                 got = map(table.__getitem__, inverse[lo : lo + chunk])
                 out = list(map(operator.and_, out, got) if i else got)
             yield lo, out
